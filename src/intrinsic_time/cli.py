@@ -13,14 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import (
-    EventKind,
-    MoveConvention,
-    ThresholdConfig,
-    TickSeries,
-    overshoot_lengths,
-)
-from .errors import IntrinsicTimeError
+from . import engine  # engine.<name> calls stay visible to patched bindings
+from .engine import MoveConvention, TickSeries
+from .errors import ConfigurationError, IntrinsicTimeError
 from .io import (
     EventFileFormat,
     TickFileSpec,
@@ -31,7 +26,7 @@ from .io import (
     write_events,
     write_ticks,
 )
-from .multiscale import THREADS_ENV_VAR, run_grid, summarize
+from .multiscale import THREADS_ENV_VAR, ThresholdGrid, _scan_grid
 from .scaling import decompose, fit_power_law, mean_overshoot_ratio
 from .synthetic import GbmParams, generate_gbm, generate_random_walk
 
@@ -42,20 +37,14 @@ _UNITS = {"s": TimestampUnit.SECONDS, "ms": TimestampUnit.MILLIS,
           "ns": TimestampUnit.NANOS}
 
 
-def _delta_list(text: str) -> list[float]:
+def _delta_list(text: str) -> ThresholdGrid:
     try:
-        deltas = [float(part) for part in text.split(",") if part.strip()]
+        return ThresholdGrid(tuple(sorted(
+            float(part) for part in text.split(",") if part.strip())))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid threshold list {text!r}")
-    if not deltas:
-        raise argparse.ArgumentTypeError("threshold list is empty")
-    for d in deltas:
-        if not (0.0 < d < 1.0):
-            raise argparse.ArgumentTypeError(
-                f"threshold {d!r} must be a fraction in (0, 1)")
-    if len(set(deltas)) != len(deltas):
-        raise argparse.ArgumentTypeError(f"duplicate thresholds in {text!r}")
-    return sorted(deltas)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,15 +132,14 @@ def _cmd_transform(args) -> int:
     fmt = EventFileFormat(args.format)
     ext = "csv" if fmt is EventFileFormat.CSV else "jsonl"
 
-    results = run_grid(series, args.deltas, convention)
     summary_lines = ["# intrinsic-time summary-csv v1", "delta,n_dc,n_os,coastline"]
     print(f"{'delta':>10} {'n_dc':>8} {'n_os':>8} {'coastline':>12}")
-    for delta, events in results:
-        write_events(events, out_dir / f"events_delta_{delta:g}.{ext}", fmt)
-        s = summarize(delta, events)
-        summary_lines.append(
-            f"{delta:g},{s.n_dc},{s.n_os},{_fmt(s.coastline)}")
-        print(f"{delta:>10g} {s.n_dc:>8} {s.n_os:>8} {s.coastline:>12.6g}")
+    for delta, arrays in _scan_grid(series, args.deltas, convention):
+        write_events(engine.events_from_arrays(arrays, delta),
+                     out_dir / f"events_delta_{delta!r}.{ext}", fmt)
+        coastline = len(arrays) * delta
+        summary_lines.append(f"{delta!r},{arrays.n_dc},{arrays.n_os},{_fmt(coastline)}")
+        print(f"{delta!r:>10} {arrays.n_dc:>8} {arrays.n_os:>8} {coastline:>12.6g}")
     _atomic_write(out_dir / "summary.csv", "\n".join(summary_lines) + "\n")
     return 0
 
@@ -159,15 +147,11 @@ def _cmd_transform(args) -> int:
 def _cmd_scaling(args) -> int:
     series = _read_input(args)
     convention = _CONVENTIONS[args.convention]
-    results = run_grid(series, args.deltas, convention)
-
     rows = []
-    for delta, events in results:
-        config = ThresholdConfig(delta, convention)
-        omegas = overshoot_lengths(events, series, config)
-        n_dc = sum(1 for ev in events if ev.kind is EventKind.DIRECTIONAL_CHANGE)
+    for delta, arrays in _scan_grid(series, args.deltas, convention):
+        omegas = engine._segment_overshoots(series, arrays, convention)
         ratio = mean_overshoot_ratio(omegas, delta) if omegas.size else float("nan")
-        rows.append((delta, n_dc, ratio))
+        rows.append((delta, arrays.n_dc, ratio))
 
     fit = fit_power_law([(d, n) for d, n, _ in rows])
     print(f"dc-count power law: a={fit.a:.6g} b={fit.b:.6g} "
@@ -175,7 +159,7 @@ def _cmd_scaling(args) -> int:
           f"n_points={fit.n_points}")
     print(f"{'delta':>10} {'n_dc':>8} {'mean_overshoot_ratio':>22}")
     for delta, n_dc, ratio in rows:
-        print(f"{delta:>10g} {n_dc:>8} {ratio:>22.6g}")
+        print(f"{delta!r:>10} {n_dc:>8} {ratio:>22.6g}")
 
     if args.out:
         lines = [
@@ -184,7 +168,7 @@ def _cmd_scaling(args) -> int:
             f" stderr_b={_fmt(fit.stderr_b)} n_points={fit.n_points}",
             "delta,n_dc,mean_overshoot_ratio",
         ]
-        lines.extend(f"{d:g},{n},{_fmt(r)}" for d, n, r in rows)
+        lines.extend(f"{d!r},{n},{_fmt(r)}" for d, n, r in rows)
         _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -206,7 +190,7 @@ def _cmd_decompose(args) -> int:
         rhs = "-" if row.rhs is None else f"{row.rhs:.6g}"
         ratio = "-" if row.ratio is None else f"{row.ratio:.6g}"
         flag = "  (insufficient)" if row.insufficient else ""
-        print(f"{row.delta:>10g} {row.n_dc:>8} {osv:>16} {rhs:>12} {ratio:>12}{flag}")
+        print(f"{row.delta!r:>10} {row.n_dc:>8} {osv:>16} {rhs:>12} {ratio:>12}{flag}")
 
     if args.out:
         lines = [
@@ -220,7 +204,7 @@ def _cmd_decompose(args) -> int:
             osv = "" if row.os_variability is None else _fmt(row.os_variability)
             rhs = "" if row.rhs is None else _fmt(row.rhs)
             ratio = "" if row.ratio is None else _fmt(row.ratio)
-            lines.append(f"{row.delta:g},{osv},{row.n_dc},{rhs},{ratio},"
+            lines.append(f"{row.delta!r},{osv},{row.n_dc},{rhs},{ratio},"
                          f"{str(row.insufficient).lower()}")
         _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0

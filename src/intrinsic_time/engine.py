@@ -80,8 +80,8 @@ class Tick(NamedTuple):
 class TickSeries:
     """Column-oriented tick buffer: int64 nanosecond timestamps, float64 prices.
 
-    Validates on construction: equal lengths, strictly positive prices,
-    non-decreasing timestamps. Iterating yields ``Tick`` tuples.
+    Validates on construction: equal lengths, strictly positive and finite
+    prices, non-decreasing timestamps. Iterating yields ``Tick`` tuples.
     """
 
     timestamps: np.ndarray
@@ -92,9 +92,11 @@ class TickSeries:
         px = np.ascontiguousarray(self.prices, dtype=np.float64)
         if ts.ndim != 1 or px.ndim != 1 or ts.shape != px.shape:
             raise DomainError("timestamps and prices must be 1-d arrays of equal length")
-        if px.size and not bool(np.all(px > 0.0)):
-            bad = int(np.argmax(~(px > 0.0)))
-            raise DomainError(f"non-positive price {px[bad]!r} at position {bad}")
+        valid = (px > 0.0) & (px < np.inf)
+        if not bool(np.all(valid)):
+            bad = int(np.argmax(~valid))
+            raise DomainError(
+                f"price {float(px[bad])!r} at position {bad} is not positive and finite")
         if ts.size > 1 and bool(np.any(np.diff(ts) < 0)):
             bad = int(np.argmax(np.diff(ts) < 0)) + 1
             raise OrderingError(f"timestamp decreases at position {bad}")
@@ -214,8 +216,8 @@ def new_runner(config: ThresholdConfig, initial_tick: Tick,
                initial_mode: Mode = Mode.UP) -> RunnerState:
     """Fresh runner state anchored at the first tick."""
     ts, price = int(initial_tick[0]), float(initial_tick[1])
-    if not (price > 0.0):
-        raise DomainError(f"initial price must be positive, got {price!r}")
+    if not (0.0 < price < math.inf):
+        raise DomainError(f"initial price must be positive and finite, got {price!r}")
     return RunnerState(
         mode=initial_mode,
         extremum_price=price,
@@ -241,8 +243,8 @@ def step(state: RunnerState, tick: Tick,
     one DC.
     """
     ts, price = int(tick[0]), float(tick[1])
-    if not (price > 0.0):
-        raise DomainError(f"price must be positive, got {price!r}")
+    if not (0.0 < price < math.inf):
+        raise DomainError(f"price must be positive and finite, got {price!r}")
     if ts < state.last_timestamp:
         raise OrderingError(
             f"timestamp {ts} precedes previous tick at {state.last_timestamp}")

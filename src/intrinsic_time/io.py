@@ -12,6 +12,7 @@ partial output behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -70,8 +71,8 @@ def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
 def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries:
     """Read a tick CSV into a TickSeries, normalizing timestamps to ns.
 
-    Strict by default: a non-positive price or a backwards timestamp
-    raises IngestionError naming the 1-based file row. With
+    Strict by default: a non-positive or non-finite price, or a backwards
+    timestamp, raises IngestionError naming the 1-based file row. With
     ``allow_unordered`` the rows are stably sorted by timestamp instead.
     """
     path = Path(spec.path)
@@ -105,9 +106,10 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
         except ValueError as exc:
             raise IngestionError(
                 f"row {row_no}: bad price {parts[1]!r}", row=row_no) from exc
-        if not price > 0.0:
+        if not 0.0 < price < math.inf:
             raise IngestionError(
-                f"row {row_no}: non-positive price {parts[1]}", row=row_no)
+                f"row {row_no}: price {parts[1].strip()} is not positive and finite",
+                row=row_no)
         if not allow_unordered and prev_ts is not None and ts < prev_ts:
             raise IngestionError(
                 f"row {row_no}: timestamp {ts} precedes previous {prev_ts}"

@@ -15,16 +15,18 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from . import engine
 from .engine import (
+    EventArrays,
     EventKind,
     IntrinsicEvent,
     Mode,
     MoveConvention,
     ThresholdConfig,
     TickInput,
+    TickSeries,
     as_tick_series,
     overshoot_lengths,
-    process,
 )
 from .errors import ConfigurationError, ConsistencyError
 
@@ -94,6 +96,22 @@ def _default_workers(n_tasks: int) -> int:
     return max(1, min(workers, n_tasks))
 
 
+def _scan_grid(series: TickSeries, grid: GridInput, convention: MoveConvention,
+               initial_mode: Mode = Mode.UP,
+               max_workers: int | None = None) -> list[tuple[float, EventArrays]]:
+    """``run_grid`` before event materialisation: ``(delta, EventArrays)`` pairs."""
+    configs = [ThresholdConfig(d, convention) for d in as_threshold_grid(grid)]
+    workers = max_workers if max_workers is not None else _default_workers(len(configs))
+    # through the module, so that a patched ``engine.process_arrays`` sees every scan
+    if workers <= 1 or len(configs) == 1:
+        results = [engine.process_arrays(series, c, initial_mode) for c in configs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(
+                lambda c: engine.process_arrays(series, c, initial_mode), configs))
+    return [(c.delta, arrays) for c, arrays in zip(configs, results)]
+
+
 def run_grid(ticks: TickInput, grid: GridInput,
              convention: MoveConvention = MoveConvention.RELATIVE,
              initial_mode: Mode = Mode.UP,
@@ -105,16 +123,8 @@ def run_grid(ticks: TickInput, grid: GridInput,
     immutable tick buffer and may execute on a thread pool (the compiled
     scan kernel releases the GIL); results are merged deterministically.
     """
-    series = as_tick_series(ticks)
-    grid = as_threshold_grid(grid)
-    configs = [ThresholdConfig(d, convention) for d in grid]
-    workers = max_workers if max_workers is not None else _default_workers(len(configs))
-    if workers <= 1 or len(configs) == 1:
-        results = [process(series, c, initial_mode) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: process(series, c, initial_mode), configs))
-    return [(c.delta, events) for c, events in zip(configs, results)]
+    scans = _scan_grid(as_tick_series(ticks), grid, convention, initial_mode, max_workers)
+    return [(delta, engine.events_from_arrays(arrays, delta)) for delta, arrays in scans]
 
 
 def summarize(delta: float, events: Sequence[IntrinsicEvent],

@@ -24,11 +24,9 @@ import numpy as np
 
 from .engine import (
     MoveConvention,
-    ThresholdConfig,
     TickInput,
     _segment_overshoots,
     as_tick_series,
-    process_arrays,
 )
 from .errors import (
     ConfigurationError,
@@ -36,7 +34,7 @@ from .errors import (
     FitError,
     InsufficientDataError,
 )
-from .multiscale import GridInput, as_threshold_grid
+from .multiscale import GridInput, _scan_grid, as_threshold_grid
 
 
 @dataclass(frozen=True)
@@ -190,9 +188,7 @@ def decompose(ticks: TickInput, grid: GridInput, dt: int,
     lhs = squared_mean(physical_returns(series, dt, convention).returns)
 
     rows: list[DecompositionRow] = []
-    for delta in grid:
-        config = ThresholdConfig(delta, convention)
-        arrays = process_arrays(series, config)
+    for delta, arrays in _scan_grid(series, grid, convention):
         omegas = _segment_overshoots(series, arrays, convention)
         n_dc = arrays.n_dc
         if omegas.size < 2:

@@ -4,6 +4,7 @@ import pytest
 
 import intrinsic_time as it
 from intrinsic_time.cli import cli_main
+from intrinsic_time.io import _fmt
 
 
 def run_cli(*argv):
@@ -152,3 +153,71 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
     first = run_pipeline(tmp_path / "a")
     second = run_pipeline(tmp_path / "b")
     assert first == second
+
+
+def test_close_thresholds_get_distinct_labels(tmp_path, capsys):
+    # both thresholds print as 0.00123457 with six significant digits
+    ticks = tmp_path / "ticks.csv"
+    run_cli("generate", "--model", "walk", "--step-size", "0.003", "--steps",
+            "5000", "--seed", "8", "--out", str(ticks))
+    out_dir = tmp_path / "out"
+    deltas = "0.0012345671,0.0012345674"
+    assert run_cli("transform", "--in", str(ticks), "--deltas", deltas,
+                   "--out-dir", str(out_dir)) == 0
+    assert run_cli("scaling", "--in", str(ticks), "--deltas", deltas,
+                   "--out", str(tmp_path / "scaling.csv")) == 0
+    assert run_cli("decompose", "--in", str(ticks), "--deltas", deltas,
+                   "--dt-seconds", "10", "--out", str(tmp_path / "decomp.csv")) == 0
+    printed = capsys.readouterr().out
+    assert sorted(p.name for p in out_dir.glob("events_delta_*")) == [
+        "events_delta_0.0012345671.csv", "events_delta_0.0012345674.csv"]
+    for table in (out_dir / "summary.csv", tmp_path / "scaling.csv",
+                  tmp_path / "decomp.csv"):
+        labels = [line.split(",")[0] for line in table.read_text().splitlines()[-2:]]
+        assert labels == ["0.0012345671", "0.0012345674"]
+    assert printed.count("0.0012345671") == 3 and printed.count("0.0012345674") == 3
+
+
+def test_each_command_scans_each_threshold_once(tmp_path, monkeypatch, capsys):
+    ticks = tmp_path / "ticks.csv"
+    run_cli("generate", "--model", "walk", "--step-size", "0.003", "--steps",
+            "5000", "--seed", "9", "--out", str(ticks))
+    calls = []
+    process_arrays = it.engine.process_arrays
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].delta)
+        return process_arrays(*args, **kwargs)
+
+    monkeypatch.setattr(it.engine, "process_arrays", counting)
+    common = ["--in", str(ticks), "--deltas", "0.002,0.004,0.008"]
+    for command, extra in [("transform", ["--out-dir", str(tmp_path / "out")]),
+                           ("scaling", []),
+                           ("decompose", ["--dt-seconds", "10"])]:
+        calls.clear()
+        assert run_cli(command, *common, *extra) == 0
+        assert sorted(calls) == [0.002, 0.004, 0.008], command
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("convention", ["relative", "log"])
+def test_scaling_rows_match_edge_api(tmp_path, capsys, convention):
+    ticks = tmp_path / "ticks.csv"
+    run_cli("generate", "--model", "gbm", "--sigma", "0.002", "--mu", "0",
+            "--steps", "20000", "--seed", "10", "--out", str(ticks))
+    out = tmp_path / "scaling.csv"
+    deltas = [0.002, 0.004, 0.25]  # one DC at 0.25: no completed segment, ratio nan
+    assert run_cli("scaling", "--in", str(ticks), "--deltas",
+                   ",".join(map(repr, deltas)), "--convention", convention,
+                   "--out", str(out)) == 0
+    capsys.readouterr()
+    series = it.parse_ticks(it.TickFileSpec(ticks))
+    expected = []
+    for delta in deltas:
+        config = it.ThresholdConfig(delta, it.MoveConvention(convention))
+        events = it.process(series, config)
+        n_dc = sum(1 for ev in events if ev.kind is it.EventKind.DIRECTIONAL_CHANGE)
+        omegas = it.overshoot_lengths(events, series, config)
+        ratio = it.mean_overshoot_ratio(omegas, delta) if omegas.size else float("nan")
+        expected.append(f"{delta!r},{n_dc},{_fmt(ratio)}")
+    assert out.read_text().splitlines()[3:] == expected

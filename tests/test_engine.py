@@ -206,8 +206,17 @@ def test_process_rejects_unordered_timestamps():
 
 
 def test_process_rejects_nan_price():
-    with pytest.raises(it.DomainError):
-        run([100.0, float("nan")], 0.01)
+    config = it.ThresholdConfig(0.01)
+    for bad in (float("nan"), math.inf, -math.inf):
+        with pytest.raises(it.DomainError):
+            run([100.0, bad], 0.01)
+        with pytest.raises(it.DomainError):
+            it.new_runner(config, it.Tick(0, bad))
+        with pytest.raises(it.DomainError):
+            it.step(it.new_runner(config, it.Tick(0, 100.0)), it.Tick(1, bad), config)
+    # an infinite tick would walk the overshoot grid up to overflow
+    with pytest.raises(it.DomainError, match="position 3"):
+        run([1.0, 0.5, 1.0, math.inf], 0.001)
 
 
 def test_process_mirrored_fixture_down_start():

@@ -74,6 +74,8 @@ def test_parse_millis_unit(tmp_path):
     ("0,1.0\n1\n", 2),
     ("0,nan\n", 1),
     ("nan,1.0\n", 1),
+    ("0,1.0\n1,inf\n", 2),
+    ("0,-inf\n", 1),
 ])
 def test_parse_malformed_rows_name_the_row(tmp_path, content, bad_row):
     path = tmp_path / "ticks.csv"
