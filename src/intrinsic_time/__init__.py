@@ -43,7 +43,6 @@ from .errors import (
 )
 from .io import (
     EventFileFormat,
-    TickFileFormat,
     TickFileSpec,
     TimestampUnit,
     parse_ticks,
@@ -102,7 +101,6 @@ __all__ = [
     "ThresholdGrid",
     "ThresholdSummary",
     "Tick",
-    "TickFileFormat",
     "TickFileSpec",
     "TickSeries",
     "TimestampUnit",

@@ -190,16 +190,16 @@ def relative_move(from_price: float, to_price: float,
 
     RELATIVE returns (to - from) / from, LOG_RETURN returns ln(to / from).
     """
-    if not (from_price > 0.0) or not (to_price > 0.0):
+    if not (0.0 < from_price < math.inf) or not (0.0 < to_price < math.inf):
         raise DomainError(
-            f"prices must be positive, got {from_price!r} -> {to_price!r}")
+            f"prices must be positive and finite, got {from_price!r} -> {to_price!r}")
     if convention is MoveConvention.LOG_RETURN:
         return math.log(to_price / from_price)
     return (to_price - from_price) / from_price
 
 
-def _threshold_steps(config: ThresholdConfig) -> tuple[float, float, float]:
-    """(guard, up_factor, down_factor) shared by ``step`` and the batch scans.
+def _scan_args(config: ThresholdConfig) -> tuple[float, float, float, bool]:
+    """(guard, up_factor, down_factor, use_log), the scans' view of a config.
 
     A move triggers once it reaches ``guard``; each overshoot advances the
     overshoot reference by one factor. Exponentials come from libm through
@@ -208,8 +208,8 @@ def _threshold_steps(config: ThresholdConfig) -> tuple[float, float, float]:
     delta = config.delta
     guard = delta * (1.0 - BOUNDARY_TOLERANCE)
     if config.move_convention is MoveConvention.LOG_RETURN:
-        return guard, math.exp(delta), math.exp(-delta)
-    return guard, 1.0 + delta, 1.0 - delta
+        return guard, math.exp(delta), math.exp(-delta), True
+    return guard, 1.0 + delta, 1.0 - delta, False
 
 
 def new_runner(config: ThresholdConfig, initial_tick: Tick,
@@ -233,14 +233,15 @@ def step(state: RunnerState, tick: Tick,
          config: ThresholdConfig) -> tuple[RunnerState, list[IntrinsicEvent]]:
     """Advance the runner by one tick; mutates and returns the state.
 
-    In UP mode: a higher tick extends the trend, updating the extremum
-    and emitting one overshoot per full threshold increment the price
-    has crossed on the overshoot grid (only after the first DC). A tick
-    that retraces at least one threshold from the extremum emits exactly
-    one DC, flips the mode, and re-anchors extremum, overshoot reference
-    and confirmation price at the tick price. DOWN mode is the mirror
-    image. Gap ticks may emit several overshoots but never more than
-    one DC.
+    The move itself is the batch scan's Python loop run on this one tick,
+    so streaming and batch share one state machine. In UP mode a higher
+    tick extends the trend, updating the extremum and emitting one
+    overshoot per full threshold increment the price has crossed on the
+    overshoot grid (only after the first DC). A tick that retraces at
+    least one threshold from the extremum emits exactly one DC, flips the
+    mode, and re-anchors extremum, overshoot reference and confirmation
+    price at the tick price. DOWN mode is the mirror image. Gap ticks may
+    emit several overshoots but never more than one DC.
     """
     ts, price = int(tick[0]), float(tick[1])
     if not (0.0 < price < math.inf):
@@ -250,56 +251,28 @@ def step(state: RunnerState, tick: Tick,
             f"timestamp {ts} precedes previous tick at {state.last_timestamp}")
     state.last_timestamp = ts
 
-    delta = config.delta
-    guard, up_factor, down_factor = _threshold_steps(config)
-    use_log = config.move_convention is MoveConvention.LOG_RETURN
-
-    def move(base: float) -> float:
-        return math.log(price / base) if use_log else (price - base) / base
-
-    events: list[IntrinsicEvent] = []
-
-    def emit(kind: EventKind, direction: Mode) -> None:
-        events.append(IntrinsicEvent(kind, direction, ts, price, delta,
-                                     state.intrinsic_clock))
+    mode = state.mode
+    sign = mode.value
+    found, state.extremum_price, state.os_reference_price, new_sign, _ = _scan_python(
+        [price], 0, state.extremum_price, state.os_reference_price, sign,
+        state.dc_confirm_price is not None, *_scan_args(config))
+    if new_sign != sign:  # a DC fired, and it is this tick's only event
+        mode = state.mode = mode.flipped
+        state.dc_confirm_price = price
+        state.dc_count_since_init += 1
+    events = []
+    for kind, _, _ in found:
+        events.append(IntrinsicEvent(
+            EventKind.DIRECTIONAL_CHANGE if kind == 0 else EventKind.OVERSHOOT,
+            mode, ts, price, config.delta, state.intrinsic_clock))
         state.intrinsic_clock += 1
-
-    if state.mode is Mode.UP:
-        if price > state.extremum_price:
-            state.extremum_price = price
-            if state.dc_confirm_price is not None:
-                while move(state.os_reference_price) >= guard:
-                    emit(EventKind.OVERSHOOT, Mode.UP)
-                    state.os_reference_price *= up_factor
-        elif move(state.extremum_price) <= -guard:
-            emit(EventKind.DIRECTIONAL_CHANGE, Mode.DOWN)
-            state.mode = Mode.DOWN
-            state.extremum_price = price
-            state.os_reference_price = price
-            state.dc_confirm_price = price
-            state.dc_count_since_init += 1
-    else:
-        if price < state.extremum_price:
-            state.extremum_price = price
-            if state.dc_confirm_price is not None:
-                while move(state.os_reference_price) <= -guard:
-                    emit(EventKind.OVERSHOOT, Mode.DOWN)
-                    state.os_reference_price *= down_factor
-        elif move(state.extremum_price) >= guard:
-            emit(EventKind.DIRECTIONAL_CHANGE, Mode.UP)
-            state.mode = Mode.UP
-            state.extremum_price = price
-            state.os_reference_price = price
-            state.dc_confirm_price = price
-            state.dc_count_since_init += 1
-
     return state, events
 
 
 # The batch scan runs in C (``_scan.c``), compiled with the system ``cc`` on
 # first use and cached by a checksum of source and flags: beside this module
 # in ``__pycache__/``, else in the user's cache directory. Without a working
-# compiler, ``_scan_python`` runs the same loop.
+# compiler, ``_scan_python`` runs the same loop; ``step`` runs it too.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNLOADED = object()
@@ -366,7 +339,8 @@ def _bind_kernel(path: Path):
                       "using the slower Python scan", RuntimeWarning)
         return None
     ptr, i64, f64, c_int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
-    scan.argtypes = [ptr, i64, f64, f64, f64, c_int, c_int, ptr, ptr, ptr, i64]
+    scan.argtypes = [ptr, i64, f64, f64, f64, c_int, ctypes.POINTER(_ScanState),
+                     ptr, ptr, ptr, i64]
     scan.restype = i64
     return scan
 
@@ -386,8 +360,20 @@ def kernel_backend() -> str:
     return "python" if _load_kernel() is None else "c"
 
 
+class _ScanState(ctypes.Structure):
+    """``struct it_state`` of ``_scan.c``: the runner state a scan resumes from."""
+
+    _fields_ = [("ext", ctypes.c_double), ("ref", ctypes.c_double),
+                ("i", ctypes.c_int64), ("mode", ctypes.c_int32),
+                ("confirmed", ctypes.c_int32)]
+
+
 def _scan_c(scan, prices: np.ndarray, guard: float, up_factor: float,
             down_factor: float, use_log: bool, mode: int):
+    """Scan the whole array. When the kernel stops on a full buffer, it is
+    resumed from its state with one twice as large, never from tick 1."""
+    state = _ScanState(prices[0], prices[0], 1, mode, 0)
+    parts = []
     cap = 1024
     while True:
         kinds = np.empty(cap, dtype=np.int8)
@@ -395,28 +381,29 @@ def _scan_c(scan, prices: np.ndarray, guard: float, up_factor: float,
         idx = np.empty(cap, dtype=np.int64)
         # prices is a C-contiguous float64 array (TickSeries guarantees it)
         m = scan(prices.ctypes.data, prices.size, guard, up_factor, down_factor,
-                 use_log, mode, kinds.ctypes.data, dirs.ctypes.data,
+                 use_log, state, kinds.ctypes.data, dirs.ctypes.data,
                  idx.ctypes.data, cap)
-        if m <= cap:
-            return kinds[:m].copy(), dirs[:m].copy(), idx[:m].copy()
-        cap = m
+        parts.append((kinds[:m], dirs[:m], idx[:m]))
+        if state.i == prices.size:
+            return tuple(np.concatenate(column) for column in zip(*parts))
+        cap *= 2
 
 
-def _scan_python(prices: np.ndarray, guard: float, up_factor: float,
-                 down_factor: float, use_log: bool, mode: int):
+def _scan_python(px: list, i: int, ext: float, ref: float, mode: int,
+                 confirmed: bool, guard: float, up_factor: float,
+                 down_factor: float, use_log: bool):
     """Pure-Python twin of ``it_scan`` in ``_scan.c``, operation by operation.
 
-    ``mode`` is +1 or -1; ``mode * x >= guard`` reads ``x >= guard`` up
-    and ``x <= -guard`` down, exactly, since negation does not round.
+    Scans ``px[i:]`` from the given runner state; returns the events as
+    ``(kind, direction, tick index)`` tuples and the state after the last
+    tick. ``mode`` is +1 or -1; ``mode * x >= guard`` reads ``x >= guard``
+    up and ``x <= -guard`` down, exactly, since negation does not round.
     """
-    px = prices.tolist()
     log = math.log
     events = []
-    ext = ref = px[0]
-    confirmed = False
-    for i in range(1, len(px)):
+    for i in range(i, len(px)):
         p = px[i]
-        if mode * p > mode * ext:
+        if mode * p >= mode * ext:
             ext = p
             if confirmed:
                 factor = up_factor if mode == 1 else down_factor
@@ -428,9 +415,7 @@ def _scan_python(prices: np.ndarray, guard: float, up_factor: float,
             events.append((0, mode, i))
             ext = ref = p
             confirmed = True
-    table = np.array(events, dtype=np.int64).reshape(-1, 3)
-    return (table[:, 0].astype(np.int8), table[:, 1].astype(np.int8),
-            np.ascontiguousarray(table[:, 2]))
+    return events, ext, ref, mode, confirmed
 
 
 @dataclass(frozen=True)
@@ -467,12 +452,14 @@ def process_arrays(ticks: TickInput, config: ThresholdConfig,
     if len(series) == 0:
         raise EmptyInputError("cannot process an empty tick sequence")
     scan = _load_kernel()
-    args = (*_threshold_steps(config),
-            config.move_convention is MoveConvention.LOG_RETURN, initial_mode.value)
+    args = _scan_args(config)
     if scan is None:
-        kinds, dirs, idx = _scan_python(series.prices, *args)
+        px = series.prices.tolist()
+        found = _scan_python(px, 1, px[0], px[0], initial_mode.value, False, *args)[0]
+        kinds, dirs, idx = np.array(found, dtype=np.int64).reshape(-1, 3).T
+        kinds, dirs, idx = kinds.astype(np.int8), dirs.astype(np.int8), idx.copy()
     else:
-        kinds, dirs, idx = _scan_c(scan, series.prices, *args)
+        kinds, dirs, idx = _scan_c(scan, series.prices, *args, initial_mode.value)
     return EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx], idx)
 
 
@@ -497,8 +484,11 @@ def process(ticks: TickInput, config: ThresholdConfig,
     """Transform a whole tick sequence into its intrinsic-time events.
 
     Equivalent to folding ``step`` over the sequence after ``new_runner``
-    on the first tick, but runs as one pass with constant state, in C
-    where a compiler is available (see ``kernel_backend``). Raises
+    on the first tick, but runs as one pass with constant state: in C
+    where a compiler is available (see ``kernel_backend``), else in the
+    Python loop that ``step`` runs tick by tick. The C scan hands its
+    state back when its event buffer fills and resumes from it, so every
+    tick is scanned once however many events there are. Raises
     EmptyInputError on an empty sequence; a single tick yields no events.
     """
     arrays = process_arrays(ticks, config, initial_mode)

@@ -31,10 +31,6 @@ EVENT_SCHEMA_COMMENT = "# intrinsic-time event-csv v1"
 EVENT_FIELDS = ("kind", "direction", "timestamp_ns", "price", "delta", "clock_index")
 
 
-class TickFileFormat(Enum):
-    CSV_TIMESTAMP_PRICE = "csv"
-
-
 class TimestampUnit(Enum):
     SECONDS = "s"
     MILLIS = "ms"
@@ -56,7 +52,6 @@ class EventFileFormat(Enum):
 @dataclass(frozen=True)
 class TickFileSpec:
     path: str | Path
-    format: TickFileFormat = TickFileFormat.CSV_TIMESTAMP_PRICE
     has_header: bool = True
     timestamp_unit: TimestampUnit = TimestampUnit.NANOS
 

@@ -81,6 +81,10 @@ def test_relative_move_rejects_nonpositive_price():
         it.relative_move(-1.0, 2.0)
     with pytest.raises(it.DomainError):
         it.relative_move(1.0, 0.0, LOG)
+    for convention in (REL, LOG):
+        for prices in ((1.0, math.inf), (math.inf, 1.0), (1.0, -math.inf)):
+            with pytest.raises(it.DomainError):
+                it.relative_move(*prices, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +412,11 @@ def test_log_convention_is_scale_invariant(walk, factor):
            [(e.kind, e.direction, e.timestamp, e.clock_index) for e in scaled]
 
 
+# a DC, then a gap tick of about 3000 overshoots: the kernel's first
+# 1024-event buffer fills inside that tick's overshoot loop
+GAP_PRICES = [100.0, 99.0, 99.0 * math.exp(-3.0), 60.0, 99.0 * math.exp(-6.0)]
+
+
 def test_extreme_inputs_match_reference():
     # huge gap ticks, tiny prices and a near-degenerate threshold
     cases = [
@@ -415,6 +424,7 @@ def test_extreme_inputs_match_reference():
         ([1e-300, 2e-300, 1e-300, 5e-300], 0.01, LOG),
         ([100.0, 100.0, 100.0, 99.0, 101.0, 1.0], 0.49, REL),
         ([1e9, 2e9, 1e8, 3e9], 0.3, LOG),
+        (GAP_PRICES, 0.001, LOG),
     ]
     for prices, delta, convention in cases:
         arr = np.array(prices)
@@ -448,6 +458,8 @@ def test_runners_synchronize_after_two_dcs():
 
 HAS_CC = shutil.which("cc") is not None
 ARRAY_FIELDS = ("kinds", "directions", "timestamps", "prices", "tick_indices")
+DENSE_WALK = it.generate_random_walk(1.0, 0.01, 20000, seed=8)
+GAP_SERIES = it.TickSeries(np.arange(len(GAP_PRICES)), np.array(GAP_PRICES))
 
 
 def sweep_case(rng, i):
@@ -477,9 +489,10 @@ def test_kernel_backend_is_c_with_a_compiler():
 def test_python_fallback_equals_compiled_kernel(monkeypatch):
     rng = np.random.default_rng(31)
     cases = [sweep_case(rng, i) for i in range(400)]
-    # a dense case that overflows the kernel's first output buffer
-    cases.append((it.generate_random_walk(1.0, 0.01, 20000, seed=8),
-                  it.ThresholdConfig(0.002, LOG), it.Mode.DOWN))
+    # a dense case that overflows the kernel's first output buffer, and a
+    # gap tick that overflows it mid-way through one overshoot loop
+    cases.append((GAP_SERIES, it.ThresholdConfig(0.001, LOG), it.Mode.UP))
+    cases.append((DENSE_WALK, it.ThresholdConfig(0.002, LOG), it.Mode.DOWN))
     compiled = [it.process_arrays(*case) for case in cases]
     monkeypatch.setattr(engine, "_kernel", None)
     assert it.kernel_backend() == "python"
@@ -488,7 +501,31 @@ def test_python_fallback_equals_compiled_kernel(monkeypatch):
         for field in ARRAY_FIELDS:
             a, b = getattr(got, field), getattr(fallback, field)
             assert a.dtype == b.dtype and np.array_equal(a, b), field
-    assert len(compiled[-1]) > 1024
+    assert len(compiled[-2]) > 1024 and len(compiled[-1]) > 1024
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+@pytest.mark.parametrize("series, delta, mode", [(DENSE_WALK, 0.002, it.Mode.DOWN),
+                                                 (GAP_SERIES, 0.001, it.Mode.UP)])
+def test_full_buffer_resumes_without_rescanning(monkeypatch, series, delta, mode):
+    kernel = engine._load_kernel()
+    spans = []  # (first tick, tick the call stopped at) of each kernel call
+
+    def tracing(*args):
+        state = args[6]
+        first = state.i
+        written = kernel(*args)
+        spans.append((first, state.i))
+        return written
+
+    monkeypatch.setattr(engine, "_kernel", tracing)
+    arrays = it.process_arrays(series, it.ThresholdConfig(delta, LOG), mode)
+    assert len(arrays) > 1024 and len(spans) > 1
+    # each call starts where the previous one stopped, so no tick is rescanned
+    assert spans[0][0] == 1 and spans[-1][1] == len(series)
+    assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
+    if series is GAP_SERIES:
+        assert spans[0] == (1, 2)  # the first stop falls inside the gap tick
 
 
 def test_no_compiler_falls_back_to_python(monkeypatch, tmp_path):
