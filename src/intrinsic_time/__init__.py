@@ -51,7 +51,6 @@ from .io import (
     write_ticks,
 )
 from .multiscale import (
-    THREADS_ENV_VAR,
     ThresholdGrid,
     ThresholdSummary,
     as_threshold_grid,
@@ -96,7 +95,6 @@ __all__ = [
     "ReturnSeries",
     "RunnerState",
     "ScalingFit",
-    "THREADS_ENV_VAR",
     "ThresholdConfig",
     "ThresholdGrid",
     "ThresholdSummary",

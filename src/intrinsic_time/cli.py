@@ -10,6 +10,7 @@ byte-identical output files. Threshold lists are plain fractions
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .io import (
     write_events,
     write_ticks,
 )
-from .multiscale import THREADS_ENV_VAR, ThresholdGrid, _scan_grid
+from .multiscale import ThresholdGrid, _scan_grid
 from .scaling import decompose, fit_power_law, mean_overshoot_ratio
 from .synthetic import GbmParams, generate_gbm, generate_random_walk
 
@@ -47,13 +48,23 @@ def _delta_list(text: str) -> ThresholdGrid:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _dt_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid interval {text!r}")
+    ns = value * NS_PER_SECOND
+    if not (math.isfinite(ns) and round(ns) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"interval {text!r} must be finite and at least 1 ns")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intrinsic-time",
         description="Event-based intrinsic-time transforms and scaling-law "
                     "estimation for tick data.",
-        epilog=f"Set {THREADS_ENV_VAR} to override the thread count used for "
-               "multi-threshold runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -95,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", parents=[common_in],
                          help="return-variance decomposition across thresholds")
-    dec.add_argument("--dt-seconds", type=float, required=True,
+    dec.add_argument("--dt-seconds", type=_dt_seconds, required=True,
                      help="physical sampling interval for returns")
     dec.add_argument("--out", default=None, help="optional output CSV path")
 

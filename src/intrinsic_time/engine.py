@@ -346,7 +346,7 @@ def _bind_kernel(path: Path):
 
 
 def _load_kernel():
-    """The C scan function, or None; the first call may come from worker threads."""
+    """The C scan function, or None; the first call may come from user threads."""
     global _kernel
     if _kernel is _UNLOADED:
         with _kernel_lock:

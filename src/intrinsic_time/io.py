@@ -58,16 +58,21 @@ class TickFileSpec:
 
 def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
     if unit is TimestampUnit.NANOS:
-        return int(text)
-    # Decimal keeps e.g. epoch seconds with fractional digits exact.
-    return int(Decimal(text) * _UNIT_SCALE[unit])
+        ts = int(text)
+    else:
+        # Decimal keeps e.g. epoch seconds with fractional digits exact.
+        ts = int(Decimal(text) * _UNIT_SCALE[unit])
+    if not -2**63 <= ts < 2**63:
+        raise OverflowError("outside the int64 nanosecond range")
+    return ts
 
 
 def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries:
     """Read a tick CSV into a TickSeries, normalizing timestamps to ns.
 
-    Strict by default: a non-positive or non-finite price, or a backwards
-    timestamp, raises IngestionError naming the 1-based file row. With
+    Strict by default: a non-positive or non-finite price, a timestamp
+    outside the int64 nanosecond range, or a backwards timestamp raises
+    IngestionError naming the 1-based file row. With
     ``allow_unordered`` the rows are stably sorted by timestamp instead.
     """
     path = Path(spec.path)
@@ -96,6 +101,10 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
         except (ValueError, InvalidOperation) as exc:
             raise IngestionError(
                 f"row {row_no}: bad timestamp {parts[0]!r}", row=row_no) from exc
+        except OverflowError as exc:
+            raise IngestionError(
+                f"row {row_no}: timestamp {parts[0].strip()} is outside the int64"
+                " nanosecond range", row=row_no) from exc
         try:
             price = float(parts[1])
         except ValueError as exc:
@@ -184,6 +193,8 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
 
 def _event_from_fields(kind: str, direction: str, ts, price, delta,
                        clock) -> IntrinsicEvent:
+    if direction not in ("up", "down"):
+        raise ValueError(f"direction {direction!r} is not 'up' or 'down'")
     return IntrinsicEvent(
         kind=EventKind(kind),
         direction=Mode.UP if direction == "up" else Mode.DOWN,
@@ -196,7 +207,13 @@ def _event_from_fields(kind: str, direction: str, ts, price, delta,
 
 def read_events(path: str | Path,
                 format: EventFileFormat = EventFileFormat.CSV) -> list[IntrinsicEvent]:
-    """Parse an event file written by write_events."""
+    """Parse an event file written by write_events.
+
+    A malformed row raises IngestionError naming its 1-based line: a
+    wrong field count, a direction other than ``up`` or ``down``, a
+    JSONL line that is not an object, or a non-integer ``timestamp_ns``
+    or ``clock_index``.
+    """
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
@@ -227,9 +244,13 @@ def read_events(path: str | Path,
                 continue
             try:
                 obj = json.loads(line)
-                events.append(_event_from_fields(
-                    obj["kind"], obj["direction"], obj["timestamp_ns"],
-                    obj["price"], obj["delta"], obj["clock_index"]))
-            except (ValueError, KeyError) as exc:
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, got {line!r}")
+                fields = [obj[name] for name in EVENT_FIELDS]
+                for name in ("timestamp_ns", "clock_index"):
+                    if type(obj[name]) is not int:
+                        raise ValueError(f"{name} {obj[name]!r} is not an integer")
+                events.append(_event_from_fields(*fields))
+            except (ValueError, KeyError, TypeError) as exc:
                 raise IngestionError(f"row {row_no}: {exc}", row=row_no) from exc
     return events

@@ -8,8 +8,6 @@ thresholds resolve more events and a longer coastline.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -29,9 +27,6 @@ from .engine import (
     overshoot_lengths,
 )
 from .errors import ConfigurationError, ConsistencyError
-
-# Overrides the worker count used for grid runs (positive integer).
-THREADS_ENV_VAR = "INTRINSIC_TIME_THREADS"
 
 
 @dataclass(frozen=True)
@@ -87,43 +82,24 @@ class ThresholdSummary:
     last_event_ts: int | None = None
 
 
-def _default_workers(n_tasks: int) -> int:
-    env = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if env.isdigit() and int(env) > 0:
-        workers = int(env)
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_tasks))
-
-
 def _scan_grid(series: TickSeries, grid: GridInput, convention: MoveConvention,
-               initial_mode: Mode = Mode.UP,
-               max_workers: int | None = None) -> list[tuple[float, EventArrays]]:
+               initial_mode: Mode = Mode.UP) -> list[tuple[float, EventArrays]]:
     """``run_grid`` before event materialisation: ``(delta, EventArrays)`` pairs."""
-    configs = [ThresholdConfig(d, convention) for d in as_threshold_grid(grid)]
-    workers = max_workers if max_workers is not None else _default_workers(len(configs))
     # through the module, so that a patched ``engine.process_arrays`` sees every scan
-    if workers <= 1 or len(configs) == 1:
-        results = [engine.process_arrays(series, c, initial_mode) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda c: engine.process_arrays(series, c, initial_mode), configs))
-    return [(c.delta, arrays) for c, arrays in zip(configs, results)]
+    return [(d, engine.process_arrays(series, ThresholdConfig(d, convention), initial_mode))
+            for d in as_threshold_grid(grid)]
 
 
 def run_grid(ticks: TickInput, grid: GridInput,
              convention: MoveConvention = MoveConvention.RELATIVE,
-             initial_mode: Mode = Mode.UP,
-             max_workers: int | None = None) -> list[tuple[float, list[IntrinsicEvent]]]:
+             initial_mode: Mode = Mode.UP) -> list[tuple[float, list[IntrinsicEvent]]]:
     """Run one independent runner per threshold over the same ticks.
 
-    Output order follows the grid; element i is exactly what a single
-    ``process`` call at that threshold returns. Runners share the
-    immutable tick buffer and may execute on a thread pool (the compiled
-    scan kernel releases the GIL); results are merged deterministically.
+    The thresholds are scanned one after another in the calling thread,
+    and the output follows the grid order; element i is exactly what a
+    single ``process`` call at that threshold returns.
     """
-    scans = _scan_grid(as_tick_series(ticks), grid, convention, initial_mode, max_workers)
+    scans = _scan_grid(as_tick_series(ticks), grid, convention, initial_mode)
     return [(delta, engine.events_from_arrays(arrays, delta)) for delta, arrays in scans]
 
 

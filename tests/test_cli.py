@@ -96,6 +96,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                    "--deltas", "0.01", "--out-dir", str(tmp_path)) == 2
     assert run_cli("generate", "--model", "walk", "--steps", "10",
                    "--out", str(tmp_path / "w.csv")) == 2
+    for dt in ("nan", "inf", "0", "-1", "4e-10"):
+        assert run_cli("decompose", "--in", str(ticks), "--deltas", "0.01",
+                       "--dt-seconds", dt) == 2
     capsys.readouterr()
 
 

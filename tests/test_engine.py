@@ -577,20 +577,31 @@ def test_first_use_from_many_threads_compiles_once(monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "_kernel_cache_dirs", lambda: [tmp_path])
     monkeypatch.setattr(engine, "_compile_kernel", counting)
     walk = it.generate_random_walk(50.0, 0.003, 20000, seed=4)
-    grid = [0.002, 0.003, 0.004, 0.006, 0.008, 0.012, 0.016, 0.024]
+    configs = [it.ThresholdConfig(d) for d in
+               (0.002, 0.003, 0.004, 0.006, 0.008, 0.012, 0.016, 0.024)]
+    results = {}
+
+    def scan(config):
+        results[config.delta] = it.process_arrays(walk, config)
+
+    workers = [threading.Thread(target=scan, args=(c,)) for c in configs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = []
-        worker = threading.Thread(
-            target=lambda: results.append(it.run_grid(walk, grid, max_workers=8)))
-        worker.start()
-        worker.join(timeout=120)
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert not worker.is_alive()
+    assert not any(worker.is_alive() for worker in workers)
     assert len(compiles) == 1
     assert it.kernel_backend() == "c"
     cached = list(tmp_path.iterdir())  # one shared object, no temp files left
     assert len(cached) == 1 and cached[0].suffix == ".so"
-    assert results[0] == it.run_grid(walk, grid, max_workers=1)
+    assert len(results) == len(configs)
+    for config in configs:
+        serial = it.process_arrays(walk, config)
+        for field in ARRAY_FIELDS:
+            assert np.array_equal(getattr(results[config.delta], field),
+                                  getattr(serial, field)), field

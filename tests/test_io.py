@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intrinsic_time as it
-from intrinsic_time.io import EVENT_SCHEMA_COMMENT
+from intrinsic_time.io import EVENT_FIELDS, EVENT_SCHEMA_COMMENT
 
 NS = 1_000_000_000
 CSV = it.EventFileFormat.CSV
@@ -76,6 +76,9 @@ def test_parse_millis_unit(tmp_path):
     ("nan,1.0\n", 1),
     ("0,1.0\n1,inf\n", 2),
     ("0,-inf\n", 1),
+    ("0,1.0\ninf,2.0\n", 2),
+    ("1e30,1.0\n", 1),
+    ("9.3e9,1.0\n", 1),
 ])
 def test_parse_malformed_rows_name_the_row(tmp_path, content, bad_row):
     path = tmp_path / "ticks.csv"
@@ -83,6 +86,19 @@ def test_parse_malformed_rows_name_the_row(tmp_path, content, bad_row):
     with pytest.raises(it.IngestionError) as err:
         it.parse_ticks(spec_for(path))
     assert err.value.row == bad_row
+
+
+def test_parse_nanosecond_timestamps_outside_int64_name_the_row(tmp_path):
+    path = tmp_path / "ticks.csv"
+    nanos = it.TimestampUnit.NANOS
+    path.write_text(f"0,1.0\n{2**63 - 1},1.0\n")
+    assert it.parse_ticks(spec_for(path, timestamp_unit=nanos)).timestamps.tolist() \
+        == [0, 2**63 - 1]
+    for content in ("0,1.0\n99999999999999999999,1.0\n", f"0,1.0\n{2**63},1.0\n"):
+        path.write_text(content)
+        with pytest.raises(it.IngestionError) as err:
+            it.parse_ticks(spec_for(path, timestamp_unit=nanos))
+        assert err.value.row == 2
 
 
 def test_parse_missing_file_raises():
@@ -158,6 +174,33 @@ def test_events_from_engine_roundtrip(tmp_path):
         path = tmp_path / f"ev.{fmt.value}"
         it.write_events(events, path, fmt)
         assert it.read_events(path, fmt) == events
+
+
+EVENT_CSV_HEAD = f"{EVENT_SCHEMA_COMMENT}\n{','.join(EVENT_FIELDS)}\n"
+GOOD_JSONL = ('{"kind":"DC","direction":"up","timestamp_ns":1,"price":1.5,'
+              '"delta":0.01,"clock_index":0}\n')
+
+
+@pytest.mark.parametrize("fmt,content,bad_row", [
+    (CSV, EVENT_CSV_HEAD + "DC,sideways,1,1.5,0.01,0\n", 3),
+    (CSV, EVENT_CSV_HEAD + "DC,up,1,1.5,0.01,0\nOS,UP,2,1.6,0.01,1\n", 4),
+    (CSV, EVENT_CSV_HEAD + "DC,up,1.7,1.5,0.01,0\n", 3),
+    (JSONL, GOOD_JSONL.replace('"up"', '"sideways"'), 1),
+    (JSONL, GOOD_JSONL + "[1,2]\n", 2),
+    (JSONL, GOOD_JSONL + "null\n", 2),
+    (JSONL, GOOD_JSONL.replace('"timestamp_ns":1', '"timestamp_ns":1.7'), 1),
+    (JSONL, GOOD_JSONL.replace('"clock_index":0', '"clock_index":0.0'), 1),
+    (JSONL, GOOD_JSONL.replace('"timestamp_ns":1', '"timestamp_ns":true'), 1),
+    (JSONL, GOOD_JSONL.replace('"price":1.5', '"price":null'), 1),
+], ids=["csv-sideways", "csv-UP", "csv-float-ts", "jsonl-sideways", "jsonl-array",
+        "jsonl-null", "jsonl-float-ts", "jsonl-float-clock", "jsonl-bool-ts",
+        "jsonl-null-price"])
+def test_read_events_rejects_malformed_rows(tmp_path, fmt, content, bad_row):
+    path = tmp_path / f"events.{fmt.value}"
+    path.write_text(content)
+    with pytest.raises(it.IngestionError) as err:
+        it.read_events(path, fmt)
+    assert err.value.row == bad_row
 
 
 def test_write_to_unwritable_path_raises():

@@ -53,23 +53,6 @@ def test_grid_results_independent_of_other_thresholds():
         assert events == alone
 
 
-def test_parallel_matches_sequential():
-    walk = it.generate_random_walk(50.0, 0.003, 20000, seed=4)
-    grid = [0.002, 0.004, 0.008, 0.016]
-    seq = it.run_grid(walk, grid, max_workers=1)
-    par = it.run_grid(walk, grid, max_workers=4)
-    assert seq == par
-
-
-def test_threads_env_var_controls_default(monkeypatch):
-    walk = it.generate_random_walk(50.0, 0.003, 2000, seed=5)
-    monkeypatch.setenv(it.THREADS_ENV_VAR, "1")
-    one = it.run_grid(walk, [0.002, 0.004])
-    monkeypatch.setenv(it.THREADS_ENV_VAR, "2")
-    two = it.run_grid(walk, [0.002, 0.004])
-    assert one == two
-
-
 def test_summarize_empty_events():
     s = it.summarize(0.01, [])
     assert (s.n_dc, s.n_os, s.coastline) == (0, 0, 0.0)
