@@ -23,8 +23,8 @@ from .io import (
     TimestampUnit,
     _atomic_write,
     _fmt,
+    _write_event_arrays,
     parse_ticks,
-    write_events,
     write_ticks,
 )
 from .multiscale import ThresholdGrid, _scan_grid
@@ -141,13 +141,12 @@ def _cmd_transform(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = EventFileFormat(args.format)
-    ext = "csv" if fmt is EventFileFormat.CSV else "jsonl"
 
     summary_lines = ["# intrinsic-time summary-csv v1", "delta,n_dc,n_os,coastline"]
     print(f"{'delta':>10} {'n_dc':>8} {'n_os':>8} {'coastline':>12}")
     for delta, arrays in _scan_grid(series, args.deltas, convention):
-        write_events(engine.events_from_arrays(arrays, delta),
-                     out_dir / f"events_delta_{delta!r}.{ext}", fmt)
+        path = out_dir / f"events_delta_{delta!r}.{fmt.value}"
+        _write_event_arrays(arrays, delta, path, fmt)
         coastline = len(arrays) * delta
         summary_lines.append(f"{delta!r},{arrays.n_dc},{arrays.n_os},{_fmt(coastline)}")
         print(f"{delta!r:>10} {arrays.n_dc:>8} {arrays.n_os:>8} {coastline:>12.6g}")

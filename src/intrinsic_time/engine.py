@@ -97,8 +97,9 @@ class TickSeries:
             bad = int(np.argmax(~valid))
             raise DomainError(
                 f"price {float(px[bad])!r} at position {bad} is not positive and finite")
-        if ts.size > 1 and bool(np.any(np.diff(ts) < 0)):
-            bad = int(np.argmax(np.diff(ts) < 0)) + 1
+        backwards = ts[1:] < ts[:-1]  # not np.diff, which wraps on int64
+        if bool(backwards.any()):
+            bad = int(np.argmax(backwards)) + 1
             raise OrderingError(f"timestamp decreases at position {bad}")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "prices", px)
@@ -115,10 +116,13 @@ class TickSeries:
 
     @property
     def span_ns(self) -> int:
-        """Time covered by the series, 0 for fewer than two ticks."""
+        """Time covered by the series, 0 for fewer than two ticks.
+
+        An exact Python int, which can exceed the int64 range.
+        """
         if len(self) < 2:
             return 0
-        return int(self.timestamps[-1] - self.timestamps[0])
+        return int(self.timestamps[-1]) - int(self.timestamps[0])
 
 
 TickInput = Union[TickSeries, Iterable]
@@ -424,7 +428,8 @@ class EventArrays:
 
     kinds: 0 = directional change, 1 = overshoot. directions: +1 up, -1
     down. ``tick_indices`` locates each event's triggering tick in the
-    source series; clock indices are implicit (array position).
+    source series; clock indices are implicit (array position). CLI
+    ``transform`` writes its event files from these columns.
     """
 
     kinds: np.ndarray

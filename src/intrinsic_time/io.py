@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import EventKind, IntrinsicEvent, Mode, TickSeries
-from .errors import IngestionError, WriteError
+from .engine import EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries
+from .errors import DomainError, IngestionError, WriteError
 
 TICK_SCHEMA_COMMENT = "# intrinsic-time tick-csv v1"
 EVENT_SCHEMA_COMMENT = "# intrinsic-time event-csv v1"
@@ -161,9 +161,24 @@ def write_ticks(series: TickSeries, path: str | Path) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _event_record(ev: IntrinsicEvent) -> tuple:
-    return (ev.kind.value, "up" if ev.direction is Mode.UP else "down",
-            ev.timestamp, ev.price, ev.delta, ev.clock_index)
+def _check_event_values(price: float, delta: float) -> None:
+    if not 0.0 < price < math.inf:
+        raise ValueError(f"price {price!r} is not positive and finite")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta {delta!r} is not in (0, 1)")
+
+
+def _write_event_rows(rows: Iterable[tuple], path: str | Path,
+                      format: EventFileFormat) -> None:
+    # float.__repr__ writes what json.dumps does, also for numpy float64s.
+    if format is EventFileFormat.CSV:
+        lines = [EVENT_SCHEMA_COMMENT, ",".join(EVENT_FIELDS)]
+        lines += [f"{k},{d},{t},{p:.17g},{dl:.17g},{c}" for k, d, t, p, dl, c in rows]
+    else:
+        lines = [f'{{"kind":"{k}","direction":"{d}","timestamp_ns":{t},'
+                 f'"price":{float.__repr__(float(p))},"delta":{float.__repr__(float(dl))},'
+                 f'"clock_index":{c}}}' for k, d, t, p, dl, c in rows]
+    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
@@ -173,34 +188,40 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     CSV carries a version comment plus header even when empty; JSONL is
     one object per line and empty for an empty list. Field order is
     fixed: kind, direction, timestamp_ns, price, delta, clock_index.
+    A price that is not positive and finite (``nan``, ``inf``) or a
+    delta outside (0, 1) raises DomainError naming the event's position,
+    and no file is written.
     """
-    if format is EventFileFormat.CSV:
-        lines = [EVENT_SCHEMA_COMMENT, ",".join(EVENT_FIELDS)]
-        for ev in events:
-            kind, direction, ts, price, delta, clock = _event_record(ev)
-            lines.append(f"{kind},{direction},{ts},{_fmt(price)},{_fmt(delta)},{clock}")
-        _atomic_write(path, "\n".join(lines) + "\n")
-    else:
-        lines = []
-        for ev in events:
-            kind, direction, ts, price, delta, clock = _event_record(ev)
-            lines.append(json.dumps(
-                {"kind": kind, "direction": direction, "timestamp_ns": ts,
-                 "price": price, "delta": delta, "clock_index": clock},
-                separators=(",", ":")))
-        _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+    rows = [(ev.kind.value, ev.direction.name.lower(), ev.timestamp, ev.price, ev.delta,
+             ev.clock_index) for ev in events]
+    for i, row in enumerate(rows):
+        try:
+            _check_event_values(row[3], row[4])
+        except ValueError as exc:
+            raise DomainError(f"event {i}: {exc}") from None
+    _write_event_rows(rows, path, format)
+
+
+def _write_event_arrays(arrays: EventArrays, delta: float, path: str | Path,
+                        format: EventFileFormat) -> None:
+    _write_event_rows(zip(np.where(arrays.kinds == 0, "DC", "OS").tolist(),
+                          np.where(arrays.directions == 1, "up", "down").tolist(),
+                          arrays.timestamps.tolist(), arrays.prices.tolist(),
+                          [delta] * len(arrays), range(len(arrays))), path, format)
 
 
 def _event_from_fields(kind: str, direction: str, ts, price, delta,
                        clock) -> IntrinsicEvent:
     if direction not in ("up", "down"):
         raise ValueError(f"direction {direction!r} is not 'up' or 'down'")
+    price, delta = float(price), float(delta)
+    _check_event_values(price, delta)
     return IntrinsicEvent(
         kind=EventKind(kind),
         direction=Mode.UP if direction == "up" else Mode.DOWN,
         timestamp=int(ts),
-        price=float(price),
-        delta=float(delta),
+        price=price,
+        delta=delta,
         clock_index=int(clock),
     )
 
@@ -211,8 +232,9 @@ def read_events(path: str | Path,
 
     A malformed row raises IngestionError naming its 1-based line: a
     wrong field count, a direction other than ``up`` or ``down``, a
-    JSONL line that is not an object, or a non-integer ``timestamp_ns``
-    or ``clock_index``.
+    JSONL line that is not an object, a non-integer ``timestamp_ns``
+    or ``clock_index``, a price that is not positive and finite, or a
+    delta outside (0, 1).
     """
     path = Path(path)
     try:

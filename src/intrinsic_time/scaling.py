@@ -160,9 +160,12 @@ def physical_returns(ticks: TickInput, dt: int,
     if series.span_ns < 2 * dt:
         raise InsufficientDataError(
             f"tick span {series.span_ns} ns is shorter than 2*dt = {2 * dt} ns")
-    t0 = series.timestamps[0]
-    n_samples = int((series.timestamps[-1] - t0) // dt) + 1
-    sample_times = t0 + dt * np.arange(n_samples, dtype=np.int64)
+    n_samples = series.span_ns // dt + 1
+    # Every sample time lies in the ticks' int64 range, but an offset from
+    # t0 may not; uint64 arithmetic wraps modulo 2**64, so the int64 view
+    # of t0 + offset is exact.
+    offsets = np.arange(n_samples, dtype=np.uint64) * np.uint64(dt)
+    sample_times = (offsets + series.timestamps[:1].view(np.uint64)).view(np.int64)
     idx = np.searchsorted(series.timestamps, sample_times, side="right") - 1
     p = series.prices[idx]
     if convention is MoveConvention.LOG_RETURN:

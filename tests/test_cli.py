@@ -54,6 +54,30 @@ def test_transform_jsonl_format(tmp_path):
         assert all(e.delta == float(delta) for e in events)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_transform_files_equal_write_events(tmp_path, capsys, fmt):
+    ticks = tmp_path / "ticks.csv"
+    run_cli("generate", "--model", "walk", "--step-size", "0.003", "--steps",
+            "2000", "--seed", "4", "--out", str(ticks))
+    out_dir = tmp_path / "out"
+    deltas = [0.001, 0.01]
+    assert run_cli("transform", "--in", str(ticks), "--deltas",
+                   ",".join(map(repr, deltas)), "--convention", "log", "--format", fmt,
+                   "--out-dir", str(out_dir)) == 0
+    capsys.readouterr()
+    series = it.parse_ticks(it.TickFileSpec(ticks))
+    expected = tmp_path / f"expected.{fmt}"
+    counts = []
+    for delta in deltas:
+        config = it.ThresholdConfig(delta, it.MoveConvention.LOG_RETURN)
+        events = it.process(series, config)
+        counts.append(len(events))
+        it.write_events(events, expected, it.EventFileFormat(fmt))
+        assert (out_dir / f"events_delta_{delta!r}.{fmt}").read_bytes() \
+            == expected.read_bytes()
+    assert counts[0] > 1024  # past the C scan's first event buffer
+
+
 def test_scaling_command_prints_fit(tmp_path, capsys):
     ticks = tmp_path / "ticks.csv"
     run_cli("generate", "--model", "gbm", "--sigma", "0.002", "--mu", "0",

@@ -209,6 +209,14 @@ def test_process_rejects_unordered_timestamps():
         run([100.0, 101.0], 0.01, timestamps=[1, 0])
 
 
+def test_tick_series_orders_the_whole_int64_range():
+    ts = np.array([-2**63, 2**63 - 1], dtype=np.int64)
+    assert it.TickSeries(ts, np.ones(2)).span_ns == 2**64 - 1
+    for bad_ts, position in (([2**63 - 1, -2**63], 1), ([-2**63, 0, 2**63 - 1, 5], 3)):
+        with pytest.raises(it.OrderingError, match=f"position {position}$"):
+            it.TickSeries(np.array(bad_ts, dtype=np.int64), np.ones(len(bad_ts)))
+
+
 def test_process_rejects_nan_price():
     config = it.ThresholdConfig(0.01)
     for bad in (float("nan"), math.inf, -math.inf):

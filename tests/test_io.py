@@ -1,5 +1,8 @@
 """Tests for tick ingestion and event serialization."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +97,8 @@ def test_parse_nanosecond_timestamps_outside_int64_name_the_row(tmp_path):
     path.write_text(f"0,1.0\n{2**63 - 1},1.0\n")
     assert it.parse_ticks(spec_for(path, timestamp_unit=nanos)).timestamps.tolist() \
         == [0, 2**63 - 1]
+    path.write_text(f"{-2**63},1.0\n{2**63 - 1},1.0\n")
+    assert it.parse_ticks(spec_for(path, timestamp_unit=nanos)).span_ns == 2**64 - 1
     for content in ("0,1.0\n99999999999999999999,1.0\n", f"0,1.0\n{2**63},1.0\n"):
         path.write_text(content)
         with pytest.raises(it.IngestionError) as err:
@@ -158,6 +163,32 @@ event_lists = st.lists(
 )
 
 
+numpy_float_event_lists = event_lists.map(lambda events: [
+    dataclasses.replace(ev, price=np.float64(ev.price), delta=np.float64(ev.delta))
+    for ev in events])
+
+
+def expected_event_lines(events, fmt):
+    records = [{"kind": ev.kind.value,
+                "direction": "up" if ev.direction is it.Mode.UP else "down",
+                "timestamp_ns": ev.timestamp, "price": ev.price, "delta": ev.delta,
+                "clock_index": ev.clock_index} for ev in events]
+    if fmt is JSONL:
+        return [json.dumps(r, separators=(",", ":")) for r in records]
+    return [EVENT_SCHEMA_COMMENT, ",".join(EVENT_FIELDS)] + [
+        ",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                 for v in r.values()) for r in records]
+
+
+@given(st.one_of(event_lists, numpy_float_event_lists), st.sampled_from([CSV, JSONL]))
+@settings(max_examples=120)
+def test_event_file_bytes_match_json_dumps_and_17g(tmp_path_factory, events, fmt):
+    path = tmp_path_factory.mktemp("bytes") / f"events.{fmt.value}"
+    it.write_events(events, path, fmt)
+    lines = expected_event_lines(events, fmt)
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode()
+
+
 @given(event_lists, st.sampled_from([CSV, JSONL]))
 @settings(max_examples=120)
 def test_event_roundtrip_lossless(tmp_path_factory, events, fmt):
@@ -192,9 +223,15 @@ GOOD_JSONL = ('{"kind":"DC","direction":"up","timestamp_ns":1,"price":1.5,'
     (JSONL, GOOD_JSONL.replace('"clock_index":0', '"clock_index":0.0'), 1),
     (JSONL, GOOD_JSONL.replace('"timestamp_ns":1', '"timestamp_ns":true'), 1),
     (JSONL, GOOD_JSONL.replace('"price":1.5', '"price":null'), 1),
+    (CSV, EVENT_CSV_HEAD + "DC,up,1,nan,0.01,0\n", 3),
+    (CSV, EVENT_CSV_HEAD + "DC,up,1,1.5,0.01,0\nOS,up,2,-5,0.01,1\n", 4),
+    (CSV, EVENT_CSV_HEAD + "DC,up,1,1.5,7,0\n", 3),
+    (JSONL, GOOD_JSONL.replace('"price":1.5', '"price":NaN'), 1),
+    (JSONL, GOOD_JSONL + GOOD_JSONL.replace('"delta":0.01', '"delta":Infinity'), 2),
 ], ids=["csv-sideways", "csv-UP", "csv-float-ts", "jsonl-sideways", "jsonl-array",
         "jsonl-null", "jsonl-float-ts", "jsonl-float-clock", "jsonl-bool-ts",
-        "jsonl-null-price"])
+        "jsonl-null-price", "csv-nan-price", "csv-negative-price", "csv-delta-7",
+        "jsonl-nan-price", "jsonl-infinite-delta"])
 def test_read_events_rejects_malformed_rows(tmp_path, fmt, content, bad_row):
     path = tmp_path / f"events.{fmt.value}"
     path.write_text(content)
@@ -207,3 +244,12 @@ def test_write_to_unwritable_path_raises():
     ev = []
     with pytest.raises(it.WriteError):
         it.write_events(ev, "/no/such/dir/out.csv", CSV)
+
+
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+def test_write_events_refuses_nan_price_before_writing(tmp_path, fmt):
+    good = it.IntrinsicEvent(it.EventKind.DIRECTIONAL_CHANGE, it.Mode.UP, 1, 1.5, 0.01, 0)
+    bad = dataclasses.replace(good, price=float("nan"), clock_index=1)
+    with pytest.raises(it.DomainError, match="event 1"):
+        it.write_events([good, bad], tmp_path / f"events.{fmt.value}", fmt)
+    assert list(tmp_path.iterdir()) == []

@@ -164,6 +164,13 @@ def test_physical_returns_rejects_bad_dt():
         it.physical_returns([(0, 1.0), (NS, 1.0), (2 * NS, 1.0)], 0)
 
 
+def test_physical_returns_span_beyond_int64_is_exact():
+    ticks = [(-2**63, 1.0), (0, 2.0), (2**63 - 1, 4.0)]
+    # samples at -2**63, -2**62, 0 and 2**62
+    rs = it.physical_returns(ticks, 2**62, REL)
+    assert rs.returns.tolist() == [0.0, 1.0, 0.0]
+
+
 def test_return_variance_scales_linearly_with_dt():
     walk = brownian(2e-4, 3 * 10**5, seed=21)
     per_unit = []
