@@ -16,6 +16,9 @@
  * the loop. On an ordinary tie the loop emits nothing: its first test
  * repeats the one that ended it, or is move(p, p) = 0 right after a DC.
  *
+ * xt gets the trend extremum: a DC writes it before resetting ``ext``, so
+ * it is that of the trend the DC ends; an OS writes its own price.
+ *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -lm (no fused multiply-add,
  * no fast-math: the arithmetic must round exactly as Python's does).
  */
@@ -37,7 +40,8 @@ static double move(double from, double to, int use_log)
 
 int64_t it_scan(const double *px, int64_t n, double guard, double up_factor,
                 double down_factor, int use_log, struct it_state *s,
-                int8_t *kind, int8_t *dir, int64_t *idx, int64_t cap)
+                int8_t *kind, int8_t *dir, int64_t *idx, double *xt,
+                int64_t cap)
 {
     double ext = s->ext, ref = s->ref;
     int mode = s->mode, confirmed = s->confirmed;
@@ -49,6 +53,7 @@ int64_t it_scan(const double *px, int64_t n, double guard, double up_factor,
             goto out;                                                      \
         kind[m] = (k);                                                     \
         dir[m] = (int8_t)(d);                                              \
+        xt[m] = ext;                                                       \
         idx[m++] = i;                                                      \
     } while (0)
 

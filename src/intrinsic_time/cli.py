@@ -159,7 +159,7 @@ def _cmd_scaling(args) -> int:
     convention = _CONVENTIONS[args.convention]
     rows = []
     for delta, arrays in _scan_grid(series, args.deltas, convention):
-        omegas = engine._segment_overshoots(series, arrays, convention)
+        omegas = engine._segment_overshoots(arrays, convention)
         ratio = mean_overshoot_ratio(omegas, delta) if omegas.size else float("nan")
         rows.append((delta, arrays.n_dc, ratio))
 

@@ -265,7 +265,7 @@ def step(state: RunnerState, tick: Tick,
         state.dc_confirm_price = price
         state.dc_count_since_init += 1
     events = []
-    for kind, _, _ in found:
+    for kind, *_ in found:
         events.append(IntrinsicEvent(
             EventKind.DIRECTIONAL_CHANGE if kind == 0 else EventKind.OVERSHOOT,
             mode, ts, price, config.delta, state.intrinsic_clock))
@@ -344,7 +344,7 @@ def _bind_kernel(path: Path):
         return None
     ptr, i64, f64, c_int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
     scan.argtypes = [ptr, i64, f64, f64, f64, c_int, ctypes.POINTER(_ScanState),
-                     ptr, ptr, ptr, i64]
+                     ptr, ptr, ptr, ptr, i64]
     scan.restype = i64
     return scan
 
@@ -383,11 +383,12 @@ def _scan_c(scan, prices: np.ndarray, guard: float, up_factor: float,
         kinds = np.empty(cap, dtype=np.int8)
         dirs = np.empty(cap, dtype=np.int8)
         idx = np.empty(cap, dtype=np.int64)
+        xt = np.empty(cap, dtype=np.float64)
         # prices is a C-contiguous float64 array (TickSeries guarantees it)
         m = scan(prices.ctypes.data, prices.size, guard, up_factor, down_factor,
                  use_log, state, kinds.ctypes.data, dirs.ctypes.data,
-                 idx.ctypes.data, cap)
-        parts.append((kinds[:m], dirs[:m], idx[:m]))
+                 idx.ctypes.data, xt.ctypes.data, cap)
+        parts.append((kinds[:m], dirs[:m], idx[:m], xt[:m]))
         if state.i == prices.size:
             return tuple(np.concatenate(column) for column in zip(*parts))
         cap *= 2
@@ -399,9 +400,10 @@ def _scan_python(px: list, i: int, ext: float, ref: float, mode: int,
     """Pure-Python twin of ``it_scan`` in ``_scan.c``, operation by operation.
 
     Scans ``px[i:]`` from the given runner state; returns the events as
-    ``(kind, direction, tick index)`` tuples and the state after the last
-    tick. ``mode`` is +1 or -1; ``mode * x >= guard`` reads ``x >= guard``
-    up and ``x <= -guard`` down, exactly, since negation does not round.
+    ``(kind, direction, tick index, trend extremum)`` tuples (a DC's is
+    the extremum of the trend it ends) and the state after the last tick.
+    ``mode`` is +1 or -1; ``mode * x >= guard`` reads ``x >= guard`` up
+    and ``x <= -guard`` down, exactly, since negation does not round.
     """
     log = math.log
     events = []
@@ -412,11 +414,11 @@ def _scan_python(px: list, i: int, ext: float, ref: float, mode: int,
             if confirmed:
                 factor = up_factor if mode == 1 else down_factor
                 while mode * (log(p / ref) if use_log else (p - ref) / ref) >= guard:
-                    events.append((1, mode, i))
+                    events.append((1, mode, i, ext))
                     ref = ref * factor
         elif -mode * (log(p / ext) if use_log else (p - ext) / ext) >= guard:
             mode = -mode
-            events.append((0, mode, i))
+            events.append((0, mode, i, ext))
             ext = ref = p
             confirmed = True
     return events, ext, ref, mode, confirmed
@@ -427,8 +429,8 @@ class EventArrays:
     """Column-oriented event buffer, the fast-path twin of IntrinsicEvent lists.
 
     kinds: 0 = directional change, 1 = overshoot. directions: +1 up, -1
-    down. ``tick_indices`` locates each event's triggering tick in the
-    source series; clock indices are implicit (array position). CLI
+    down. ``extrema``: the trend extremum at each event, for a DC that of
+    the trend it ends. Clock indices are implicit (array position). CLI
     ``transform`` writes its event files from these columns.
     """
 
@@ -436,7 +438,7 @@ class EventArrays:
     directions: np.ndarray
     timestamps: np.ndarray
     prices: np.ndarray
-    tick_indices: np.ndarray
+    extrema: np.ndarray
 
     def __len__(self) -> int:
         return int(self.kinds.size)
@@ -461,11 +463,12 @@ def process_arrays(ticks: TickInput, config: ThresholdConfig,
     if scan is None:
         px = series.prices.tolist()
         found = _scan_python(px, 1, px[0], px[0], initial_mode.value, False, *args)[0]
-        kinds, dirs, idx = np.array(found, dtype=np.int64).reshape(-1, 3).T
-        kinds, dirs, idx = kinds.astype(np.int8), dirs.astype(np.int8), idx.copy()
+        # float64 holds these kinds, directions and tick indices exactly
+        kinds, dirs, idx, xt = np.array(found, dtype=np.float64).reshape(-1, 4).T.copy()
+        kinds, dirs, idx = kinds.astype(np.int8), dirs.astype(np.int8), idx.astype(np.int64)
     else:
-        kinds, dirs, idx = _scan_c(scan, series.prices, *args, initial_mode.value)
-    return EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx], idx)
+        kinds, dirs, idx, xt = _scan_c(scan, series.prices, *args, initial_mode.value)
+    return EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx], xt)
 
 
 def events_from_arrays(arrays: EventArrays, delta: float) -> list[IntrinsicEvent]:
@@ -500,27 +503,16 @@ def process(ticks: TickInput, config: ThresholdConfig,
     return events_from_arrays(arrays, config.delta)
 
 
-def _segment_overshoots(series: TickSeries, arrays: EventArrays,
-                        convention: MoveConvention) -> np.ndarray:
+def _segment_overshoots(arrays: EventArrays, convention: MoveConvention) -> np.ndarray:
     """Overshoot length of every completed DC-to-DC segment.
 
     A segment's length is the absolute move from the DC confirmation
-    price to the most extreme price the trend reached before the next
-    DC. The trailing unfinished trend contributes nothing.
+    price to the trend's extremum, which the next DC records. The
+    trailing unfinished trend contributes nothing.
     """
-    dc_mask = arrays.kinds == 0
-    dc_idx = arrays.tick_indices[dc_mask]
-    dc_px = arrays.prices[dc_mask]
-    dc_dir = arrays.directions[dc_mask]
-    if dc_idx.size < 2:
-        return np.empty(0, dtype=np.float64)
-    # reduceat segment k covers ticks [dc_idx[k], dc_idx[k+1]); the next
-    # DC's trigger tick can never extend the previous trend's extremum,
-    # so the half-open window is exact.
-    highs = np.maximum.reduceat(series.prices, dc_idx)[:-1]
-    lows = np.minimum.reduceat(series.prices, dc_idx)[:-1]
-    ext = np.where(dc_dir[:-1] == 1, highs, lows)
-    base = dc_px[:-1]
+    dc = arrays.kinds == 0
+    base = arrays.prices[dc][:-1]
+    ext = arrays.extrema[dc][1:]
     if convention is MoveConvention.LOG_RETURN:
         return np.abs(np.log(ext / base))
     return np.abs((ext - base) / base)
@@ -554,4 +546,4 @@ def overshoot_lengths(events: list[IntrinsicEvent], ticks: TickInput,
             or not np.array_equal(arrays.timestamps[dc_mask],
                                   np.array([ev.timestamp for ev in dc_events]))):
         raise ConsistencyError("events do not correspond to the given ticks and config")
-    return _segment_overshoots(series, arrays, config.move_convention)
+    return _segment_overshoots(arrays, config.move_convention)

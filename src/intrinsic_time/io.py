@@ -161,7 +161,11 @@ def write_ticks(series: TickSeries, path: str | Path) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _check_event_values(price: float, delta: float) -> None:
+def _check_event_values(ts: int, price: float, delta: float, clock: int) -> None:
+    if not -2**63 <= ts < 2**63:
+        raise ValueError(f"timestamp_ns {ts!r} is outside the int64 range")
+    if clock < 0:
+        raise ValueError(f"clock_index {clock!r} is negative")
     if not 0.0 < price < math.inf:
         raise ValueError(f"price {price!r} is not positive and finite")
     if not 0.0 < delta < 1.0:
@@ -188,15 +192,16 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     CSV carries a version comment plus header even when empty; JSONL is
     one object per line and empty for an empty list. Field order is
     fixed: kind, direction, timestamp_ns, price, delta, clock_index.
-    A price that is not positive and finite (``nan``, ``inf``) or a
-    delta outside (0, 1) raises DomainError naming the event's position,
-    and no file is written.
+    A price that is not positive and finite (``nan``, ``inf``), a delta
+    outside (0, 1), a timestamp outside int64 or a negative clock index
+    raises DomainError naming the event's position, and no file is
+    written.
     """
     rows = [(ev.kind.value, ev.direction.name.lower(), ev.timestamp, ev.price, ev.delta,
              ev.clock_index) for ev in events]
     for i, row in enumerate(rows):
         try:
-            _check_event_values(row[3], row[4])
+            _check_event_values(*row[2:])
         except ValueError as exc:
             raise DomainError(f"event {i}: {exc}") from None
     _write_event_rows(rows, path, format)
@@ -214,15 +219,15 @@ def _event_from_fields(kind: str, direction: str, ts, price, delta,
                        clock) -> IntrinsicEvent:
     if direction not in ("up", "down"):
         raise ValueError(f"direction {direction!r} is not 'up' or 'down'")
-    price, delta = float(price), float(delta)
-    _check_event_values(price, delta)
+    ts, price, delta, clock = int(ts), float(price), float(delta), int(clock)
+    _check_event_values(ts, price, delta, clock)
     return IntrinsicEvent(
         kind=EventKind(kind),
         direction=Mode.UP if direction == "up" else Mode.DOWN,
-        timestamp=int(ts),
+        timestamp=ts,
         price=price,
         delta=delta,
-        clock_index=int(clock),
+        clock_index=clock,
     )
 
 
@@ -232,9 +237,11 @@ def read_events(path: str | Path,
 
     A malformed row raises IngestionError naming its 1-based line: a
     wrong field count, a direction other than ``up`` or ``down``, a
-    JSONL line that is not an object, a non-integer ``timestamp_ns``
-    or ``clock_index``, a price that is not positive and finite, or a
-    delta outside (0, 1).
+    JSONL line that is not an object, a JSONL ``timestamp_ns`` or
+    ``clock_index`` that is not a JSON integer or a ``price`` or
+    ``delta`` that is not a JSON number, a timestamp outside int64, a
+    negative clock index, a price that is not positive and finite, or
+    a delta outside (0, 1).
     """
     path = Path(path)
     try:
@@ -272,7 +279,10 @@ def read_events(path: str | Path,
                 for name in ("timestamp_ns", "clock_index"):
                     if type(obj[name]) is not int:
                         raise ValueError(f"{name} {obj[name]!r} is not an integer")
+                for name in ("price", "delta"):
+                    if type(obj[name]) not in (int, float):
+                        raise ValueError(f"{name} {obj[name]!r} is not a number")
                 events.append(_event_from_fields(*fields))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise IngestionError(f"row {row_no}: {exc}", row=row_no) from exc
     return events

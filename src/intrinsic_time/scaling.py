@@ -151,12 +151,18 @@ def physical_returns(ticks: TickInput, dt: int,
 
     Prices are sampled at t0, t0+dt, t0+2dt, ... using the last tick at
     or before each sample time (no look-ahead), then differenced with
-    the given convention. The tick span must cover at least 2 * dt.
+    the given convention. The tick span must cover at least 2 * dt, and
+    dt must be a positive whole number (an integral float is accepted).
     """
     series = as_tick_series(ticks)
-    dt = int(dt)
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt!r}")
+    try:
+        ns = int(dt)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
+        ns = 0
+    if ns <= 0 or ns != dt:
+        raise ConfigurationError(
+            f"dt must be a positive whole number of nanoseconds, got {dt!r}")
+    dt = ns
     if series.span_ns < 2 * dt:
         raise InsufficientDataError(
             f"tick span {series.span_ns} ns is shorter than 2*dt = {2 * dt} ns")
@@ -192,7 +198,7 @@ def decompose(ticks: TickInput, grid: GridInput, dt: int,
 
     rows: list[DecompositionRow] = []
     for delta, arrays in _scan_grid(series, grid, convention):
-        omegas = _segment_overshoots(series, arrays, convention)
+        omegas = _segment_overshoots(arrays, convention)
         n_dc = arrays.n_dc
         if omegas.size < 2:
             rows.append(DecompositionRow(delta, None, n_dc, None, None, True))

@@ -465,7 +465,7 @@ def test_runners_synchronize_after_two_dcs():
 # ---------------------------------------------------------------------------
 
 HAS_CC = shutil.which("cc") is not None
-ARRAY_FIELDS = ("kinds", "directions", "timestamps", "prices", "tick_indices")
+ARRAY_FIELDS = ("kinds", "directions", "timestamps", "prices", "extrema")
 DENSE_WALK = it.generate_random_walk(1.0, 0.01, 20000, seed=8)
 GAP_SERIES = it.TickSeries(np.arange(len(GAP_PRICES)), np.array(GAP_PRICES))
 
@@ -534,6 +534,45 @@ def test_full_buffer_resumes_without_rescanning(monkeypatch, series, delta, mode
     assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
     if series is GAP_SERIES:
         assert spans[0] == (1, 2)  # the first stop falls inside the gap tick
+
+
+def reduceat_overshoots(prices, dc_events, use_log):
+    """Overshoot lengths taken from the whole tick array: the highest (up
+    trend) or lowest (down trend) price over ticks [DC k, DC k+1)."""
+    dc_idx = np.array([ev[4] for ev in dc_events])
+    up = np.array([ev[1] == UP for ev in dc_events])[:-1]
+    base = np.array([ev[3] for ev in dc_events])[:-1]
+    highs = np.maximum.reduceat(prices, dc_idx)[:-1]
+    lows = np.minimum.reduceat(prices, dc_idx)[:-1]
+    ext = np.where(up, highs, lows)
+    if use_log:
+        return np.abs(np.log(ext / base))
+    return np.abs((ext - base) / base)
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=pytest.mark.skipif(not HAS_CC,
+                                               reason="no C compiler (cc) on PATH")),
+    "python"])
+@pytest.mark.parametrize("series, delta, mode", [(DENSE_WALK, 0.002, it.Mode.DOWN),
+                                                 (GAP_SERIES, 0.001, it.Mode.UP)])
+def test_overshoot_lengths_past_full_buffer(monkeypatch, backend, series, delta, mode):
+    # the scans resume a full event buffer; on the gap series the resume
+    # falls inside an overshoot loop, so the extremum must survive it
+    if backend == "python":
+        monkeypatch.setattr(engine, "_kernel", None)
+    assert it.kernel_backend() == backend
+    cfg = it.ThresholdConfig(delta, LOG)
+    events = it.process(series, cfg, mode)
+    assert len(events) > 1024
+    expected = reference_events(series.timestamps.tolist(), series.prices, delta,
+                                True, mode.value)
+    dc_events = [ev for ev in expected if ev[0] == "DC"]
+    got = it.overshoot_lengths(events, series, cfg)
+    old = reduceat_overshoots(series.prices, dc_events, True)
+    assert got.size >= 2 and got.dtype == old.dtype and got.tobytes() == old.tobytes()
+    np.testing.assert_array_max_ulp(
+        got, np.array(reference_overshoots(series.prices, expected, True)), maxulp=2)
 
 
 def test_no_compiler_falls_back_to_python(monkeypatch, tmp_path):

@@ -228,10 +228,18 @@ GOOD_JSONL = ('{"kind":"DC","direction":"up","timestamp_ns":1,"price":1.5,'
     (CSV, EVENT_CSV_HEAD + "DC,up,1,1.5,7,0\n", 3),
     (JSONL, GOOD_JSONL.replace('"price":1.5', '"price":NaN'), 1),
     (JSONL, GOOD_JSONL + GOOD_JSONL.replace('"delta":0.01', '"delta":Infinity'), 2),
+    (JSONL, GOOD_JSONL.replace('"price":1.5', '"price":true'), 1),
+    (JSONL, GOOD_JSONL + GOOD_JSONL.replace('"delta":0.01', '"delta":"0.01"'), 2),
+    (JSONL, GOOD_JSONL.replace('"price":1.5', '"price":1' + "0" * 400), 1),
+    (CSV, EVENT_CSV_HEAD + f"DC,up,{10**23},1.5,0.01,0\n", 3),
+    (JSONL, GOOD_JSONL.replace('"timestamp_ns":1', f'"timestamp_ns":{10**23}'), 1),
+    (CSV, EVENT_CSV_HEAD + "DC,up,1,1.5,0.01,-3\n", 3),
 ], ids=["csv-sideways", "csv-UP", "csv-float-ts", "jsonl-sideways", "jsonl-array",
         "jsonl-null", "jsonl-float-ts", "jsonl-float-clock", "jsonl-bool-ts",
         "jsonl-null-price", "csv-nan-price", "csv-negative-price", "csv-delta-7",
-        "jsonl-nan-price", "jsonl-infinite-delta"])
+        "jsonl-nan-price", "jsonl-infinite-delta", "jsonl-bool-price",
+        "jsonl-string-delta", "jsonl-overflowing-price", "csv-int64-overflow-ts",
+        "jsonl-int64-overflow-ts", "csv-negative-clock"])
 def test_read_events_rejects_malformed_rows(tmp_path, fmt, content, bad_row):
     path = tmp_path / f"events.{fmt.value}"
     path.write_text(content)
@@ -249,7 +257,8 @@ def test_write_to_unwritable_path_raises():
 @pytest.mark.parametrize("fmt", [CSV, JSONL])
 def test_write_events_refuses_nan_price_before_writing(tmp_path, fmt):
     good = it.IntrinsicEvent(it.EventKind.DIRECTIONAL_CHANGE, it.Mode.UP, 1, 1.5, 0.01, 0)
-    bad = dataclasses.replace(good, price=float("nan"), clock_index=1)
-    with pytest.raises(it.DomainError, match="event 1"):
-        it.write_events([good, bad], tmp_path / f"events.{fmt.value}", fmt)
-    assert list(tmp_path.iterdir()) == []
+    for bad in (dataclasses.replace(good, price=float("nan"), clock_index=1),
+                dataclasses.replace(good, timestamp=10**23, clock_index=1)):
+        with pytest.raises(it.DomainError, match="event 1"):
+            it.write_events([good, bad], tmp_path / f"events.{fmt.value}", fmt)
+        assert list(tmp_path.iterdir()) == []

@@ -162,6 +162,12 @@ def test_physical_returns_span_too_short():
 def test_physical_returns_rejects_bad_dt():
     with pytest.raises(it.ConfigurationError):
         it.physical_returns([(0, 1.0), (NS, 1.0), (2 * NS, 1.0)], 0)
+    ticks = [(0, 1.0), (5, 1.0), (10, 1.0)]
+    for dt in (2.5, 0.5, -1, float("nan"), float("inf"), "5"):
+        with pytest.raises(it.ConfigurationError, match=f"got {dt!r}"):
+            it.physical_returns(ticks, dt)
+    for dt in (5, 5.0, np.int64(5), np.float64(5.0)):
+        assert it.physical_returns(ticks, dt).dt == 5
 
 
 def test_physical_returns_span_beyond_int64_is_exact():
