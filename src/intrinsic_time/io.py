@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,6 +67,30 @@ def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
     return ts
 
 
+def _text_rows(path: str | Path, comments: bool,
+               header: bool) -> Iterator[tuple[int, str]]:
+    """Yield ``(row, line)`` for the data lines of a text file.
+
+    Rows count from 1 over every line of the file. Blank lines, ``#``
+    lines when ``comments`` is set, and the first remaining line when
+    ``header`` is set are skipped.
+    """
+    path = Path(path)
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    header_pending = header
+    for row_no, line in enumerate(raw.splitlines(), start=1):
+        line = line.strip()
+        if not line or comments and line.startswith("#"):
+            continue
+        if header_pending:
+            header_pending = False
+            continue
+        yield row_no, line
+
+
 def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries:
     """Read a tick CSV into a TickSeries, normalizing timestamps to ns.
 
@@ -75,23 +99,10 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
     IngestionError naming the 1-based file row. With
     ``allow_unordered`` the rows are stably sorted by timestamp instead.
     """
-    path = Path(spec.path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
-
     timestamps: list[int] = []
     prices: list[float] = []
-    header_pending = spec.has_header
     prev_ts: int | None = None
-    for row_no, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header_pending:
-            header_pending = False
-            continue
+    for row_no, line in _text_rows(spec.path, comments=True, header=spec.has_header):
         parts = line.split(",")
         if len(parts) != 2:
             raise IngestionError(
@@ -231,6 +242,20 @@ def _event_from_fields(kind: str, direction: str, ts, price, delta,
     )
 
 
+def _jsonl_fields(line: str) -> list:
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {line!r}")
+    fields = [obj[name] for name in EVENT_FIELDS]
+    for name in ("timestamp_ns", "clock_index"):
+        if type(obj[name]) is not int:
+            raise ValueError(f"{name} {obj[name]!r} is not an integer")
+    for name in ("price", "delta"):
+        if type(obj[name]) not in (int, float):
+            raise ValueError(f"{name} {obj[name]!r} is not a number")
+    return fields
+
+
 def read_events(path: str | Path,
                 format: EventFileFormat = EventFileFormat.CSV) -> list[IntrinsicEvent]:
     """Parse an event file written by write_events.
@@ -243,46 +268,14 @@ def read_events(path: str | Path,
     negative clock index, a price that is not positive and finite, or
     a delta outside (0, 1).
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    csv = format is EventFileFormat.CSV
     events: list[IntrinsicEvent] = []
-    if format is EventFileFormat.CSV:
-        header_pending = True
-        for row_no, line in enumerate(raw.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header_pending:
-                header_pending = False
-                continue
-            parts = line.split(",")
-            if len(parts) != len(EVENT_FIELDS):
-                raise IngestionError(
-                    f"row {row_no}: expected {len(EVENT_FIELDS)} fields", row=row_no)
-            try:
-                events.append(_event_from_fields(*parts))
-            except (ValueError, KeyError) as exc:
-                raise IngestionError(f"row {row_no}: {exc}", row=row_no) from exc
-    else:
-        for row_no, line in enumerate(raw.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError(f"expected a JSON object, got {line!r}")
-                fields = [obj[name] for name in EVENT_FIELDS]
-                for name in ("timestamp_ns", "clock_index"):
-                    if type(obj[name]) is not int:
-                        raise ValueError(f"{name} {obj[name]!r} is not an integer")
-                for name in ("price", "delta"):
-                    if type(obj[name]) not in (int, float):
-                        raise ValueError(f"{name} {obj[name]!r} is not a number")
-                events.append(_event_from_fields(*fields))
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise IngestionError(f"row {row_no}: {exc}", row=row_no) from exc
+    for row_no, line in _text_rows(path, comments=csv, header=csv):
+        try:
+            fields = line.split(",") if csv else _jsonl_fields(line)
+            if len(fields) != len(EVENT_FIELDS):
+                raise ValueError(f"expected {len(EVENT_FIELDS)} fields")
+            events.append(_event_from_fields(*fields))
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise IngestionError(f"row {row_no}: {exc}", row=row_no) from exc
     return events
