@@ -29,13 +29,7 @@ from .io import (
 )
 from .multiscale import ThresholdGrid, _scan_grid
 from .scaling import decompose, fit_power_law, mean_overshoot_ratio
-from .synthetic import GbmParams, generate_gbm, generate_random_walk
-
-NS_PER_SECOND = 1_000_000_000
-
-_CONVENTIONS = {"relative": MoveConvention.RELATIVE, "log": MoveConvention.LOG_RETURN}
-_UNITS = {"s": TimestampUnit.SECONDS, "ms": TimestampUnit.MILLIS,
-          "ns": TimestampUnit.NANOS}
+from .synthetic import NS_PER_SECOND, GbmParams, generate_gbm, generate_random_walk
 
 
 def _delta_list(text: str) -> ThresholdGrid:
@@ -87,9 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common_in.add_argument("--deltas", type=_delta_list, required=True,
                            help="comma-separated threshold fractions, e.g. "
                                 "0.001,0.005,0.01")
-    common_in.add_argument("--convention", choices=sorted(_CONVENTIONS),
-                           default="relative")
-    common_in.add_argument("--timestamp-unit", choices=sorted(_UNITS), default="ns")
+    common_in.add_argument("--convention",
+                           choices=sorted(c.value for c in MoveConvention),
+                           default=MoveConvention.RELATIVE.value)
+    common_in.add_argument("--timestamp-unit",
+                           choices=sorted(u.value for u in TimestampUnit),
+                           default=TimestampUnit.NANOS.value)
     common_in.add_argument("--no-header", action="store_true",
                            help="input file has no header row")
     common_in.add_argument("--allow-unordered", action="store_true",
@@ -98,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tra = sub.add_parser("transform", parents=[common_in],
                          help="write per-threshold event files and a summary table")
     tra.add_argument("--out-dir", required=True)
-    tra.add_argument("--format", choices=["csv", "jsonl"], default="csv")
+    tra.add_argument("--format", choices=[f.value for f in EventFileFormat],
+                     default=EventFileFormat.CSV.value)
 
     sca = sub.add_parser("scaling", parents=[common_in],
                          help="fit the DC-count power law and report overshoot ratios")
@@ -116,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_input(args) -> TickSeries:
     path = Path(args.input)
     spec = TickFileSpec(path=path, has_header=not args.no_header,
-                        timestamp_unit=_UNITS[args.timestamp_unit])
+                        timestamp_unit=TimestampUnit(args.timestamp_unit))
     return parse_ticks(spec, allow_unordered=args.allow_unordered)
 
 
@@ -137,7 +135,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_transform(args) -> int:
     series = _read_input(args)
-    convention = _CONVENTIONS[args.convention]
+    convention = MoveConvention(args.convention)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = EventFileFormat(args.format)
@@ -156,7 +154,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_scaling(args) -> int:
     series = _read_input(args)
-    convention = _CONVENTIONS[args.convention]
+    convention = MoveConvention(args.convention)
     rows = []
     for delta, arrays in _scan_grid(series, args.deltas, convention):
         omegas = engine._segment_overshoots(arrays, convention)
@@ -185,7 +183,7 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_decompose(args) -> int:
     series = _read_input(args)
-    convention = _CONVENTIONS[args.convention]
+    convention = MoveConvention(args.convention)
     dt = int(round(args.dt_seconds * NS_PER_SECOND))
     report = decompose(series, args.deltas, dt, convention)
 

@@ -80,18 +80,21 @@ class Tick(NamedTuple):
 class TickSeries:
     """Column-oriented tick buffer: int64 nanosecond timestamps, float64 prices.
 
-    Validates on construction: equal lengths, strictly positive and finite
-    prices, non-decreasing timestamps. Iterating yields ``Tick`` tuples.
+    Validates on construction: equal lengths, whole-number timestamps
+    inside int64 (integral floats are accepted), strictly positive and
+    finite prices, non-decreasing timestamps. Iterating yields ``Tick``
+    tuples.
     """
 
     timestamps: np.ndarray
     prices: np.ndarray
 
     def __post_init__(self):
-        ts = np.ascontiguousarray(self.timestamps, dtype=np.int64)
+        ts = np.asarray(self.timestamps)
         px = np.ascontiguousarray(self.prices, dtype=np.float64)
         if ts.ndim != 1 or px.ndim != 1 or ts.shape != px.shape:
             raise DomainError("timestamps and prices must be 1-d arrays of equal length")
+        ts = _int64_timestamps(ts)
         valid = (px > 0.0) & (px < np.inf)
         if not bool(np.all(valid)):
             bad = int(np.argmax(~valid))
@@ -125,6 +128,30 @@ class TickSeries:
         return int(self.timestamps[-1]) - int(self.timestamps[0])
 
 
+def _is_whole_int64(value) -> bool:
+    try:
+        return value == int(value) and -2**63 <= int(value) < 2**63
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _int64_timestamps(ts: np.ndarray) -> np.ndarray:
+    """``ts`` as contiguous int64; DomainError names the first value that
+    is not a whole number inside int64. Safe casts take no checking pass."""
+    if np.can_cast(ts.dtype, np.int64):
+        return np.ascontiguousarray(ts, dtype=np.int64)
+    if ts.dtype.kind == "f":
+        # -2**63 and 2**63 are exact doubles; NaN fails every comparison.
+        whole = (ts >= -2.0**63) & (ts < 2.0**63) & (np.trunc(ts) == ts)
+    else:
+        whole = np.array([_is_whole_int64(v) for v in ts.tolist()], dtype=bool)
+    if not bool(np.all(whole)):
+        bad = int(np.argmax(~whole))
+        raise DomainError(f"timestamp {ts.tolist()[bad]!r} at position {bad} is not"
+                          " a whole number inside int64")
+    return ts.astype(np.int64)
+
+
 TickInput = Union[TickSeries, Iterable]
 
 
@@ -133,9 +160,9 @@ def as_tick_series(ticks: TickInput) -> TickSeries:
     if isinstance(ticks, TickSeries):
         return ticks
     data = list(ticks)
-    ts = np.array([int(t[0]) for t in data], dtype=np.int64)
-    px = np.array([float(t[1]) for t in data], dtype=np.float64)
-    return TickSeries(ts, px)
+    # object dtype keeps Python ints exact for the whole-number check
+    return TickSeries(np.array([t[0] for t in data], dtype=object),
+                      np.array([float(t[1]) for t in data], dtype=np.float64))
 
 
 @dataclass(frozen=True)

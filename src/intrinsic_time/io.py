@@ -3,10 +3,12 @@
 File formats are deliberately plain: tick files are two-column CSV
 (``timestamp,price``), event files are CSV or JSON Lines with a fixed
 field order. Every CSV written here starts with a ``#``-prefixed schema
-version comment; readers skip comment lines. Prices are serialized with
-17 significant digits so numeric round-trips are lossless. Writers go
-through a temp-file-then-rename step, so a failed run never leaves a
-partial output behind.
+version comment. One reader, ``_text_rows``, numbers the lines of every
+file read here and skips blank lines, CSV comments and the header;
+one writer, ``_write_event_rows``, formats every event row. Prices are
+serialized with 17 significant digits so numeric round-trips are
+lossless. Writers go through a temp-file-then-rename step, so a failed
+run never leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -68,25 +70,33 @@ def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
 
 
 def _text_rows(path: str | Path, comments: bool,
-               header: bool) -> Iterator[tuple[int, str]]:
-    """Yield ``(row, line)`` for the data lines of a text file.
+               header: bool | str) -> Iterator[tuple[int, str]]:
+    """Yield ``(row, line)`` for the data lines of a UTF-8 text file.
 
     Rows count from 1 over every line of the file. Blank lines, ``#``
     lines when ``comments`` is set, and the first remaining line when
-    ``header`` is set are skipped.
+    ``header`` is set are skipped; a ``header`` string must equal that
+    line. A file that cannot be read or decoded raises IngestionError.
     """
     path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    header_pending = header
-    for row_no, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line or comments and line.startswith("#"):
+    except UnicodeDecodeError as exc:
+        # Count the bad byte's row the way splitlines numbers the rows below.
+        row = len((exc.object[:exc.start].decode("utf-8") + "_").splitlines())
+        raise IngestionError(
+            f"row {row}: {path} is not valid UTF-8: {exc.reason}", row=row) from exc
+    header_pending = bool(header)
+    for row_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if not line or comments and line[0] == "#":
             continue
         if header_pending:
             header_pending = False
+            if header is not True and line != header:
+                raise IngestionError(
+                    f"row {row_no}: expected header {header!r}, got {line!r}", row=row_no)
             continue
         yield row_no, line
 
@@ -94,9 +104,10 @@ def _text_rows(path: str | Path, comments: bool,
 def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries:
     """Read a tick CSV into a TickSeries, normalizing timestamps to ns.
 
-    Strict by default: a non-positive or non-finite price, a timestamp
-    outside the int64 nanosecond range, or a backwards timestamp raises
-    IngestionError naming the 1-based file row. With
+    Strict by default: a file that is not UTF-8, a non-positive or
+    non-finite price, a timestamp outside the int64 nanosecond range,
+    or a backwards timestamp raises IngestionError naming the 1-based
+    file row. The header line, if any, may name its columns freely. With
     ``allow_unordered`` the rows are stably sorted by timestamp instead.
     """
     timestamps: list[int] = []
@@ -112,7 +123,7 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
         except (ValueError, InvalidOperation) as exc:
             raise IngestionError(
                 f"row {row_no}: bad timestamp {parts[0]!r}", row=row_no) from exc
-        except OverflowError as exc:
+        except (OverflowError, Overflow) as exc:
             raise IngestionError(
                 f"row {row_no}: timestamp {parts[0].strip()} is outside the int64"
                 " nanosecond range", row=row_no) from exc
@@ -260,9 +271,11 @@ def read_events(path: str | Path,
                 format: EventFileFormat = EventFileFormat.CSV) -> list[IntrinsicEvent]:
     """Parse an event file written by write_events.
 
-    A malformed row raises IngestionError naming its 1-based line: a
-    wrong field count, a direction other than ``up`` or ``down``, a
-    JSONL line that is not an object, a JSONL ``timestamp_ns`` or
+    A malformed row raises IngestionError naming its 1-based line:
+    bytes that are not UTF-8, a CSV header line other than
+    ``kind,direction,timestamp_ns,price,delta,clock_index``, a wrong
+    field count, a direction other than ``up`` or ``down``, a JSONL
+    line that is not an object, a JSONL ``timestamp_ns`` or
     ``clock_index`` that is not a JSON integer or a ``price`` or
     ``delta`` that is not a JSON number, a timestamp outside int64, a
     negative clock index, a price that is not positive and finite, or
@@ -270,7 +283,8 @@ def read_events(path: str | Path,
     """
     csv = format is EventFileFormat.CSV
     events: list[IntrinsicEvent] = []
-    for row_no, line in _text_rows(path, comments=csv, header=csv):
+    header = ",".join(EVENT_FIELDS) if csv else False
+    for row_no, line in _text_rows(path, comments=csv, header=header):
         try:
             fields = line.split(",") if csv else _jsonl_fields(line)
             if len(fields) != len(EVENT_FIELDS):

@@ -136,6 +136,16 @@ def test_runtime_errors_exit_1_without_partial_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_undecodable_input_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"timestamp,price\n0,1.0\n1,\xff\xfe\n")
+    assert run_cli("transform", "--in", str(bad), "--deltas", "0.01",
+                   "--out-dir", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 3: ") and "bad.csv is not valid UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scaling_slope_on_long_diffusive_walk(tmp_path, capsys):
     # sigma well below the smallest threshold gives clean inverse-square
     # scaling of the reversal counts

@@ -4,6 +4,7 @@ import math
 import shutil
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,45 @@ def test_tick_series_orders_the_whole_int64_range():
     for bad_ts, position in (([2**63 - 1, -2**63], 1), ([-2**63, 0, 2**63 - 1, 5], 3)):
         with pytest.raises(it.OrderingError, match=f"position {position}$"):
             it.TickSeries(np.array(bad_ts, dtype=np.int64), np.ones(len(bad_ts)))
+
+
+@pytest.mark.parametrize("timestamps,position", [
+    (np.array([0.5, 1.7]), 0),
+    (np.array([0.0, 1.7]), 1),
+    (np.array([np.nan, 1.0]), 0),
+    (np.array([1e30, 2e30]), 0),
+    (np.array([0.0, 2.0**63]), 1),
+    (np.array([0, 2**63], dtype=np.uint64), 1),
+    (np.array([0, 2**64], dtype=object), 1),
+    (np.array([0, 1.5], dtype=object), 1),
+], ids=["fraction", "later-fraction", "nan", "huge-float", "float-2**63", "uint64-2**63",
+        "python-int-2**64", "python-float-fraction"])
+def test_tick_series_rejects_timestamps_that_are_not_whole_int64(timestamps, position):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(it.DomainError, match=f"at position {position} is not a whole"):
+            it.TickSeries(timestamps, np.ones(len(timestamps)))
+
+
+@pytest.mark.parametrize("pairs,position", [
+    ([(0.5, 1.0)], 0),
+    ([(0, 1.0), (math.nan, 1.0)], 1),
+    ([(-1, 1.0), (2**63 - 1, 1.0), (2**63, 1.0)], 2),
+])
+def test_as_tick_series_rejects_timestamps_that_are_not_whole_int64(pairs, position):
+    with pytest.raises(it.DomainError, match=f"at position {position} is not a whole"):
+        it.as_tick_series(pairs)
+
+
+def test_tick_series_accepts_whole_timestamps_of_any_dtype():
+    for ts in (np.array([-2.0**63, 0.0, 2.0**62]), np.array([0, 2**63 - 1], dtype=np.uint64),
+               np.array([1, 2], dtype=np.int32)):
+        series = it.TickSeries(ts, np.ones(len(ts)))
+        assert series.timestamps.dtype == np.int64
+        assert series.timestamps.tolist() == [int(t) for t in ts.tolist()]
+    assert it.as_tick_series([(0.0, 1.0), (2, 1.5)]).timestamps.tolist() == [0, 2]
+    ts = np.arange(3, dtype=np.int64)
+    assert np.shares_memory(it.TickSeries(ts, np.ones(3)).timestamps, ts)
 
 
 def test_process_rejects_nan_price():

@@ -55,6 +55,8 @@ def test_parse_skips_header_and_comments(tmp_path):
     path.write_text("# some comment\ntimestamp,price\n0,1.0\n# mid comment\n1,2.0\n")
     series = it.parse_ticks(spec_for(path, has_header=True))
     assert len(series) == 2
+    path.write_text("time,bid\n0,1.0\n")  # tick headers may name columns freely
+    assert len(it.parse_ticks(spec_for(path, has_header=True))) == 1
 
 
 def test_parse_fractional_seconds_exact(tmp_path):
@@ -82,6 +84,8 @@ def test_parse_millis_unit(tmp_path):
     ("0,1.0\ninf,2.0\n", 2),
     ("1e30,1.0\n", 1),
     ("9.3e9,1.0\n", 1),
+    ("1e999999,1.0\n", 1),
+    ("0,1.0\n\n# comment\n1,xyz\n", 4),
 ])
 def test_parse_malformed_rows_name_the_row(tmp_path, content, bad_row):
     path = tmp_path / "ticks.csv"
@@ -106,6 +110,20 @@ def test_parse_nanosecond_timestamps_outside_int64_name_the_row(tmp_path):
         assert err.value.row == 2
 
 
+@pytest.mark.parametrize("read", [
+    lambda path: it.parse_ticks(spec_for(path, has_header=True)),
+    lambda path: it.read_events(path, CSV),
+    lambda path: it.read_events(path, JSONL),
+], ids=["ticks", "events-csv", "events-jsonl"])
+def test_undecodable_file_names_the_file_and_row(tmp_path, read):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"timestamp,price\r\n0,1.0\n\n1,\xff\xfe\n")
+    with pytest.raises(it.IngestionError, match="row 4: .*bad.txt is not valid UTF-8") \
+            as err:
+        read(path)
+    assert err.value.row == 4
+
+
 def test_parse_missing_file_raises():
     with pytest.raises(it.IngestionError):
         it.parse_ticks(spec_for("/no/such/file.csv"))
@@ -127,6 +145,13 @@ def test_write_events_empty_csv_is_header_only(tmp_path):
     lines = path.read_text().splitlines()
     assert lines == [EVENT_SCHEMA_COMMENT,
                      "kind,direction,timestamp_ns,price,delta,clock_index"]
+    assert it.read_events(path, CSV) == []
+
+
+@pytest.mark.parametrize("content", ["", EVENT_SCHEMA_COMMENT + "\n\n"])
+def test_event_csv_without_data_lines_reads_empty(tmp_path, content):
+    path = tmp_path / "events.csv"
+    path.write_text(content)
     assert it.read_events(path, CSV) == []
 
 
@@ -234,12 +259,20 @@ GOOD_JSONL = ('{"kind":"DC","direction":"up","timestamp_ns":1,"price":1.5,'
     (CSV, EVENT_CSV_HEAD + f"DC,up,{10**23},1.5,0.01,0\n", 3),
     (JSONL, GOOD_JSONL.replace('"timestamp_ns":1', f'"timestamp_ns":{10**23}'), 1),
     (CSV, EVENT_CSV_HEAD + "DC,up,1,1.5,0.01,-3\n", 3),
+    (CSV, EVENT_CSV_HEAD + "DC,up,1,1.5,0.01,0\n\n# comment\nOS,up,2,-5,0.01,1\n", 6),
+    (JSONL, GOOD_JSONL + "# comment\n", 2),
+    (CSV, EVENT_CSV_HEAD + "DC,up,1,1.5,0.01\n", 3),
+    (CSV, EVENT_CSV_HEAD + "DC,up,1,1.5,0.01,0\nOS,up,2,1.6,0.01,1,9\n", 4),
+    (CSV, EVENT_SCHEMA_COMMENT + "\nDC,up,1,1.5,0.01,0\nOS,up,2,1.6,0.01,1\n", 2),
+    (CSV, "\nkind,direction,timestamp_ns,price,delta\n", 2),
 ], ids=["csv-sideways", "csv-UP", "csv-float-ts", "jsonl-sideways", "jsonl-array",
         "jsonl-null", "jsonl-float-ts", "jsonl-float-clock", "jsonl-bool-ts",
         "jsonl-null-price", "csv-nan-price", "csv-negative-price", "csv-delta-7",
         "jsonl-nan-price", "jsonl-infinite-delta", "jsonl-bool-price",
         "jsonl-string-delta", "jsonl-overflowing-price", "csv-int64-overflow-ts",
-        "jsonl-int64-overflow-ts", "csv-negative-clock"])
+        "jsonl-int64-overflow-ts", "csv-negative-clock", "csv-row-after-blank-and-comment",
+        "jsonl-comment", "csv-5-fields", "csv-7-fields", "csv-headerless",
+        "csv-wrong-header"])
 def test_read_events_rejects_malformed_rows(tmp_path, fmt, content, bad_row):
     path = tmp_path / f"events.{fmt.value}"
     path.write_text(content)
