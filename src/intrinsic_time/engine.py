@@ -130,9 +130,10 @@ class TickSeries:
 
 def _is_whole_int64(value) -> bool:
     try:
-        return value == int(value) and -2**63 <= int(value) < 2**63
+        whole = int(value)
     except (TypeError, ValueError, OverflowError):
         return False
+    return value == whole and -2**63 <= whole < 2**63
 
 
 def _int64_timestamps(ts: np.ndarray) -> np.ndarray:
@@ -140,11 +141,7 @@ def _int64_timestamps(ts: np.ndarray) -> np.ndarray:
     is not a whole number inside int64. Safe casts take no checking pass."""
     if np.can_cast(ts.dtype, np.int64):
         return np.ascontiguousarray(ts, dtype=np.int64)
-    if ts.dtype.kind == "f":
-        # -2**63 and 2**63 are exact doubles; NaN fails every comparison.
-        whole = (ts >= -2.0**63) & (ts < 2.0**63) & (np.trunc(ts) == ts)
-    else:
-        whole = np.array([_is_whole_int64(v) for v in ts.tolist()], dtype=bool)
+    whole = np.array([_is_whole_int64(v) for v in ts.tolist()], dtype=bool)
     if not bool(np.all(whole)):
         bad = int(np.argmax(~whole))
         raise DomainError(f"timestamp {ts.tolist()[bad]!r} at position {bad} is not"

@@ -227,8 +227,9 @@ def test_tick_series_orders_the_whole_int64_range():
     (np.array([0, 2**63], dtype=np.uint64), 1),
     (np.array([0, 2**64], dtype=object), 1),
     (np.array([0, 1.5], dtype=object), 1),
+    (np.array(["0", "5"]), 0),
 ], ids=["fraction", "later-fraction", "nan", "huge-float", "float-2**63", "uint64-2**63",
-        "python-int-2**64", "python-float-fraction"])
+        "python-int-2**64", "python-float-fraction", "string"])
 def test_tick_series_rejects_timestamps_that_are_not_whole_int64(timestamps, position):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -240,6 +241,7 @@ def test_tick_series_rejects_timestamps_that_are_not_whole_int64(timestamps, pos
     ([(0.5, 1.0)], 0),
     ([(0, 1.0), (math.nan, 1.0)], 1),
     ([(-1, 1.0), (2**63 - 1, 1.0), (2**63, 1.0)], 2),
+    ([(0, 1.0), ("5", 1.0)], 1),
 ])
 def test_as_tick_series_rejects_timestamps_that_are_not_whole_int64(pairs, position):
     with pytest.raises(it.DomainError, match=f"at position {position} is not a whole"):
