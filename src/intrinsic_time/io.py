@@ -8,7 +8,8 @@ file read here and skips blank lines, CSV comments and the header;
 one writer, ``_write_event_rows``, formats every event row. Prices are
 serialized with 17 significant digits so numeric round-trips are
 lossless. Writers go through a temp-file-then-rename step, so a failed
-run never leaves a partial output behind.
+run never leaves a partial output behind, and the files they create
+take their permissions from the umask.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, Overflow
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -39,11 +39,9 @@ class TimestampUnit(Enum):
     NANOS = "ns"
 
 
-_UNIT_SCALE = {
-    TimestampUnit.SECONDS: 10**9,
-    TimestampUnit.MILLIS: 10**6,
-    TimestampUnit.NANOS: 1,
-}
+_UNIT_EXPONENT = {TimestampUnit.SECONDS: 9, TimestampUnit.MILLIS: 6}
+# Decimal arithmetic that never rounds: scaling by a power of ten is exact.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 class EventFileFormat(Enum):
@@ -62,8 +60,14 @@ def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
     if unit is TimestampUnit.NANOS:
         ts = int(text)
     else:
-        # Decimal keeps e.g. epoch seconds with fractional digits exact.
-        ts = int(Decimal(text) * _UNIT_SCALE[unit])
+        # The range is checked on the exact Decimal, so a huge exponent is
+        # refused before it becomes a huge int.
+        ns = Decimal(text).scaleb(_UNIT_EXPONENT[unit], _EXACT)
+        if not -2**63 <= ns < 2**63:
+            raise OverflowError("outside the int64 nanosecond range")
+        ts = int(ns)
+        if ts != ns:
+            raise ValueError("not a whole number of nanoseconds")
     if not -2**63 <= ts < 2**63:
         raise OverflowError("outside the int64 nanosecond range")
     return ts
@@ -105,10 +109,11 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
     """Read a tick CSV into a TickSeries, normalizing timestamps to ns.
 
     Strict by default: a file that is not UTF-8, a non-positive or
-    non-finite price, a timestamp outside the int64 nanosecond range,
-    or a backwards timestamp raises IngestionError naming the 1-based
-    file row. The header line, if any, may name its columns freely. With
-    ``allow_unordered`` the rows are stably sorted by timestamp instead.
+    non-finite price, a timestamp that is not a whole number of
+    nanoseconds inside int64, or a backwards timestamp raises
+    IngestionError naming the 1-based file row. The header line, if
+    any, may name its columns freely. With ``allow_unordered`` the rows
+    are stably sorted by timestamp instead.
     """
     timestamps: list[int] = []
     prices: list[float] = []
@@ -153,10 +158,15 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
 
 
 def _atomic_write(path: str | Path, text: str) -> None:
+    """Write ``text`` to a fresh temp file beside ``path``, then rename it.
+
+    The temp file is created with mode 0o666 less the umask, as ``open``
+    creates files. On failure it is removed and WriteError is raised.
+    """
     path = Path(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                                   prefix=f".{path.name}.", suffix=".tmp")
+        tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
@@ -194,6 +204,17 @@ def _check_event_values(ts: int, price: float, delta: float, clock: int) -> None
         raise ValueError(f"delta {delta!r} is not in (0, 1)")
 
 
+def _whole(name: str, value) -> int:
+    """``int(value)``; ValueError unless ``value`` equals it."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} {value!r} is not a whole number")
+    return whole
+
+
 def _write_event_rows(rows: Iterable[tuple], path: str | Path,
                       format: EventFileFormat) -> None:
     # float.__repr__ writes what json.dumps does, also for numpy float64s.
@@ -215,17 +236,20 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     one object per line and empty for an empty list. Field order is
     fixed: kind, direction, timestamp_ns, price, delta, clock_index.
     A price that is not positive and finite (``nan``, ``inf``), a delta
-    outside (0, 1), a timestamp outside int64 or a negative clock index
-    raises DomainError naming the event's position, and no file is
-    written.
+    outside (0, 1), a timestamp that is not a whole number inside int64
+    or a clock index that is not a whole number >= 0 raises DomainError
+    naming the event's position, and no file is written. Timestamps and
+    clock indices are written as ``int(value)``, so ``2.0`` becomes ``2``.
     """
-    rows = [(ev.kind.value, ev.direction.name.lower(), ev.timestamp, ev.price, ev.delta,
-             ev.clock_index) for ev in events]
-    for i, row in enumerate(rows):
+    rows = []
+    for i, ev in enumerate(events):
         try:
-            _check_event_values(*row[2:])
+            ts = _whole("timestamp_ns", ev.timestamp)
+            clock = _whole("clock_index", ev.clock_index)
+            _check_event_values(ts, ev.price, ev.delta, clock)
         except ValueError as exc:
             raise DomainError(f"event {i}: {exc}") from None
+        rows.append((ev.kind.value, ev.direction.name.lower(), ts, ev.price, ev.delta, clock))
     _write_event_rows(rows, path, format)
 
 

@@ -8,23 +8,19 @@ thresholds resolve more events and a longer coastline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 from . import engine
 from .engine import (
     EventArrays,
     EventKind,
     IntrinsicEvent,
-    Mode,
     MoveConvention,
     ThresholdConfig,
     TickInput,
     TickSeries,
     as_tick_series,
-    overshoot_lengths,
 )
 from .errors import ConfigurationError, ConsistencyError
 
@@ -76,41 +72,38 @@ class ThresholdSummary:
     n_dc: int
     n_os: int
     coastline: float
-    overshoot_lengths: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.float64))
     first_event_ts: int | None = None
     last_event_ts: int | None = None
 
 
-def _scan_grid(series: TickSeries, grid: GridInput, convention: MoveConvention,
-               initial_mode: Mode = Mode.UP) -> list[tuple[float, EventArrays]]:
+def _scan_grid(series: TickSeries, grid: GridInput,
+               convention: MoveConvention) -> list[tuple[float, EventArrays]]:
     """``run_grid`` before event materialisation: ``(delta, EventArrays)`` pairs."""
     # through the module, so that a patched ``engine.process_arrays`` sees every scan
-    return [(d, engine.process_arrays(series, ThresholdConfig(d, convention), initial_mode))
+    return [(d, engine.process_arrays(series, ThresholdConfig(d, convention)))
             for d in as_threshold_grid(grid)]
 
 
 def run_grid(ticks: TickInput, grid: GridInput,
-             convention: MoveConvention = MoveConvention.RELATIVE,
-             initial_mode: Mode = Mode.UP) -> list[tuple[float, list[IntrinsicEvent]]]:
+             convention: MoveConvention = MoveConvention.RELATIVE
+             ) -> list[tuple[float, list[IntrinsicEvent]]]:
     """Run one independent runner per threshold over the same ticks.
 
-    The thresholds are scanned one after another in the calling thread,
-    and the output follows the grid order; element i is exactly what a
-    single ``process`` call at that threshold returns.
+    Every runner starts in ``Mode.UP``. The thresholds are scanned one
+    after another in the calling thread, and the output follows the grid
+    order; element i is exactly what a single ``process`` call at that
+    threshold returns.
     """
-    scans = _scan_grid(as_tick_series(ticks), grid, convention, initial_mode)
+    scans = _scan_grid(as_tick_series(ticks), grid, convention)
     return [(delta, engine.events_from_arrays(arrays, delta)) for delta, arrays in scans]
 
 
-def summarize(delta: float, events: Sequence[IntrinsicEvent],
-              ticks: TickInput | None = None,
-              convention: MoveConvention = MoveConvention.RELATIVE) -> ThresholdSummary:
+def summarize(delta: float, events: Sequence[IntrinsicEvent]) -> ThresholdSummary:
     """Counts, coastline and event-time span for one threshold's events.
 
-    All events must carry the given delta. When the source ticks are
-    supplied, exact per-segment overshoot lengths are included;
-    otherwise that field is left empty.
+    All events must carry the given delta. The summary reads the events
+    only; the per-segment overshoot lengths come from
+    ``overshoot_lengths``, which replays the scan over the source ticks.
     """
     for ev in events:
         if ev.delta != delta:
@@ -118,16 +111,11 @@ def summarize(delta: float, events: Sequence[IntrinsicEvent],
                 f"event delta {ev.delta!r} does not match summary delta {delta!r}")
     n_dc = sum(1 for ev in events if ev.kind is EventKind.DIRECTIONAL_CHANGE)
     n_os = len(events) - n_dc
-    lengths = np.empty(0, dtype=np.float64)
-    if ticks is not None:
-        lengths = overshoot_lengths(list(events), ticks,
-                                    ThresholdConfig(delta, convention))
     return ThresholdSummary(
         delta=delta,
         n_dc=n_dc,
         n_os=n_os,
         coastline=(n_dc + n_os) * delta,
-        overshoot_lengths=lengths,
         first_event_ts=events[0].timestamp if events else None,
         last_event_ts=events[-1].timestamp if events else None,
     )

@@ -43,6 +43,12 @@ class GbmParams:
             raise ConfigurationError(f"dt_step must be positive, got {self.dt_step!r}")
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps!r}")
+        # _timestamps casts the rounded last timestamp to int64; no float
+        # below 2**63 rounds up to it, so the unrounded product decides
+        if not self.n_steps * (self.dt_step * NS_PER_SECOND) < 2**63:
+            raise ConfigurationError(
+                f"dt_step {self.dt_step!r} s times n_steps {self.n_steps!r} does not fit"
+                " the int64 nanosecond range")
 
 
 def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:

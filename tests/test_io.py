@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import stat
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intrinsic_time as it
+from intrinsic_time.cli import cli_main
 from intrinsic_time.io import EVENT_FIELDS, EVENT_SCHEMA_COMMENT
 
 NS = 1_000_000_000
@@ -85,7 +89,12 @@ def test_parse_millis_unit(tmp_path):
     ("1e30,1.0\n", 1),
     ("9.3e9,1.0\n", 1),
     ("1e999999,1.0\n", 1),
+    ("1e999990,1.0\n", 1),
     ("0,1.0\n\n# comment\n1,xyz\n", 4),
+    ("0.0000000005,1.0\n", 1),
+    ("0,1.0\n0.0000000019,1.0\n", 2),
+    ("1700000000.123456789999999999999,1.0\n", 1),
+    ("9223372036.854775808,1.0\n", 1),
 ])
 def test_parse_malformed_rows_name_the_row(tmp_path, content, bad_row):
     path = tmp_path / "ticks.csv"
@@ -93,6 +102,21 @@ def test_parse_malformed_rows_name_the_row(tmp_path, content, bad_row):
     with pytest.raises(it.IngestionError) as err:
         it.parse_ticks(spec_for(path))
     assert err.value.row == bad_row
+
+
+def test_parse_huge_exponent_is_refused_at_once(tmp_path):
+    path = tmp_path / "ticks.csv"
+    path.write_text("1e999990,1.0\n")
+    start = time.perf_counter()
+    with pytest.raises(it.IngestionError, match="row 1: .* outside the int64"):
+        it.parse_ticks(spec_for(path))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_seconds_reach_both_ends_of_int64(tmp_path):
+    path = tmp_path / "ticks.csv"
+    path.write_text("-9223372036.854775808,1.0\n9223372036.854775807,1.0\n")
+    assert it.parse_ticks(spec_for(path)).timestamps.tolist() == [-2**63, 2**63 - 1]
 
 
 def test_parse_nanosecond_timestamps_outside_int64_name_the_row(tmp_path):
@@ -281,6 +305,19 @@ def test_read_events_rejects_malformed_rows(tmp_path, fmt, content, bad_row):
     assert err.value.row == bad_row
 
 
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+def test_write_events_writes_whole_numbers_as_ints(tmp_path, fmt):
+    good = it.IntrinsicEvent(it.EventKind.DIRECTIONAL_CHANGE, it.Mode.UP, 2, 1.5, 0.01, 0)
+    events = [dataclasses.replace(good, timestamp=2.0, clock_index=np.int64(0)),
+              dataclasses.replace(good, timestamp=np.int64(2), clock_index=1.0),
+              dataclasses.replace(good, timestamp=np.float64(2.0), clock_index=True)]
+    ints = [dataclasses.replace(good, clock_index=c) for c in (0, 1, 1)]
+    it.write_events(events, tmp_path / "events", fmt)
+    it.write_events(ints, tmp_path / "ints", fmt)
+    assert (tmp_path / "events").read_bytes() == (tmp_path / "ints").read_bytes()
+    assert it.read_events(tmp_path / "events", fmt) == ints
+
+
 def test_write_to_unwritable_path_raises():
     ev = []
     with pytest.raises(it.WriteError):
@@ -291,7 +328,30 @@ def test_write_to_unwritable_path_raises():
 def test_write_events_refuses_nan_price_before_writing(tmp_path, fmt):
     good = it.IntrinsicEvent(it.EventKind.DIRECTIONAL_CHANGE, it.Mode.UP, 1, 1.5, 0.01, 0)
     for bad in (dataclasses.replace(good, price=float("nan"), clock_index=1),
-                dataclasses.replace(good, timestamp=10**23, clock_index=1)):
+                dataclasses.replace(good, timestamp=10**23, clock_index=1),
+                dataclasses.replace(good, timestamp=1.5, clock_index=1),
+                dataclasses.replace(good, timestamp=float("nan"), clock_index=1),
+                dataclasses.replace(good, timestamp="2", clock_index=1),
+                dataclasses.replace(good, clock_index=1.5),
+                dataclasses.replace(good, clock_index=-1)):
         with pytest.raises(it.DomainError, match="event 1"):
             it.write_events([good, bad], tmp_path / f"events.{fmt.value}", fmt)
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    series = it.generate_random_walk(1.0, 0.01, 50, seed=1)
+    old = os.umask(umask)
+    try:
+        it.write_ticks(series, tmp_path / "ticks.csv")
+        it.write_events(it.process(series, it.ThresholdConfig(0.01)), tmp_path / "events.csv")
+        assert cli_main(["transform", "--in", str(tmp_path / "ticks.csv"), "--deltas",
+                         "0.01,0.02", "--format", "jsonl",
+                         "--out-dir", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.rglob("*")
+             if p.is_file()}
+    assert modes == dict.fromkeys(["ticks.csv", "events.csv", "events_delta_0.01.jsonl",
+                                   "events_delta_0.02.jsonl", "summary.csv"], mode)

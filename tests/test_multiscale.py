@@ -57,7 +57,6 @@ def test_summarize_empty_events():
     s = it.summarize(0.01, [])
     assert (s.n_dc, s.n_os, s.coastline) == (0, 0, 0.0)
     assert s.first_event_ts is None and s.last_event_ts is None
-    assert s.overshoot_lengths.size == 0
 
 
 def test_summarize_counts_and_coastline():
@@ -80,10 +79,11 @@ def test_summarize_rejects_mixed_deltas():
 
 
 def test_summarize_with_ticks_fills_overshoot_lengths():
-    events = it.process(FOUR_TICKS, it.ThresholdConfig(0.01))
-    s = it.summarize(0.01, events, ticks=FOUR_TICKS)
-    assert s.overshoot_lengths.shape == (1,)
-    assert s.overshoot_lengths[0] == pytest.approx(0.01)
+    cfg = it.ThresholdConfig(0.01)
+    events = it.process(FOUR_TICKS, cfg)
+    omegas = it.overshoot_lengths(events, FOUR_TICKS, cfg)
+    assert omegas.shape == (1,)
+    assert omegas[0] == pytest.approx(0.01)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.sampled_from([0.002, 0.01]))

@@ -1,5 +1,8 @@
 """Tests for the seeded synthetic price generators."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,18 @@ def test_zero_vol_gbm_triggers_no_events():
 def test_gbm_invalid_params_rejected(kwargs):
     with pytest.raises(it.ConfigurationError):
         it.GbmParams(**kwargs)
+
+
+def test_gbm_span_past_int64_is_a_configuration_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dt_step, n_steps in [(5e9, 3), (9.3e9, 1), (1e300, 1), (math.inf, 1)]:
+            with pytest.raises(it.ConfigurationError, match="dt_step .* n_steps"):
+                it.generate_gbm(it.GbmParams(s0=1.0, mu=0.0, sigma=1e-4, dt_step=dt_step,
+                                             n_steps=n_steps, seed=1))
+        series = it.generate_gbm(it.GbmParams(s0=1.0, mu=0.0, sigma=1e-4, dt_step=9.2e9,
+                                              n_steps=1, seed=1))
+    assert series.timestamps.tolist() == [0, 9_200_000_000_000_000_000]
 
 
 def test_walk_single_step_hits_one_of_two_prices():
