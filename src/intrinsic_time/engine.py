@@ -30,7 +30,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -297,14 +297,16 @@ def step(state: RunnerState, tick: Tick,
     return state, events
 
 
-# The batch scan runs in C (``_scan.c``), compiled with the system ``cc`` on
-# first use and cached by a checksum of source and flags: beside this module
-# in ``__pycache__/``, else in the user's cache directory. Without a working
-# compiler, ``_scan_python`` runs the same loop; ``step`` runs it too.
+# The batch scan and the tick-file parser and writer run in C (``_scan.c``),
+# compiled with the system ``cc`` on first use and cached by a checksum of
+# source and flags: beside this module in ``__pycache__/``, else in the
+# user's cache directory. Without a working compiler, ``_scan_python`` runs
+# the same loop (``step`` runs it too) and ``io`` its Python row loop and
+# writer.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNLOADED = object()
-_kernel = _UNLOADED  # the loaded C function, or None on the Python fallback
+_kernel = _UNLOADED  # the loaded _Kernel, or None on the Python fallback
 _kernel_lock = threading.Lock()
 
 
@@ -317,8 +319,16 @@ def _kernel_cache_dirs() -> list[Path]:
     return dirs
 
 
+class _Kernel(NamedTuple):
+    """The C functions of ``_scan.c``, bound through ctypes."""
+
+    scan: Callable[..., int]  # it_scan
+    parse_ticks: Callable[..., int]  # it_parse_ticks
+    format_ticks: Callable[..., int]  # it_format_ticks
+
+
 def _compile_kernel(cache_dirs: list[Path]):
-    """The C scan function, compiled into the first writable cache directory.
+    """The C functions, compiled into the first writable cache directory.
 
     Returns None when no compiler is on PATH. A compiler or loader that
     fails, or no writable cache directory, also gives None, reported with
@@ -351,30 +361,35 @@ def _compile_kernel(cache_dirs: list[Path]):
                 os.unlink(tmp)
             detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
             warnings.warn(f"cannot compile the C scan kernel ({exc}) {detail.strip()}; "
-                          "using the slower Python scan", RuntimeWarning)
+                          "using the slower Python scan and tick-file I/O", RuntimeWarning)
             return None
         return _bind_kernel(directory / name)
     warnings.warn("no writable cache directory for the C scan kernel; "
-                  "using the slower Python scan", RuntimeWarning)
+                  "using the slower Python scan and tick-file I/O", RuntimeWarning)
     return None
 
 
 def _bind_kernel(path: Path):
     try:
-        scan = ctypes.CDLL(str(path)).it_scan
+        lib = ctypes.CDLL(str(path))
+        kernel = _Kernel(lib.it_scan, lib.it_parse_ticks, lib.it_format_ticks)
     except OSError as exc:
         warnings.warn(f"cannot load the C scan kernel {path}: {exc}; "
-                      "using the slower Python scan", RuntimeWarning)
+                      "using the slower Python scan and tick-file I/O", RuntimeWarning)
         return None
     ptr, i64, f64, c_int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
-    scan.argtypes = [ptr, i64, f64, f64, f64, c_int, ctypes.POINTER(_ScanState),
-                     ptr, ptr, ptr, ptr, i64]
-    scan.restype = i64
-    return scan
+    i64_ptr = ctypes.POINTER(i64)
+    kernel.scan.argtypes = [ptr, i64, f64, f64, f64, c_int, ctypes.POINTER(_ScanState),
+                            ptr, ptr, ptr, ptr, i64]
+    kernel.parse_ticks.argtypes = [ctypes.c_char_p, i64, i64_ptr, ptr, ptr, i64]
+    kernel.format_ticks.argtypes = [ptr, ptr, i64, i64_ptr, ptr, i64]
+    for function in kernel:
+        function.restype = i64
+    return kernel
 
 
 def _load_kernel():
-    """The C scan function, or None; the first call may come from user threads."""
+    """The C functions, or None; the first call may come from user threads."""
     global _kernel
     if _kernel is _UNLOADED:
         with _kernel_lock:
@@ -384,7 +399,11 @@ def _load_kernel():
 
 
 def kernel_backend() -> str:
-    """The batch scan in use: ``"c"`` (compiled kernel) or ``"python"``."""
+    """The backend in use: ``"c"`` (the compiled ``_scan.c``) or ``"python"``.
+
+    One compiled unit serves both the batch scan and the parsing and
+    writing of nanosecond tick files; results never depend on the backend.
+    """
     return "python" if _load_kernel() is None else "c"
 
 
@@ -482,16 +501,16 @@ def process_arrays(ticks: TickInput, config: ThresholdConfig,
     series = as_tick_series(ticks)
     if len(series) == 0:
         raise EmptyInputError("cannot process an empty tick sequence")
-    scan = _load_kernel()
+    kernel = _load_kernel()
     args = _scan_args(config)
-    if scan is None:
+    if kernel is None:
         px = series.prices.tolist()
         found = _scan_python(px, 1, px[0], px[0], initial_mode.value, False, *args)[0]
         # float64 holds these kinds, directions and tick indices exactly
         kinds, dirs, idx, xt = np.array(found, dtype=np.float64).reshape(-1, 4).T.copy()
         kinds, dirs, idx = kinds.astype(np.int8), dirs.astype(np.int8), idx.astype(np.int64)
     else:
-        kinds, dirs, idx, xt = _scan_c(scan, series.prices, *args, initial_mode.value)
+        kinds, dirs, idx, xt = _scan_c(kernel.scan, series.prices, *args, initial_mode.value)
     return EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx], xt)
 
 

@@ -5,7 +5,11 @@ File formats are deliberately plain: tick files are two-column CSV
 field order. Every CSV written here starts with a ``#``-prefixed schema
 version comment. One reader, ``_text_rows``, numbers the lines of every
 file read here and skips blank lines, CSV comments and the header;
-one writer, ``_write_event_rows``, formats every event row. Prices are
+one writer, ``_write_event_rows``, formats every event row. Nanosecond
+tick files are parsed and written in C when ``_scan.c`` is compiled: the
+parser reads a strict subset of what ``_text_rows`` and ``float()`` read
+and hands any other file to the Python row loop, so the result never
+depends on the path taken. Prices are
 serialized with 17 significant digits so numeric round-trips are
 lossless. Writers go through a temp-file-then-rename step, so a failed
 run never leaves a partial output behind, and the files they create
@@ -14,9 +18,11 @@ take their permissions from the umask.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, Overflow
 from enum import Enum
@@ -25,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries
+from .engine import EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries, _load_kernel
 from .errors import DomainError, IngestionError, WriteError
 
 TICK_SCHEMA_COMMENT = "# intrinsic-time tick-csv v1"
@@ -42,6 +48,9 @@ class TimestampUnit(Enum):
 _UNIT_EXPONENT = {TimestampUnit.SECONDS: 9, TimestampUnit.MILLIS: 6}
 # Decimal arithmetic that never rounds: scaling by a power of ten is exact.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# A well-formed number with an exponent, which Decimal refuses when the
+# exponent is past its limit.
+_EXPONENT_FORM = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE]([+-]?)[0-9]+")
 
 
 class EventFileFormat(Enum):
@@ -62,7 +71,21 @@ def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
     else:
         # The range is checked on the exact Decimal, so a huge exponent is
         # refused before it becomes a huge int.
-        ns = Decimal(text).scaleb(_UNIT_EXPONENT[unit], _EXACT)
+        try:
+            value = Decimal(text)
+        except InvalidOperation:
+            # Decimal refuses an exponent past its limit (about 10**18 in
+            # size); with one, a number other than zero is far outside int64
+            # or below 1 ns.
+            form = _EXPONENT_FORM.fullmatch(text)
+            if form is None:
+                raise
+            value = Decimal(form[1])
+            if value != 0 and form[2] == "-":
+                raise ValueError("not a whole number of nanoseconds") from None
+            if value != 0:
+                raise OverflowError("outside the int64 nanosecond range") from None
+        ns = value.scaleb(_UNIT_EXPONENT[unit], _EXACT)
         if not -2**63 <= ns < 2**63:
             raise OverflowError("outside the int64 nanosecond range")
         ts = int(ns)
@@ -73,20 +96,24 @@ def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
     return ts
 
 
-def _text_rows(path: str | Path, comments: bool,
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
+
+
+def _text_rows(path: Path, data: bytes, comments: bool,
                header: bool | str) -> Iterator[tuple[int, str]]:
-    """Yield ``(row, line)`` for the data lines of a UTF-8 text file.
+    """Yield ``(row, line)`` for the data lines of ``data``, read from ``path``.
 
     Rows count from 1 over every line of the file. Blank lines, ``#``
     lines when ``comments`` is set, and the first remaining line when
     ``header`` is set are skipped; a ``header`` string must equal that
-    line. A file that cannot be read or decoded raises IngestionError.
+    line. Bytes that are not UTF-8 raise IngestionError.
     """
-    path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
-    except OSError as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # Count the bad byte's row the way splitlines numbers the rows below.
         row = len((exc.object[:exc.start].decode("utf-8") + "_").splitlines())
@@ -105,20 +132,61 @@ def _text_rows(path: str | Path, comments: bool,
         yield row_no, line
 
 
-def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries:
-    """Read a tick CSV into a TickSeries, normalizing timestamps to ns.
+def _first_row_offset(data: bytes, has_header: bool) -> int | None:
+    """The byte offset of the first line ``_text_rows`` yields for a tick file.
 
-    Strict by default: a file that is not UTF-8, a non-positive or
-    non-finite price, a timestamp that is not a whole number of
-    nanoseconds inside int64, or a backwards timestamp raises
-    IngestionError naming the 1-based file row. The header line, if
-    any, may name its columns freely. With ``allow_unordered`` the rows
-    are stably sorted by timestamp instead.
+    None when a line before it is not UTF-8 or holds a line break other
+    than LF, which ``str.splitlines`` would split where this does not.
     """
+    start, header_pending = 0, has_header
+    while start < len(data):
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        try:
+            line = data[start:end].decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if len((line + "_").splitlines()) > 1:
+            return None
+        line = line.strip()
+        if line and line[0] != "#":
+            if not header_pending:
+                return start
+            header_pending = False
+        start = end + 1
+    return len(data)
+
+
+def _parse_ticks_c(parse, data: bytes, has_header: bool):
+    """``(timestamps, prices)`` of a nanosecond tick file through the C
+    parser, or None when any line of it is outside the parser's grammar."""
+    pos = _first_row_offset(data, has_header)
+    if pos is None:
+        return None
+    cap = data.count(b"\n", pos) + 1
+    ts = np.empty(cap, dtype=np.int64)
+    px = np.empty(cap, dtype=np.float64)
+    stop = ctypes.c_int64(pos)
+    n = parse(data, len(data), stop, ts.ctypes.data, px.ctypes.data, cap)
+    if stop.value < len(data):
+        # The parser stops before a last row without its LF; give it one.
+        if data.find(b"\n", stop.value) >= 0:
+            return None
+        tail = data[stop.value:] + b"\n"
+        stop.value = 0
+        n += parse(tail, len(tail), stop, ts[n:].ctypes.data, px[n:].ctypes.data, cap - n)
+        if stop.value < len(tail):
+            return None
+    return ts[:n], px[:n]
+
+
+def _parse_tick_rows(spec: TickFileSpec, data: bytes, allow_unordered: bool):
+    """``(timestamps, prices)`` of a tick file, read row by row in Python."""
     timestamps: list[int] = []
     prices: list[float] = []
     prev_ts: int | None = None
-    for row_no, line in _text_rows(spec.path, comments=True, header=spec.has_header):
+    for row_no, line in _text_rows(Path(spec.path), data, comments=True,
+                                   header=spec.has_header):
         parts = line.split(",")
         if len(parts) != 2:
             raise IngestionError(
@@ -148,28 +216,55 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
         prev_ts = ts
         timestamps.append(ts)
         prices.append(price)
+    return np.array(timestamps, dtype=np.int64), np.array(prices, dtype=np.float64)
 
-    ts_arr = np.array(timestamps, dtype=np.int64)
-    px_arr = np.array(prices, dtype=np.float64)
+
+def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries:
+    """Read a tick CSV into a TickSeries, normalizing timestamps to ns.
+
+    Strict by default: a file that is not UTF-8, a non-positive or
+    non-finite price, a timestamp that is not a whole number of
+    nanoseconds inside int64, or a backwards timestamp raises
+    IngestionError naming the 1-based file row. The header line, if
+    any, may name its columns freely. With ``allow_unordered`` the rows
+    are stably sorted by timestamp instead.
+
+    Nanosecond files go through the C parser when it is compiled; a file
+    it does not read whole, or whose timestamps go backwards, is read
+    again by the Python row loop, which raises the row-numbered error.
+    """
+    data = _read_bytes(Path(spec.path))
+    kernel = _load_kernel()
+    fast = None
+    if kernel is not None and spec.timestamp_unit is TimestampUnit.NANOS:
+        fast = _parse_ticks_c(kernel.parse_ticks, data, spec.has_header)
+    if fast is not None and (allow_unordered or not (fast[0][1:] < fast[0][:-1]).any()):
+        ts_arr, px_arr = fast
+    else:
+        ts_arr, px_arr = _parse_tick_rows(spec, data, allow_unordered)
     if allow_unordered and ts_arr.size > 1:
         order = np.argsort(ts_arr, kind="stable")
         ts_arr, px_arr = ts_arr[order], px_arr[order]
     return TickSeries(ts_arr, px_arr)
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
-    """Write ``text`` to a fresh temp file beside ``path``, then rename it.
+def _atomic_write(path: str | Path,
+                  content: str | Iterable[bytes | memoryview]) -> None:
+    """Write ``content`` (text, or blocks of UTF-8 bytes) to a fresh temp
+    file beside ``path``, then rename it.
 
     The temp file is created with mode 0o666 less the umask, as ``open``
     creates files. On failure it is removed and WriteError is raised.
     """
     path = Path(path)
+    blocks = [content.encode("utf-8")] if isinstance(content, str) else content
     try:
         tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "wb") as fh:
+                for block in blocks:
+                    fh.write(block)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -185,12 +280,39 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _tick_blocks(format_ticks, series: TickSeries,
+                 head: str) -> Iterator[bytes | memoryview]:
+    """The tick file in blocks of at most 256 KiB, its rows formatted in C.
+
+    Each block is a view of one reused buffer, valid until the next.
+    """
+    yield head.encode("utf-8")
+    ts = np.ascontiguousarray(series.timestamps, dtype=np.int64)
+    px = series.prices  # C-contiguous float64 (TickSeries guarantees it)
+    buf = np.empty(1 << 18, dtype=np.uint8)
+    row = ctypes.c_int64(0)
+    while row.value < len(series):
+        size = format_ticks(ts.ctypes.data, px.ctypes.data, len(series), row,
+                            buf.ctypes.data, buf.size)
+        if size < 0:
+            raise MemoryError("cannot make a C locale to write ticks in")
+        yield memoryview(buf)[:size]
+
+
 def write_ticks(series: TickSeries, path: str | Path) -> None:
-    """Write a tick CSV (nanosecond timestamps, versioned header)."""
-    lines = [TICK_SCHEMA_COMMENT, "timestamp,price"]
-    lines.extend(f"{int(t)},{_fmt(p)}"
-                 for t, p in zip(series.timestamps.tolist(), series.prices.tolist()))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write a tick CSV (nanosecond timestamps, versioned header).
+
+    Rows are ``timestamp,price`` with the price in ``.17g``; the C writer,
+    when compiled, writes the same bytes as the Python one.
+    """
+    head = f"{TICK_SCHEMA_COMMENT}\ntimestamp,price\n"
+    kernel = _load_kernel()
+    if kernel is not None:
+        _atomic_write(path, _tick_blocks(kernel.format_ticks, series, head))
+        return
+    _atomic_write(path, head + "".join(
+        f"{int(t)},{_fmt(p)}\n"
+        for t, p in zip(series.timestamps.tolist(), series.prices.tolist())))
 
 
 def _check_event_values(ts: int, price: float, delta: float, clock: int) -> None:
@@ -308,7 +430,8 @@ def read_events(path: str | Path,
     csv = format is EventFileFormat.CSV
     events: list[IntrinsicEvent] = []
     header = ",".join(EVENT_FIELDS) if csv else False
-    for row_no, line in _text_rows(path, comments=csv, header=header):
+    path = Path(path)
+    for row_no, line in _text_rows(path, _read_bytes(path), comments=csv, header=header):
         try:
             fields = line.split(",") if csv else _jsonl_fields(line)
             if len(fields) != len(EVENT_FIELDS):

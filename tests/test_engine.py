@@ -564,11 +564,11 @@ def test_full_buffer_resumes_without_rescanning(monkeypatch, series, delta, mode
     def tracing(*args):
         state = args[6]
         first = state.i
-        written = kernel(*args)
+        written = kernel.scan(*args)
         spans.append((first, state.i))
         return written
 
-    monkeypatch.setattr(engine, "_kernel", tracing)
+    monkeypatch.setattr(engine, "_kernel", kernel._replace(scan=tracing))
     arrays = it.process_arrays(series, it.ThresholdConfig(delta, LOG), mode)
     assert len(arrays) > 1024 and len(spans) > 1
     # each call starts where the previous one stopped, so no tick is rescanned

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import locale
 import os
+import shutil
 import stat
 import time
 
@@ -12,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intrinsic_time as it
+from intrinsic_time import engine, io
 from intrinsic_time.cli import cli_main
-from intrinsic_time.io import EVENT_FIELDS, EVENT_SCHEMA_COMMENT
+from intrinsic_time.io import EVENT_FIELDS, EVENT_SCHEMA_COMMENT, TICK_SCHEMA_COMMENT
 
 NS = 1_000_000_000
 CSV = it.EventFileFormat.CSV
@@ -113,6 +116,27 @@ def test_parse_huge_exponent_is_refused_at_once(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("unit", [it.TimestampUnit.SECONDS, it.TimestampUnit.MILLIS])
+@pytest.mark.parametrize("timestamp", ["1e9999999999999999999", "1e999990"])
+def test_parse_huge_exponent_is_out_of_range_not_malformed(tmp_path, unit, timestamp):
+    # Decimal cannot hold the first exponent; the number is still well formed
+    path = tmp_path / "ticks.csv"
+    path.write_text(f"{timestamp},1.0\n")
+    with pytest.raises(it.IngestionError,
+                       match=f"row 1: timestamp {timestamp} is outside the int64"
+                             " nanosecond range"):
+        it.parse_ticks(spec_for(path, timestamp_unit=unit))
+
+
+def test_parse_exponent_past_decimal_limit_keeps_zero_and_fractions(tmp_path):
+    path = tmp_path / "ticks.csv"
+    path.write_text("0e9999999999999999999,1.0\n")
+    assert it.parse_ticks(spec_for(path)).timestamps.tolist() == [0]
+    path.write_text("0,1.0\n1e-9999999999999999999,1.0\n")
+    with pytest.raises(it.IngestionError, match="row 2: bad timestamp"):
+        it.parse_ticks(spec_for(path))
+
+
 def test_parse_seconds_reach_both_ends_of_int64(tmp_path):
     path = tmp_path / "ticks.csv"
     path.write_text("-9223372036.854775808,1.0\n9223372036.854775807,1.0\n")
@@ -161,6 +185,242 @@ def test_tick_roundtrip_is_exact(tmp_path):
     back = it.parse_ticks(it.TickFileSpec(path=path))
     np.testing.assert_array_equal(series.timestamps, back.timestamps)
     np.testing.assert_array_equal(series.prices, back.prices)
+
+
+# ---------------------------------------------------------------------------
+# tick files in C: the compiled parser and writer against the Python ones
+# ---------------------------------------------------------------------------
+
+HAS_CC = shutil.which("cc") is not None
+needs_cc = pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+# every line break str.splitlines honours besides LF
+OTHER_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_other_breaks_are_all_that_splitlines_honours():
+    found = [chr(c) for c in range(0x110000) if len(f"a{chr(c)}a".splitlines()) > 1]
+    assert sorted(found) == sorted(OTHER_BREAKS + ["\n"])
+
+
+def parse_outcome(path, has_header, allow_unordered):
+    """What parse_ticks gives: its arrays as bytes, or its error's row and text."""
+    spec = it.TickFileSpec(path, has_header=has_header)
+    try:
+        series = it.parse_ticks(spec, allow_unordered)
+    except it.IngestionError as exc:
+        return "error", exc.row, str(exc)
+    return ("ok", series.timestamps.dtype, series.timestamps.tobytes(),
+            series.prices.dtype, series.prices.tobytes())
+
+
+def parse_both_ways(path, has_header=False, allow_unordered=False):
+    """``(compiled, row loop, took the fast path)`` outcomes of parse_ticks.
+
+    The first parse runs with the compiled kernel, counting calls to the
+    row loop; the second runs with the kernel switched off.
+    """
+    assert it.kernel_backend() == "c"
+    loop_calls = []
+    row_loop = io._parse_tick_rows
+
+    def counting(*args):
+        loop_calls.append(args)
+        return row_loop(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_parse_tick_rows", counting)
+        fast = parse_outcome(path, has_header, allow_unordered)
+        took_fast_path = not loop_calls
+        mp.setattr(engine, "_kernel", None)
+        assert it.kernel_backend() == "python"
+        slow = parse_outcome(path, has_header, allow_unordered)
+    assert len(loop_calls) == 1 + (not took_fast_path)
+    return fast, slow, took_fast_path
+
+
+@st.composite
+def tick_texts(draw, min_rows=0):
+    """A nanosecond tick file inside the C parser's grammar, as its parts."""
+    n = draw(st.integers(min_rows, 25))
+    stamps = sorted(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)))
+    values = draw(st.lists(st.floats(1e-300, 1e300), min_size=n, max_size=n))
+    styles = draw(st.lists(st.sampled_from(["r", ".17g", ".6e", ".12E", ".0f"]),
+                           min_size=n, max_size=n))
+    texts = [repr(p) if style == "r" else format(p, style) for p, style in zip(values, styles)]
+    # .0f writes a price below 0.5 as 0, which is outside the grammar
+    rows = [[str(t), text if float(text) > 0 else repr(p)]
+            for t, p, text in zip(stamps, values, texts)]
+    prefix = draw(st.lists(st.sampled_from(["# comment", "", "  # indented é", "#"]),
+                           max_size=3))
+    return prefix, draw(st.booleans()), rows, draw(st.booleans())
+
+
+def render(prefix, has_header, rows, final_newline):
+    lines = prefix + (["timestamp,price"] if has_header else []) + [",".join(r) for r in rows]
+    text = "\n".join(lines) + ("\n" if final_newline and lines else "")
+    return text.encode("utf-8", "surrogateescape")  # "\udcff" stands for the byte 0xff
+
+
+def set_field(column, text):
+    def mutate(prefix, rows, k):
+        rows[k][column] = text
+    return mutate
+
+
+def swap_with_next(prefix, rows, k):  # a backwards row unless the two are equal
+    j = min(k + 1, len(rows) - 1)
+    rows[k], rows[j] = rows[j], rows[k]
+
+
+MUTATIONS = {
+    **{f"timestamp {t}": set_field(0, t) for t in [
+        "1234567890123456789", "12345678901234567890", "9223372036854775807",
+        "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+        "007", "-0", "+5", "1_0", " 5", "5 ", "0x10", "1e3", "1.0", "-", "", "٣"]},
+    **{f"price {p}": set_field(1, p) for p in [
+        ".5", "1.", "5e-324", "2.2250738585072011e-308", "1e-400", "1e400", "0", "0.0",
+        "-1.5", "inf", "nan", "+1.5", "1_0.5", "0x1p3", "1e", "1e+", "e5", ".", "1.5 ",
+        " 1.5", "1,5", "", "1.5\r", "1.5\x0c", "１", "1.5\udcff", "1" * 400 + "e-399"]},
+    "blank line after the row": lambda prefix, rows, k: rows.insert(k + 1, []),
+    "comment after the row": lambda prefix, rows, k: rows.insert(k + 1, ["# mid"]),
+    "three fields": lambda prefix, rows, k: rows[k].append("1"),
+    "backwards row": swap_with_next,
+    "invalid UTF-8 in the prefix": lambda prefix, rows, k: prefix.insert(0, "# \udcff"),
+    **{f"break {b!r} in the prefix": (lambda b: lambda prefix, rows, k:
+                                      prefix.insert(0, f"# a{b}b"))(b)
+       for b in OTHER_BREAKS},
+}
+
+
+@needs_cc
+@given(tick_texts(), st.booleans())
+@settings(max_examples=150)
+def test_fast_parser_takes_generated_files_and_equals_row_loop(
+        tmp_path_factory, text, allow_unordered):
+    path = tmp_path_factory.mktemp("fast") / "ticks.csv"
+    path.write_bytes(render(*text))
+    fast, slow, took_fast_path = parse_both_ways(path, text[1], allow_unordered)
+    assert took_fast_path
+    assert fast == slow and fast[0] == "ok"
+
+
+@needs_cc
+@given(tick_texts(min_rows=1), st.sampled_from(sorted(MUTATIONS)), st.booleans(), st.data())
+@settings(max_examples=400)
+def test_fast_parser_equals_row_loop_on_mutated_files(
+        tmp_path_factory, text, mutation, allow_unordered, data):
+    prefix, has_header, rows, final_newline = text
+    k = data.draw(st.integers(0, len(rows) - 1))
+    MUTATIONS[mutation](prefix, rows, k)
+    path = tmp_path_factory.mktemp("mutated") / "ticks.csv"
+    path.write_bytes(render(prefix, has_header, rows, final_newline))
+    fast, slow, _ = parse_both_ways(path, has_header, allow_unordered)
+    assert fast == slow
+
+
+@needs_cc
+@pytest.mark.parametrize("has_header", [False, True])
+@pytest.mark.parametrize("prefix, body, allow_unordered, taken", [
+    (b"", b"1234567890123456789,1.0\n", False, True),
+    (b"", b"9223372036854775807,1.0\n", False, True),
+    (b"", b"-9223372036854775808,1.0\n", False, True),
+    (b"", b"9223372036854775808,1.0\n", False, False),
+    (b"", b"12345678901234567890,1.0\n", False, False),
+    (b"", b"0,.5\n1,1.\n2,1e-5\n3,2.5E+3\n", False, True),
+    (b"", b"0,5e-324\n", False, False),
+    (b"", b"0,1e400\n", False, False),
+    (b"", b"0,0\n", False, False),
+    (b"", b"0,1.0\n1,2.0", False, True),
+    (b"", b"", False, True),
+    (b"# \xff\n", b"0,1.0\n", False, False),
+    (b"# comment\n\n", b"0,1.0\n1,\xff\n", False, False),
+    (b"", b"1,1.0\n0,2.0\n", False, False),
+    (b"", b"1,1.0\n0,2.0\n", True, True),
+    (b"", b"0,1.0\r\n", False, False),
+    (b"", b"0, 1.0\n", False, False),
+] + [(f"# a{b}b\n".encode(), b"0,1.0\n", False, False) for b in OTHER_BREAKS])
+def test_fast_parser_takes_exactly_its_grammar(tmp_path, has_header, prefix, body,
+                                               allow_unordered, taken):
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(prefix + (b"timestamp,price\n" if has_header else b"") + body)
+    fast, slow, took_fast_path = parse_both_ways(path, has_header, allow_unordered)
+    assert fast == slow
+    assert took_fast_path == taken
+
+
+def write_both_ways(series, path):
+    """The bytes write_ticks writes with the compiled kernel and without it."""
+    assert it.kernel_backend() == "c"
+    it.write_ticks(series, path)
+    compiled = path.read_bytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_kernel", None)
+        assert it.kernel_backend() == "python"
+        it.write_ticks(series, path)
+    return compiled, path.read_bytes()
+
+
+HARD_PRICES = [1e-5, 5e-324, 1e22, 1 / 3, float(np.nextafter(1.0, 2.0)), 1.7976931348623157e308]
+GBM_WALK = it.generate_gbm(it.GbmParams(s0=1.0, mu=0.0, sigma=0.01, dt_step=0.5,
+                                        n_steps=50_000, seed=3))
+
+
+@needs_cc
+@pytest.mark.parametrize("series", [
+    it.TickSeries(np.array([-2**63, -1, 0, 1, 2, 2**63 - 1]), np.array(HARD_PRICES)),
+    GBM_WALK,
+    it.TickSeries(np.array([], dtype=np.int64), np.array([])),
+], ids=["hard-prices", "gbm", "empty"])
+def test_both_tick_writers_write_17g_bytes(tmp_path, series):
+    compiled, python = write_both_ways(series, tmp_path / "ticks.csv")
+    rows = "".join(f"{t},{format(p, '.17g')}\n"
+                   for t, p in zip(series.timestamps.tolist(), series.prices.tolist()))
+    assert compiled == python == f"{TICK_SCHEMA_COMMENT}\ntimestamp,price\n{rows}".encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["ticks.csv"]  # no temp file left
+
+
+@needs_cc
+def test_both_tick_parsers_read_a_written_walk_alike(tmp_path):
+    path = tmp_path / "ticks.csv"
+    it.write_ticks(GBM_WALK, path)
+    fast, slow, took_fast_path = parse_both_ways(path, has_header=True)
+    assert took_fast_path and fast == slow
+    assert fast[2] == GBM_WALK.timestamps.tobytes() and fast[4] == GBM_WALK.prices.tobytes()
+
+
+COMMA_LOCALES = ["de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8", "fr_FR.utf8",
+                 "fr_FR", "nl_NL.UTF-8", "ru_RU.UTF-8", "es_ES.UTF-8", "it_IT.UTF-8"]
+
+
+@pytest.fixture
+def comma_decimal_locale():
+    """LC_NUMERIC set to an installed locale that writes 1.5 as 1,5."""
+    old = locale.setlocale(locale.LC_NUMERIC)
+    for name in COMMA_LOCALES:
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+        except locale.Error:
+            continue
+        if locale.localeconv()["decimal_point"] == ",":
+            break
+    else:
+        locale.setlocale(locale.LC_NUMERIC, old)
+        pytest.skip("no comma-decimal locale installed")
+    try:
+        yield
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, old)
+
+
+@needs_cc
+def test_tick_io_ignores_a_comma_decimal_locale(tmp_path, comma_decimal_locale):
+    prices = [p for p in HARD_PRICES if p != 5e-324]  # subnormal: the parser leaves it
+    series = it.TickSeries(np.arange(len(prices)), np.array(prices))
+    path = tmp_path / "ticks.csv"
+    compiled, python = write_both_ways(series, path)
+    assert compiled == python and b"1.0000000000000002\n" in compiled
+    fast, slow, took_fast_path = parse_both_ways(path, has_header=True)
+    assert took_fast_path and fast == slow and fast[4] == series.prices.tobytes()
 
 
 def test_write_events_empty_csv_is_header_only(tmp_path):
