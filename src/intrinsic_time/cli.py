@@ -111,6 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_report(path, kind: str, comment: str | None, header: str,
+                  rows: list[tuple]) -> None:
+    """A report CSV: schema line, optional ``#`` comment, header, then rows."""
+    lines = [f"# intrinsic-time {kind}-csv v1", *([f"# {comment}"] if comment else []),
+             header, *(",".join(map(str, row)) for row in rows)]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _read_input(args) -> TickSeries:
     path = Path(args.input)
     spec = TickFileSpec(path=path, has_header=not args.no_header,
@@ -140,15 +148,15 @@ def _cmd_transform(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = EventFileFormat(args.format)
 
-    summary_lines = ["# intrinsic-time summary-csv v1", "delta,n_dc,n_os,coastline"]
+    rows = []
     print(f"{'delta':>10} {'n_dc':>8} {'n_os':>8} {'coastline':>12}")
     for delta, arrays in _scan_grid(series, args.deltas, convention):
         path = out_dir / f"events_delta_{delta!r}.{fmt.value}"
         _write_event_arrays(arrays, delta, path, fmt)
         coastline = len(arrays) * delta
-        summary_lines.append(f"{delta!r},{arrays.n_dc},{arrays.n_os},{_fmt(coastline)}")
+        rows.append((repr(delta), arrays.n_dc, arrays.n_os, _fmt(coastline)))
         print(f"{delta!r:>10} {arrays.n_dc:>8} {arrays.n_os:>8} {coastline:>12.6g}")
-    _atomic_write(out_dir / "summary.csv", "\n".join(summary_lines) + "\n")
+    _write_report(out_dir / "summary.csv", "summary", None, "delta,n_dc,n_os,coastline", rows)
     return 0
 
 
@@ -170,14 +178,11 @@ def _cmd_scaling(args) -> int:
         print(f"{delta!r:>10} {n_dc:>8} {ratio:>22.6g}")
 
     if args.out:
-        lines = [
-            "# intrinsic-time scaling-csv v1",
-            f"# fit a={_fmt(fit.a)} b={_fmt(fit.b)} r_squared={_fmt(fit.r_squared)}"
-            f" stderr_b={_fmt(fit.stderr_b)} n_points={fit.n_points}",
-            "delta,n_dc,mean_overshoot_ratio",
-        ]
-        lines.extend(f"{d!r},{n},{_fmt(r)}" for d, n, r in rows)
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        _write_report(args.out, "scaling",
+                      f"fit a={_fmt(fit.a)} b={_fmt(fit.b)} r_squared={_fmt(fit.r_squared)}"
+                      f" stderr_b={_fmt(fit.stderr_b)} n_points={fit.n_points}",
+                      "delta,n_dc,mean_overshoot_ratio",
+                      [(repr(d), n, _fmt(r)) for d, n, r in rows])
     return 0
 
 
@@ -187,34 +192,26 @@ def _cmd_decompose(args) -> int:
     dt = int(round(args.dt_seconds * NS_PER_SECOND))
     report = decompose(series, args.deltas, dt, convention)
 
-    cv = "nan" if report.ratio_cv is None else f"{report.ratio_cv:.6g}"
     print(f"lhs (squared-mean return at dt={args.dt_seconds:g}s): {report.lhs:.6g}")
-    print(f"ratio_cv across thresholds: {cv}")
+    print(f"ratio_cv across thresholds: {_fmt(report.ratio_cv, '.6g', 'nan')}")
     if report.degenerate:
         print("warning: degenerate input (no usable rows or zero return variance)")
     print(f"{'delta':>10} {'n_dc':>8} {'os_variability':>16} {'rhs':>12} {'ratio':>12}")
     for row in report.rows:
-        osv = "-" if row.os_variability is None else f"{row.os_variability:.6g}"
-        rhs = "-" if row.rhs is None else f"{row.rhs:.6g}"
-        ratio = "-" if row.ratio is None else f"{row.ratio:.6g}"
+        osv, rhs, ratio = (_fmt(x, ".6g", "-")
+                           for x in (row.os_variability, row.rhs, row.ratio))
         flag = "  (insufficient)" if row.insufficient else ""
         print(f"{row.delta!r:>10} {row.n_dc:>8} {osv:>16} {rhs:>12} {ratio:>12}{flag}")
 
     if args.out:
-        lines = [
-            "# intrinsic-time decomposition-csv v1",
-            f"# lhs={_fmt(report.lhs)} ratio_cv="
-            f"{'nan' if report.ratio_cv is None else _fmt(report.ratio_cv)}"
-            f" degenerate={str(report.degenerate).lower()}",
-            "delta,os_variability,n_dc,rhs,ratio,insufficient",
-        ]
-        for row in report.rows:
-            osv = "" if row.os_variability is None else _fmt(row.os_variability)
-            rhs = "" if row.rhs is None else _fmt(row.rhs)
-            ratio = "" if row.ratio is None else _fmt(row.ratio)
-            lines.append(f"{row.delta!r},{osv},{row.n_dc},{rhs},{ratio},"
-                         f"{str(row.insufficient).lower()}")
-        _atomic_write(args.out, "\n".join(lines) + "\n")
+        _write_report(args.out, "decomposition",
+                      f"lhs={_fmt(report.lhs)}"
+                      f" ratio_cv={_fmt(report.ratio_cv, blank='nan')}"
+                      f" degenerate={str(report.degenerate).lower()}",
+                      "delta,os_variability,n_dc,rhs,ratio,insufficient",
+                      [(repr(row.delta), _fmt(row.os_variability), row.n_dc,
+                        _fmt(row.rhs), _fmt(row.ratio), str(row.insufficient).lower())
+                       for row in report.rows])
     return 0
 
 

@@ -128,12 +128,20 @@ class TickSeries:
         return int(self.timestamps[-1]) - int(self.timestamps[0])
 
 
-def _is_whole_int64(value) -> bool:
+def _whole(value) -> int | None:
+    """``value`` as an int if it is a whole number such as ``2.0``, else None."""
+    if type(value) is int:  # the common case, at a fraction of the cost
+        return value
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
-        return False
-    return value == whole and -2**63 <= whole < 2**63
+        return None
+    return whole if whole == value else None
+
+
+def _in_int64(value) -> bool:
+    """Whether ``value``, an int or a Decimal, lies inside the int64 range."""
+    return -2**63 <= value < 2**63
 
 
 def _int64_timestamps(ts: np.ndarray) -> np.ndarray:
@@ -141,11 +149,11 @@ def _int64_timestamps(ts: np.ndarray) -> np.ndarray:
     is not a whole number inside int64. Safe casts take no checking pass."""
     if np.can_cast(ts.dtype, np.int64):
         return np.ascontiguousarray(ts, dtype=np.int64)
-    whole = np.array([_is_whole_int64(v) for v in ts.tolist()], dtype=bool)
-    if not bool(np.all(whole)):
-        bad = int(np.argmax(~whole))
-        raise DomainError(f"timestamp {ts.tolist()[bad]!r} at position {bad} is not"
-                          " a whole number inside int64")
+    for i, value in enumerate(ts.tolist()):
+        whole = _whole(value)
+        if whole is None or not _in_int64(whole):
+            raise DomainError(f"timestamp {value!r} at position {i} is not"
+                              " a whole number inside int64")
     return ts.astype(np.int64)
 
 
@@ -240,21 +248,22 @@ def _scan_args(config: ThresholdConfig) -> tuple[float, float, float, bool]:
     return guard, 1.0 + delta, 1.0 - delta, False
 
 
+def _tick_values(tick) -> tuple[int, float]:
+    """``(timestamp, price)`` of a streamed tick; DomainError as in TickSeries."""
+    ts, price = _whole(tick[0]), float(tick[1])
+    if ts is None or not _in_int64(ts):
+        raise DomainError(f"timestamp {tick[0]!r} is not a whole number inside int64")
+    if not (0.0 < price < math.inf):
+        raise DomainError(f"price must be positive and finite, got {price!r}")
+    return ts, price
+
+
 def new_runner(config: ThresholdConfig, initial_tick: Tick,
                initial_mode: Mode = Mode.UP) -> RunnerState:
     """Fresh runner state anchored at the first tick."""
-    ts, price = int(initial_tick[0]), float(initial_tick[1])
-    if not (0.0 < price < math.inf):
-        raise DomainError(f"initial price must be positive and finite, got {price!r}")
-    return RunnerState(
-        mode=initial_mode,
-        extremum_price=price,
-        os_reference_price=price,
-        dc_count_since_init=0,
-        intrinsic_clock=0,
-        dc_confirm_price=None,
-        last_timestamp=ts,
-    )
+    ts, price = _tick_values(initial_tick)
+    return RunnerState(mode=initial_mode, extremum_price=price, os_reference_price=price,
+                       last_timestamp=ts)
 
 
 def step(state: RunnerState, tick: Tick,
@@ -271,9 +280,7 @@ def step(state: RunnerState, tick: Tick,
     price at the tick price. DOWN mode is the mirror image. Gap ticks may
     emit several overshoots but never more than one DC.
     """
-    ts, price = int(tick[0]), float(tick[1])
-    if not (0.0 < price < math.inf):
-        raise DomainError(f"price must be positive and finite, got {price!r}")
+    ts, price = _tick_values(tick)
     if ts < state.last_timestamp:
         raise OrderingError(
             f"timestamp {ts} precedes previous tick at {state.last_timestamp}")
@@ -554,11 +561,20 @@ def _segment_overshoots(arrays: EventArrays, convention: MoveConvention) -> np.n
     trailing unfinished trend contributes nothing.
     """
     dc = arrays.kinds == 0
-    base = arrays.prices[dc][:-1]
-    ext = arrays.extrema[dc][1:]
+    return np.abs(_moves(arrays.prices[dc][:-1], arrays.extrema[dc][1:], convention))
+
+
+def _moves(frm: np.ndarray, to: np.ndarray, convention: MoveConvention) -> np.ndarray:
+    """``relative_move`` elementwise, in numpy, for prices already checked."""
     if convention is MoveConvention.LOG_RETURN:
-        return np.abs(np.log(ext / base))
-    return np.abs((ext - base) / base)
+        return np.log(to / frm)
+    return (to - frm) / frm
+
+
+def _check_deltas(events: Iterable[IntrinsicEvent], delta: float) -> None:
+    for ev in events:
+        if ev.delta != delta:
+            raise ConsistencyError(f"event delta {ev.delta!r} does not match {delta!r}")
 
 
 def overshoot_lengths(events: list[IntrinsicEvent], ticks: TickInput,
@@ -570,18 +586,13 @@ def overshoot_lengths(events: list[IntrinsicEvent], ticks: TickInput,
     been produced by ``process`` on ``ticks`` with ``config``; a
     mismatch raises ConsistencyError.
     """
-    for ev in events:
-        if ev.delta != config.delta:
-            raise ConsistencyError(
-                f"event delta {ev.delta!r} does not match config delta {config.delta!r}")
+    _check_deltas(events, config.delta)
     dc_events = [ev for ev in events if ev.kind is EventKind.DIRECTIONAL_CHANGE]
     if len(dc_events) < 2:
         return np.empty(0, dtype=np.float64)
-    series = as_tick_series(ticks)
     # Before the first DC the runner must have been in the opposite mode,
     # so the scan can be replayed without knowing the original initial mode.
-    initial_mode = dc_events[0].direction.flipped
-    arrays = process_arrays(series, config, initial_mode)
+    arrays = process_arrays(ticks, config, dc_events[0].direction.flipped)
     dc_mask = arrays.kinds == 0
     if (arrays.n_dc != len(dc_events)
             or not np.array_equal(arrays.prices[dc_mask],

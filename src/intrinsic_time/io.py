@@ -31,7 +31,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries, _load_kernel
+from .engine import (EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries, _in_int64,
+                     _load_kernel, _whole)
 from .errors import DomainError, IngestionError, WriteError
 
 TICK_SCHEMA_COMMENT = "# intrinsic-time tick-csv v1"
@@ -67,10 +68,8 @@ class TickFileSpec:
 
 def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
     if unit is TimestampUnit.NANOS:
-        ts = int(text)
+        value = int(text)
     else:
-        # The range is checked on the exact Decimal, so a huge exponent is
-        # refused before it becomes a huge int.
         try:
             value = Decimal(text)
         except InvalidOperation:
@@ -85,14 +84,14 @@ def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
                 raise ValueError("not a whole number of nanoseconds") from None
             if value != 0:
                 raise OverflowError("outside the int64 nanosecond range") from None
-        ns = value.scaleb(_UNIT_EXPONENT[unit], _EXACT)
-        if not -2**63 <= ns < 2**63:
-            raise OverflowError("outside the int64 nanosecond range")
-        ts = int(ns)
-        if ts != ns:
-            raise ValueError("not a whole number of nanoseconds")
-    if not -2**63 <= ts < 2**63:
+        value = value.scaleb(_UNIT_EXPONENT[unit], _EXACT)
+    # The range is checked first, on the exact Decimal, so a huge exponent
+    # is refused before it becomes a huge int.
+    if not _in_int64(value):
         raise OverflowError("outside the int64 nanosecond range")
+    ts = _whole(value)
+    if ts is None:
+        raise ValueError("not a whole number of nanoseconds")
     return ts
 
 
@@ -276,8 +275,9 @@ def _atomic_write(path: str | Path,
         raise WriteError(f"cannot write {path}: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _fmt(x: float | None, spec: str = ".17g", blank: str = "") -> str:
+    """``x`` formatted by ``spec`` (lossless by default), ``blank`` for None."""
+    return blank if x is None else format(x, spec)
 
 
 def _tick_blocks(format_ticks, series: TickSeries,
@@ -315,26 +315,21 @@ def write_ticks(series: TickSeries, path: str | Path) -> None:
         for t, p in zip(series.timestamps.tolist(), series.prices.tolist())))
 
 
-def _check_event_values(ts: int, price: float, delta: float, clock: int) -> None:
-    if not -2**63 <= ts < 2**63:
-        raise ValueError(f"timestamp_ns {ts!r} is outside the int64 range")
-    if clock < 0:
-        raise ValueError(f"clock_index {clock!r} is negative")
+def _event_values(ts, price: float, delta: float, clock) -> tuple[int, float, float, int]:
+    """The checked values of an event row, with ``ts`` and ``clock`` as ints;
+    ValueError names the first value that an event file cannot hold."""
+    whole_ts, whole_clock = _whole(ts), _whole(clock)
+    if whole_ts is None:
+        raise ValueError(f"timestamp_ns {ts!r} is not a whole number")
+    if not _in_int64(whole_ts):
+        raise ValueError(f"timestamp_ns {whole_ts!r} is outside the int64 range")
+    if whole_clock is None or whole_clock < 0:
+        raise ValueError(f"clock_index {clock!r} is not a whole number >= 0")
     if not 0.0 < price < math.inf:
         raise ValueError(f"price {price!r} is not positive and finite")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta {delta!r} is not in (0, 1)")
-
-
-def _whole(name: str, value) -> int:
-    """``int(value)``; ValueError unless ``value`` equals it."""
-    try:
-        whole = int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value:
-        raise ValueError(f"{name} {value!r} is not a whole number")
-    return whole
+    return whole_ts, price, delta, whole_clock
 
 
 def _write_event_rows(rows: Iterable[tuple], path: str | Path,
@@ -366,12 +361,11 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     rows = []
     for i, ev in enumerate(events):
         try:
-            ts = _whole("timestamp_ns", ev.timestamp)
-            clock = _whole("clock_index", ev.clock_index)
-            _check_event_values(ts, ev.price, ev.delta, clock)
+            ts, price, delta, clock = _event_values(ev.timestamp, ev.price, ev.delta,
+                                                    ev.clock_index)
         except ValueError as exc:
             raise DomainError(f"event {i}: {exc}") from None
-        rows.append((ev.kind.value, ev.direction.name.lower(), ts, ev.price, ev.delta, clock))
+        rows.append((ev.kind.value, ev.direction.name.lower(), ts, price, delta, clock))
     _write_event_rows(rows, path, format)
 
 
@@ -387,16 +381,8 @@ def _event_from_fields(kind: str, direction: str, ts, price, delta,
                        clock) -> IntrinsicEvent:
     if direction not in ("up", "down"):
         raise ValueError(f"direction {direction!r} is not 'up' or 'down'")
-    ts, price, delta, clock = int(ts), float(price), float(delta), int(clock)
-    _check_event_values(ts, price, delta, clock)
-    return IntrinsicEvent(
-        kind=EventKind(kind),
-        direction=Mode.UP if direction == "up" else Mode.DOWN,
-        timestamp=ts,
-        price=price,
-        delta=delta,
-        clock_index=clock,
-    )
+    values = _event_values(int(ts), float(price), float(delta), int(clock))
+    return IntrinsicEvent(EventKind(kind), Mode.UP if direction == "up" else Mode.DOWN, *values)
 
 
 def _jsonl_fields(line: str) -> list:

@@ -20,9 +20,10 @@ from .engine import (
     ThresholdConfig,
     TickInput,
     TickSeries,
+    _check_deltas,
     as_tick_series,
 )
-from .errors import ConfigurationError, ConsistencyError
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,7 @@ class ThresholdGrid:
         if not deltas:
             raise ConfigurationError("threshold grid must not be empty")
         for d in deltas:
-            if not (0.0 < d < 1.0):
-                raise ConfigurationError(f"threshold {d!r} outside (0, 1)")
+            ThresholdConfig(d)  # ConfigurationError unless d is in (0, 1)
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
             raise ConfigurationError(
                 f"thresholds must be strictly ascending and distinct, got {deltas}")
@@ -105,10 +105,7 @@ def summarize(delta: float, events: Sequence[IntrinsicEvent]) -> ThresholdSummar
     only; the per-segment overshoot lengths come from
     ``overshoot_lengths``, which replays the scan over the source ticks.
     """
-    for ev in events:
-        if ev.delta != delta:
-            raise ConsistencyError(
-                f"event delta {ev.delta!r} does not match summary delta {delta!r}")
+    _check_deltas(events, delta)
     n_dc = sum(1 for ev in events if ev.kind is EventKind.DIRECTIONAL_CHANGE)
     n_os = len(events) - n_dc
     return ThresholdSummary(

@@ -24,8 +24,11 @@ import numpy as np
 
 from .engine import (
     MoveConvention,
+    ThresholdConfig,
     TickInput,
+    _moves,
     _segment_overshoots,
+    _whole,
     as_tick_series,
 )
 from .errors import (
@@ -140,8 +143,7 @@ def mean_overshoot_ratio(overshoot_lengths, delta: float) -> float:
     arr = np.asarray(overshoot_lengths, dtype=np.float64)
     if arr.size == 0:
         raise EmptyInputError("no completed overshoot segments")
-    if not (0.0 < delta < 1.0):
-        raise ConfigurationError(f"delta must be in (0, 1), got {delta!r}")
+    ThresholdConfig(delta)  # ConfigurationError unless delta is in (0, 1)
     return float(np.mean(arr)) / delta
 
 
@@ -155,11 +157,8 @@ def physical_returns(ticks: TickInput, dt: int,
     dt must be a positive whole number (an integral float is accepted).
     """
     series = as_tick_series(ticks)
-    try:
-        ns = int(dt)
-    except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
-        ns = 0
-    if ns <= 0 or ns != dt:
+    ns = _whole(dt)
+    if ns is None or ns <= 0:
         raise ConfigurationError(
             f"dt must be a positive whole number of nanoseconds, got {dt!r}")
     dt = ns
@@ -174,11 +173,7 @@ def physical_returns(ticks: TickInput, dt: int,
     sample_times = (offsets + series.timestamps[:1].view(np.uint64)).view(np.int64)
     idx = np.searchsorted(series.timestamps, sample_times, side="right") - 1
     p = series.prices[idx]
-    if convention is MoveConvention.LOG_RETURN:
-        rets = np.log(p[1:] / p[:-1])
-    else:
-        rets = (p[1:] - p[:-1]) / p[:-1]
-    return ReturnSeries(dt=dt, returns=rets)
+    return ReturnSeries(dt=dt, returns=_moves(p[:-1], p[1:], convention))
 
 
 def decompose(ticks: TickInput, grid: GridInput, dt: int,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import TickSeries
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 
 NS_PER_SECOND = 1_000_000_000
 
@@ -63,6 +63,20 @@ def _timestamps(n_ticks: int, dt_step_seconds: float) -> np.ndarray:
     return np.round(ns).astype(np.int64)
 
 
+def _path_ticks(what: str, s0: float, log_path: np.ndarray,
+                dt_step_seconds: float) -> TickSeries:
+    """Ticks at ``s0 * exp(log_path)``; ConfigurationError names ``what`` and
+    the first step whose price leaves the float64 range (0 or inf)."""
+    with np.errstate(over="ignore", under="ignore"):
+        prices = s0 * np.exp(log_path)
+    try:
+        return TickSeries(_timestamps(log_path.size, dt_step_seconds), prices)
+    except DomainError as exc:
+        step = int(np.argmin((prices > 0.0) & (prices < np.inf)))
+        raise ConfigurationError(f"{what} leaves the float64 price range at step {step}"
+                                 f" (price {float(prices[step])!r})") from exc
+
+
 def generate_gbm(params: GbmParams) -> TickSeries:
     """Simulate GBM: S_{k+1} = S_k * exp((mu - sigma^2/2) dt + sigma sqrt(dt) Z_k).
 
@@ -74,8 +88,7 @@ def generate_gbm(params: GbmParams) -> TickSeries:
     drift = (params.mu - 0.5 * params.sigma**2) * params.dt_step
     increments = drift + params.sigma * np.sqrt(params.dt_step) * z
     log_path = np.concatenate(([0.0], np.cumsum(increments)))
-    prices = params.s0 * np.exp(log_path)
-    return TickSeries(_timestamps(params.n_steps + 1, params.dt_step), prices)
+    return _path_ticks(repr(params), params.s0, log_path, params.dt_step)
 
 
 def generate_random_walk(s0: float, step_size: float, n_steps: int,
@@ -95,5 +108,5 @@ def generate_random_walk(s0: float, step_size: float, n_steps: int,
     up = rng.random(n_steps) < 0.5
     increments = np.where(up, step_size, -step_size)
     log_path = np.concatenate(([0.0], np.cumsum(increments)))
-    prices = s0 * np.exp(log_path)
-    return TickSeries(_timestamps(n_steps + 1, 1.0), prices)
+    return _path_ticks(f"random walk s0={s0!r} step_size={step_size!r} n_steps={n_steps!r}"
+                       f" seed={seed!r}", s0, log_path, 1.0)

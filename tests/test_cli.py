@@ -258,3 +258,14 @@ def test_scaling_rows_match_edge_api(tmp_path, capsys, convention):
         ratio = it.mean_overshoot_ratio(omegas, delta) if omegas.size else float("nan")
         expected.append(f"{delta!r},{n_dc},{_fmt(ratio)}")
     assert out.read_text().splitlines()[3:] == expected
+
+
+def test_generate_gbm_leaving_float64_exits_1_naming_the_parameters(tmp_path, capsys):
+    out = tmp_path / "ticks.csv"
+    assert run_cli("generate", "--model", "gbm", "--sigma", "0.3", "--steps", "30000",
+                   "--dt", "1", "--seed", "11", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    for named in ("s0=1.0", "sigma=0.3", "dt_step=1.0", "n_steps=30000", "seed=11",
+                  "at step 16527"):
+        assert named in err
+    assert not out.exists()

@@ -176,6 +176,29 @@ def test_step_rejects_nonpositive_price():
         it.step(state, it.Tick(1, -5.0), cfg)
 
 
+@pytest.mark.parametrize("timestamp", [0.5, 1.9, math.nan, math.inf, 2**70, -2**63 - 1, "5"])
+def test_new_runner_and_step_reject_timestamps_that_are_not_whole_int64(timestamp):
+    cfg = it.ThresholdConfig(0.01)
+    with pytest.raises(it.DomainError, match="not a whole number inside int64"):
+        it.new_runner(cfg, (timestamp, 100.0))
+    state = it.new_runner(cfg, it.Tick(0, 100.0))
+    with pytest.raises(it.DomainError, match="not a whole number inside int64"):
+        it.step(state, (timestamp, 98.0), cfg)
+    assert (state.last_timestamp, state.mode, state.intrinsic_clock) == (0, it.Mode.UP, 0)
+
+
+def test_new_runner_and_step_take_whole_timestamps_as_ints():
+    cfg = it.ThresholdConfig(0.01)
+    state = it.new_runner(cfg, (2.0, 100.0))
+    assert type(state.last_timestamp) is int and state.last_timestamp == 2
+    state, events = it.step(state, (np.int64(3), 98.0), cfg)
+    assert [type(e.timestamp) for e in events] == [int] and events[0].timestamp == 3
+    state, _ = it.step(state, (np.float64(2.0**62), 97.0), cfg)
+    assert type(state.last_timestamp) is int and state.last_timestamp == 2**62
+    state, _ = it.step(state, (2**63 - 1, 97.0), cfg)
+    assert state.last_timestamp == 2**63 - 1
+
+
 def test_equal_timestamp_ticks_processed_in_order():
     events = run([100.0, 99.0, 98.01], 0.01, timestamps=[5, 5, 5])
     assert [(e.kind, e.timestamp) for e in events] == [(DC, 5), (OS, 5)]

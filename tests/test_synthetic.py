@@ -156,3 +156,25 @@ def test_threshold_sized_walk_steps_match_sign_change_count():
         first_down = next((i for i, s in enumerate(signs) if s == -1), None)
         expected_dc = n_flips + (1 if first_down == 0 else 0)
         assert sum(1 for k, _ in got if k == "DC") == expected_dc
+
+
+@pytest.mark.parametrize("make,named,step,price", [
+    (lambda: it.generate_gbm(it.GbmParams(s0=100.0, mu=0.0, sigma=0.3, dt_step=1.0,
+                                          n_steps=30000, seed=11)),
+     "sigma=0.3", 16527, 0.0),
+    (lambda: it.generate_random_walk(1.0, 0.9, 1_000_000, 3), "step_size=0.9", 427680, 0.0),
+    (lambda: it.generate_gbm(it.GbmParams(s0=1e308, mu=1.0, sigma=0.0, dt_step=1.0,
+                                          n_steps=10, seed=0)),
+     "s0=1e+308", 1, math.inf),
+    (lambda: it.generate_gbm(it.GbmParams(s0=1.0, mu=1000.0, sigma=0.0, dt_step=1.0,
+                                          n_steps=3, seed=0)),
+     "mu=1000.0", 1, math.inf),
+], ids=["gbm-underflow", "walk", "gbm-overflow", "gbm-exp-overflow"])
+def test_paths_that_leave_float64_raise_configuration_error(make, named, step, price):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(it.ConfigurationError) as err:
+            make()
+    message = str(err.value)
+    assert named in message
+    assert message.endswith(f"leaves the float64 price range at step {step} (price {price!r})")
