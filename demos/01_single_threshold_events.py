@@ -36,12 +36,12 @@ for raw in ticks[1:]:
               f"{ev.direction.name}, intrinsic clock {ev.clock_index}")
 
 print("\nbatch view gives the identical sequence:")
-events = it.process(ticks, config)
-for ev in events:
+arrays = it.process_arrays(ticks, config)
+for ev in it.events_from_arrays(arrays):
     print(f"  {ev.kind.value} {ev.direction.name:<4} at t={ev.timestamp} "
           f"price={ev.price}")
 
-omegas = it.overshoot_lengths(events, ticks, config)
+omegas = it.overshoot_lengths(arrays)
 print(f"\ncompleted trend segments: {len(omegas)}; "
       f"overshoot lengths: {[round(w, 5) for w in omegas.tolist()]}")
 print("(each one measures how far the trend ran past its confirmation price)")

@@ -21,13 +21,11 @@ grid = [0.001, 0.002, 0.004, 0.008]
 
 rows = []
 print(f"{'threshold':>10} {'n_dc':>8} {'mean overshoot / threshold':>28}")
-for delta, events in it.run_grid(walk, grid):
-    config = it.ThresholdConfig(delta)
-    omegas = it.overshoot_lengths(events, walk, config)
-    ratio = it.mean_overshoot_ratio(omegas, delta)
-    n_dc = it.summarize(delta, events).n_dc
-    rows.append((delta, n_dc))
-    print(f"{delta:>10.4f} {n_dc:>8} {ratio:>28.3f}")
+for delta in grid:
+    arrays = it.process_arrays(walk, it.ThresholdConfig(delta))
+    ratio = it.mean_overshoot_ratio(it.overshoot_lengths(arrays), delta)
+    rows.append((delta, arrays.n_dc))
+    print(f"{delta:>10.4f} {arrays.n_dc:>8} {ratio:>28.3f}")
 
 fit = it.fit_power_law(rows)
 print(f"\nreversal-count fit: n_dc = {fit.a:.3g} * threshold^{fit.b:.3f}")
@@ -36,8 +34,7 @@ print(f"log-log r-squared {fit.r_squared:.5f}, "
 
 # the mean overshoot hides a lot of spread: most segments stop short of
 # one threshold, a few run several thresholds deep
-config = it.ThresholdConfig(0.002)
-omegas = it.overshoot_lengths(it.process(walk, config), walk, config)
+omegas = it.overshoot_lengths(it.process_arrays(walk, it.ThresholdConfig(0.002)))
 q = np.percentile(omegas / 0.002, [10, 50, 90, 99])
 print(f"\novershoot / threshold percentiles at 0.2%: "
       f"p10={q[0]:.2f} median={q[1]:.2f} p90={q[2]:.2f} p99={q[3]:.2f}")

@@ -14,8 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import engine  # engine.<name> calls stay visible to patched bindings
-from .engine import MoveConvention, TickSeries
+from .engine import MoveConvention, TickSeries, overshoot_lengths
 from .errors import ConfigurationError, IntrinsicTimeError
 from .io import (
     EventFileFormat,
@@ -65,13 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a synthetic tick CSV")
     gen.add_argument("--model", choices=["gbm", "walk"], required=True)
     gen.add_argument("--s0", type=float, default=1.0, help="initial price")
-    gen.add_argument("--mu", type=float, default=0.0, help="gbm drift per unit time")
-    gen.add_argument("--sigma", type=float, default=0.0,
-                     help="gbm volatility per sqrt unit time")
+    gen.add_argument("--mu", type=float, default=None,
+                     help="gbm drift per unit time (gbm only, default 0)")
+    gen.add_argument("--sigma", type=float, default=None,
+                     help="gbm volatility per sqrt unit time (gbm only, default 0)")
     gen.add_argument("--step-size", type=float, default=None,
                      help="walk log-price step (required for --model walk)")
     gen.add_argument("--steps", type=int, required=True, help="number of steps")
-    gen.add_argument("--dt", type=float, default=1.0, help="seconds per step")
+    gen.add_argument("--dt", type=float, default=None,
+                     help="seconds per step (gbm only, default 1; a walk steps once a second)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output tick CSV path")
 
@@ -127,10 +128,18 @@ def _read_input(args) -> TickSeries:
 
 
 def _cmd_generate(args) -> int:
+    other_model = ({"--step-size": args.step_size} if args.model == "gbm"
+                   else {"--mu": args.mu, "--sigma": args.sigma, "--dt": args.dt})
+    stray = [flag for flag, value in other_model.items() if value is not None]
+    if stray:
+        print(f"error: --model {args.model} does not take {', '.join(stray)}", file=sys.stderr)
+        return 2
     if args.model == "gbm":
-        series = generate_gbm(GbmParams(s0=args.s0, mu=args.mu, sigma=args.sigma,
-                                        dt_step=args.dt, n_steps=args.steps,
-                                        seed=args.seed))
+        series = generate_gbm(GbmParams(
+            s0=args.s0, mu=0.0 if args.mu is None else args.mu,
+            sigma=0.0 if args.sigma is None else args.sigma,
+            dt_step=1.0 if args.dt is None else args.dt, n_steps=args.steps,
+            seed=args.seed))
     else:
         if args.step_size is None:
             print("error: --model walk requires --step-size", file=sys.stderr)
@@ -152,7 +161,7 @@ def _cmd_transform(args) -> int:
     print(f"{'delta':>10} {'n_dc':>8} {'n_os':>8} {'coastline':>12}")
     for delta, arrays in _scan_grid(series, args.deltas, convention):
         path = out_dir / f"events_delta_{delta!r}.{fmt.value}"
-        _write_event_arrays(arrays, delta, path, fmt)
+        _write_event_arrays(arrays, path, fmt)
         coastline = len(arrays) * delta
         rows.append((repr(delta), arrays.n_dc, arrays.n_os, _fmt(coastline)))
         print(f"{delta!r:>10} {arrays.n_dc:>8} {arrays.n_os:>8} {coastline:>12.6g}")
@@ -165,7 +174,7 @@ def _cmd_scaling(args) -> int:
     convention = MoveConvention(args.convention)
     rows = []
     for delta, arrays in _scan_grid(series, args.deltas, convention):
-        omegas = engine._segment_overshoots(arrays, convention)
+        omegas = overshoot_lengths(arrays)
         ratio = mean_overshoot_ratio(omegas, delta) if omegas.size else float("nan")
         rows.append((delta, arrays.n_dc, ratio))
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    ConsistencyError,
     DomainError,
     EmptyInputError,
     OrderingError,
@@ -81,9 +80,9 @@ class TickSeries:
     """Column-oriented tick buffer: int64 nanosecond timestamps, float64 prices.
 
     Validates on construction: equal lengths, whole-number timestamps
-    inside int64 (integral floats are accepted), strictly positive and
-    finite prices, non-decreasing timestamps. Iterating yields ``Tick``
-    tuples.
+    inside int64 (integral floats are accepted), prices that read as
+    float64 and are strictly positive and finite, non-decreasing
+    timestamps. Iterating yields ``Tick`` tuples.
     """
 
     timestamps: np.ndarray
@@ -91,7 +90,7 @@ class TickSeries:
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps)
-        px = np.ascontiguousarray(self.prices, dtype=np.float64)
+        px = _float64_prices(self.prices)
         if ts.ndim != 1 or px.ndim != 1 or ts.shape != px.shape:
             raise DomainError("timestamps and prices must be 1-d arrays of equal length")
         ts = _int64_timestamps(ts)
@@ -144,6 +143,22 @@ def _in_int64(value) -> bool:
     return -2**63 <= value < 2**63
 
 
+def _float64_prices(px) -> np.ndarray:
+    """``px`` as contiguous float64; DomainError names the first value that
+    cannot be read as one."""
+    try:
+        return np.ascontiguousarray(px, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        values = np.asarray(px, dtype=object).ravel().tolist()
+    for i, value in enumerate(values):
+        try:
+            float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(
+                f"price {value!r} at position {i} cannot be read as a float64") from None
+    raise DomainError("prices must be a 1-d array of numbers")
+
+
 def _int64_timestamps(ts: np.ndarray) -> np.ndarray:
     """``ts`` as contiguous int64; DomainError names the first value that
     is not a whole number inside int64. Safe casts take no checking pass."""
@@ -165,9 +180,10 @@ def as_tick_series(ticks: TickInput) -> TickSeries:
     if isinstance(ticks, TickSeries):
         return ticks
     data = list(ticks)
-    # object dtype keeps Python ints exact for the whole-number check
+    # object dtype keeps Python ints exact for the whole-number check, and
+    # leaves each price for TickSeries to read and name if it cannot
     return TickSeries(np.array([t[0] for t in data], dtype=object),
-                      np.array([float(t[1]) for t in data], dtype=np.float64))
+                      np.array([t[1] for t in data], dtype=object))
 
 
 @dataclass(frozen=True)
@@ -250,9 +266,13 @@ def _scan_args(config: ThresholdConfig) -> tuple[float, float, float, bool]:
 
 def _tick_values(tick) -> tuple[int, float]:
     """``(timestamp, price)`` of a streamed tick; DomainError as in TickSeries."""
-    ts, price = _whole(tick[0]), float(tick[1])
+    ts = _whole(tick[0])
     if ts is None or not _in_int64(ts):
         raise DomainError(f"timestamp {tick[0]!r} is not a whole number inside int64")
+    try:
+        price = float(tick[1])
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"price {tick[1]!r} cannot be read as a float64") from None
     if not (0.0 < price < math.inf):
         raise DomainError(f"price must be positive and finite, got {price!r}")
     return ts, price
@@ -480,7 +500,9 @@ class EventArrays:
 
     kinds: 0 = directional change, 1 = overshoot. directions: +1 up, -1
     down. ``extrema``: the trend extremum at each event, for a DC that of
-    the trend it ends. Clock indices are implicit (array position). CLI
+    the trend it ends. Clock indices are implicit (array position).
+    ``config`` is the threshold and convention of the scan that made the
+    columns; the functions that read them take both from it. CLI
     ``transform`` writes its event files from these columns.
     """
 
@@ -489,6 +511,7 @@ class EventArrays:
     timestamps: np.ndarray
     prices: np.ndarray
     extrema: np.ndarray
+    config: ThresholdConfig
 
     def __len__(self) -> int:
         return int(self.kinds.size)
@@ -518,11 +541,12 @@ def process_arrays(ticks: TickInput, config: ThresholdConfig,
         kinds, dirs, idx = kinds.astype(np.int8), dirs.astype(np.int8), idx.astype(np.int64)
     else:
         kinds, dirs, idx, xt = _scan_c(kernel.scan, series.prices, *args, initial_mode.value)
-    return EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx], xt)
+    return EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx], xt, config)
 
 
-def events_from_arrays(arrays: EventArrays, delta: float) -> list[IntrinsicEvent]:
+def events_from_arrays(arrays: EventArrays) -> list[IntrinsicEvent]:
     """Materialize IntrinsicEvent objects from an array buffer."""
+    delta = arrays.config.delta
     kinds = arrays.kinds.tolist()
     dirs = arrays.directions.tolist()
     tss = arrays.timestamps.tolist()
@@ -549,19 +573,21 @@ def process(ticks: TickInput, config: ThresholdConfig,
     tick is scanned once however many events there are. Raises
     EmptyInputError on an empty sequence; a single tick yields no events.
     """
-    arrays = process_arrays(ticks, config, initial_mode)
-    return events_from_arrays(arrays, config.delta)
+    return events_from_arrays(process_arrays(ticks, config, initial_mode))
 
 
-def _segment_overshoots(arrays: EventArrays, convention: MoveConvention) -> np.ndarray:
-    """Overshoot length of every completed DC-to-DC segment.
+def overshoot_lengths(arrays: EventArrays) -> np.ndarray:
+    """Overshoot length of every completed DC-to-DC segment of a scan.
 
-    A segment's length is the absolute move from the DC confirmation
-    price to the trend's extremum, which the next DC records. The
-    trailing unfinished trend contributes nothing.
+    A segment's length is the absolute move, in the scan's convention,
+    from the DC confirmation price to the trend's extremum, which the
+    next DC records. Returns one non-negative fraction per segment, in
+    order; the trailing unfinished trend contributes nothing, so fewer
+    than two DCs give an empty array.
     """
     dc = arrays.kinds == 0
-    return np.abs(_moves(arrays.prices[dc][:-1], arrays.extrema[dc][1:], convention))
+    return np.abs(_moves(arrays.prices[dc][:-1], arrays.extrema[dc][1:],
+                         arrays.config.move_convention))
 
 
 def _moves(frm: np.ndarray, to: np.ndarray, convention: MoveConvention) -> np.ndarray:
@@ -569,35 +595,3 @@ def _moves(frm: np.ndarray, to: np.ndarray, convention: MoveConvention) -> np.nd
     if convention is MoveConvention.LOG_RETURN:
         return np.log(to / frm)
     return (to - frm) / frm
-
-
-def _check_deltas(events: Iterable[IntrinsicEvent], delta: float) -> None:
-    for ev in events:
-        if ev.delta != delta:
-            raise ConsistencyError(f"event delta {ev.delta!r} does not match {delta!r}")
-
-
-def overshoot_lengths(events: list[IntrinsicEvent], ticks: TickInput,
-                      config: ThresholdConfig) -> np.ndarray:
-    """Per-segment overshoot lengths for events produced from these ticks.
-
-    Returns one non-negative fraction per completed DC-to-DC segment, in
-    order; fewer than two DCs give an empty array. The events must have
-    been produced by ``process`` on ``ticks`` with ``config``; a
-    mismatch raises ConsistencyError.
-    """
-    _check_deltas(events, config.delta)
-    dc_events = [ev for ev in events if ev.kind is EventKind.DIRECTIONAL_CHANGE]
-    if len(dc_events) < 2:
-        return np.empty(0, dtype=np.float64)
-    # Before the first DC the runner must have been in the opposite mode,
-    # so the scan can be replayed without knowing the original initial mode.
-    arrays = process_arrays(ticks, config, dc_events[0].direction.flipped)
-    dc_mask = arrays.kinds == 0
-    if (arrays.n_dc != len(dc_events)
-            or not np.array_equal(arrays.prices[dc_mask],
-                                  np.array([ev.price for ev in dc_events]))
-            or not np.array_equal(arrays.timestamps[dc_mask],
-                                  np.array([ev.timestamp for ev in dc_events]))):
-        raise ConsistencyError("events do not correspond to the given ticks and config")
-    return _segment_overshoots(arrays, config.move_convention)

@@ -26,7 +26,7 @@ class InsufficientDataError(IntrinsicTimeError):
 
 
 class ConsistencyError(IntrinsicTimeError):
-    """Mismatched inputs, e.g. events that do not belong to the given config."""
+    """Events whose delta differs from the threshold given to ``summarize``."""
 
 
 class FitError(IntrinsicTimeError):

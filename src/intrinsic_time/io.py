@@ -369,12 +369,13 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     _write_event_rows(rows, path, format)
 
 
-def _write_event_arrays(arrays: EventArrays, delta: float, path: str | Path,
+def _write_event_arrays(arrays: EventArrays, path: str | Path,
                         format: EventFileFormat) -> None:
     _write_event_rows(zip(np.where(arrays.kinds == 0, "DC", "OS").tolist(),
                           np.where(arrays.directions == 1, "up", "down").tolist(),
                           arrays.timestamps.tolist(), arrays.prices.tolist(),
-                          [delta] * len(arrays), range(len(arrays))), path, format)
+                          [arrays.config.delta] * len(arrays), range(len(arrays))),
+                      path, format)
 
 
 def _event_from_fields(kind: str, direction: str, ts, price, delta,

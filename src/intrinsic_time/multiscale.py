@@ -20,10 +20,9 @@ from .engine import (
     ThresholdConfig,
     TickInput,
     TickSeries,
-    _check_deltas,
     as_tick_series,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ConsistencyError
 
 
 @dataclass(frozen=True)
@@ -95,17 +94,19 @@ def run_grid(ticks: TickInput, grid: GridInput,
     threshold returns.
     """
     scans = _scan_grid(as_tick_series(ticks), grid, convention)
-    return [(delta, engine.events_from_arrays(arrays, delta)) for delta, arrays in scans]
+    return [(delta, engine.events_from_arrays(arrays)) for delta, arrays in scans]
 
 
 def summarize(delta: float, events: Sequence[IntrinsicEvent]) -> ThresholdSummary:
     """Counts, coastline and event-time span for one threshold's events.
 
-    All events must carry the given delta. The summary reads the events
-    only; the per-segment overshoot lengths come from
-    ``overshoot_lengths``, which replays the scan over the source ticks.
+    All events must carry the given delta; an event that does not raises
+    ConsistencyError. Per-segment overshoot lengths are not part of the
+    summary: ``overshoot_lengths`` reads them from the scan's arrays.
     """
-    _check_deltas(events, delta)
+    for ev in events:
+        if ev.delta != delta:
+            raise ConsistencyError(f"event delta {ev.delta!r} does not match {delta!r}")
     n_dc = sum(1 for ev in events if ev.kind is EventKind.DIRECTIONAL_CHANGE)
     n_os = len(events) - n_dc
     return ThresholdSummary(

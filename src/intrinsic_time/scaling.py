@@ -27,9 +27,9 @@ from .engine import (
     ThresholdConfig,
     TickInput,
     _moves,
-    _segment_overshoots,
     _whole,
     as_tick_series,
+    overshoot_lengths,
 )
 from .errors import (
     ConfigurationError,
@@ -193,7 +193,7 @@ def decompose(ticks: TickInput, grid: GridInput, dt: int,
 
     rows: list[DecompositionRow] = []
     for delta, arrays in _scan_grid(series, grid, convention):
-        omegas = _segment_overshoots(arrays, convention)
+        omegas = overshoot_lengths(arrays)
         n_dc = arrays.n_dc
         if omegas.size < 2:
             rows.append(DecompositionRow(delta, None, n_dc, None, None, True))

@@ -9,6 +9,7 @@ streams can be reproduced from the documented recipe in any language.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,13 @@ class GbmParams:
     seed: int
 
     def __post_init__(self):
-        if not (self.s0 > 0.0):
-            raise ConfigurationError(f"s0 must be positive, got {self.s0!r}")
-        if self.sigma < 0.0:
-            raise ConfigurationError(f"sigma must be non-negative, got {self.sigma!r}")
+        if not (0.0 < self.s0 < math.inf):
+            raise ConfigurationError(f"s0 must be positive and finite, got {self.s0!r}")
+        if not math.isfinite(self.mu):
+            raise ConfigurationError(f"mu must be finite, got {self.mu!r}")
+        if not (0.0 <= self.sigma < math.inf):
+            raise ConfigurationError(
+                f"sigma must be non-negative and finite, got {self.sigma!r}")
         if not (self.dt_step > 0.0):
             raise ConfigurationError(f"dt_step must be positive, got {self.dt_step!r}")
         if self.n_steps < 1:
@@ -98,8 +102,8 @@ def generate_random_walk(s0: float, step_size: float, n_steps: int,
     One tick per second plus the starting tick at s0. Deterministic for
     a given seed.
     """
-    if not (s0 > 0.0):
-        raise ConfigurationError(f"s0 must be positive, got {s0!r}")
+    if not (0.0 < s0 < math.inf):
+        raise ConfigurationError(f"s0 must be positive and finite, got {s0!r}")
     if not (0.0 < step_size < 1.0):
         raise ConfigurationError(f"step_size must be in (0, 1), got {step_size!r}")
     if n_steps < 1:

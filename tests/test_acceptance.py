@@ -44,8 +44,9 @@ def walk_stats():
         per_delta = {}
         for delta in DELTA_GRID:
             cfg = it.ThresholdConfig(delta)
-            events = it.process(walk, cfg)
-            omegas = it.overshoot_lengths(events, walk, cfg)
+            arrays = it.process_arrays(walk, cfg)
+            events = it.events_from_arrays(arrays)
+            omegas = it.overshoot_lengths(arrays)
             summary = it.summarize(delta, events)
             per_delta[delta] = (summary, omegas)
         stats[seed] = per_delta

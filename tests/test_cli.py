@@ -120,6 +120,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                    "--deltas", "0.01", "--out-dir", str(tmp_path)) == 2
     assert run_cli("generate", "--model", "walk", "--steps", "10",
                    "--out", str(tmp_path / "w.csv")) == 2
+    for argv in (["walk", "--step-size", "0.01", "--dt", "0.5"],
+                 ["walk", "--step-size", "0.01", "--mu", "0.1"],
+                 ["walk", "--step-size", "0.01", "--sigma", "0"],
+                 ["gbm", "--step-size", "0.01"]):
+        capsys.readouterr()
+        assert run_cli("generate", "--model", *argv, "--steps", "10",
+                       "--out", str(tmp_path / "w.csv")) == 2
+        assert f"--model {argv[0]} does not take {argv[-2]}\n" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
     for dt in ("nan", "inf", "0", "-1", "4e-10"):
         assert run_cli("decompose", "--in", str(ticks), "--deltas", "0.01",
                        "--dt-seconds", dt) == 2
@@ -254,10 +263,22 @@ def test_scaling_rows_match_edge_api(tmp_path, capsys, convention):
         config = it.ThresholdConfig(delta, it.MoveConvention(convention))
         events = it.process(series, config)
         n_dc = sum(1 for ev in events if ev.kind is it.EventKind.DIRECTIONAL_CHANGE)
-        omegas = it.overshoot_lengths(events, series, config)
+        omegas = it.overshoot_lengths(it.process_arrays(series, config))
         ratio = it.mean_overshoot_ratio(omegas, delta) if omegas.size else float("nan")
         expected.append(f"{delta!r},{n_dc},{_fmt(ratio)}")
     assert out.read_text().splitlines()[3:] == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gbm", "--s0", "inf"], "s0 must be positive and finite, got inf"),
+    (["gbm", "--sigma", "nan"], "sigma must be non-negative and finite, got nan"),
+    (["walk", "--step-size", "0.01", "--s0", "inf"], "s0 must be positive and finite, got inf"),
+])
+def test_generate_parameters_that_are_not_finite_exit_1(tmp_path, capsys, argv, message):
+    out = tmp_path / "ticks.csv"
+    assert run_cli("generate", "--model", *argv, "--steps", "10", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_generate_gbm_leaving_float64_exits_1_naming_the_parameters(tmp_path, capsys):

@@ -187,6 +187,23 @@ def test_new_runner_and_step_reject_timestamps_that_are_not_whole_int64(timestam
     assert (state.last_timestamp, state.mode, state.intrinsic_clock) == (0, it.Mode.UP, 0)
 
 
+@pytest.mark.parametrize("price", ["abc", None, [1.0], 10**400],
+                         ids=["str", "None", "list", "int-past-float64"])
+def test_prices_that_are_not_numbers_raise_domain_error(price):
+    cfg = it.ThresholdConfig(0.01)
+    with pytest.raises(it.DomainError, match="position 1"):
+        it.TickSeries([0, 1], [1.0, price])
+    with pytest.raises(it.DomainError, match="position 1"):
+        it.as_tick_series([(0, 1.0), (1, price)])
+    with pytest.raises(it.DomainError, match="cannot be read as a float64"):
+        it.new_runner(cfg, (0, price))
+    state = it.new_runner(cfg, it.Tick(0, 100.0))
+    with pytest.raises(it.DomainError, match="cannot be read as a float64"):
+        it.step(state, (1, price), cfg)
+    assert (state.last_timestamp, state.extremum_price, state.intrinsic_clock) == \
+        (0, 100.0, 0)
+
+
 def test_new_runner_and_step_take_whole_timestamps_as_ints():
     cfg = it.ThresholdConfig(0.01)
     state = it.new_runner(cfg, (2.0, 100.0))
@@ -317,8 +334,7 @@ def test_overshoot_length_spans_confirm_to_extremum():
     prices = [100.0, 99.0, 98.01, 97.03, 98.01]
     ticks = ticks_from_prices(prices)
     cfg = it.ThresholdConfig(0.01)
-    events = it.process(ticks, cfg)
-    omegas = it.overshoot_lengths(events, ticks, cfg)
+    omegas = it.overshoot_lengths(it.process_arrays(ticks, cfg))
     assert omegas.shape == (1,)
     assert omegas[0] == pytest.approx((99.0 - 97.03) / 99.0)
     assert omegas[0] == pytest.approx(0.0199, rel=1e-3)
@@ -328,9 +344,9 @@ def test_overshoot_zero_on_immediate_reversal():
     prices = [100.0, 99.0, 100.0]
     ticks = ticks_from_prices(prices)
     cfg = it.ThresholdConfig(0.01)
-    events = it.process(ticks, cfg)
-    assert [e.kind for e in events] == [DC, DC]
-    omegas = it.overshoot_lengths(events, ticks, cfg)
+    arrays = it.process_arrays(ticks, cfg)
+    assert arrays.kinds.tolist() == [0, 0]
+    omegas = it.overshoot_lengths(arrays)
     assert omegas.tolist() == [0.0]
 
 
@@ -338,32 +354,13 @@ def test_overshoot_needs_two_dcs():
     prices = [100.0, 99.0, 98.5]
     ticks = ticks_from_prices(prices)
     cfg = it.ThresholdConfig(0.01)
-    events = it.process(ticks, cfg)
-    assert it.overshoot_lengths(events, ticks, cfg).size == 0
-
-
-def test_overshoot_rejects_mismatched_config():
-    ticks = ticks_from_prices([100.0, 99.0, 100.0])
-    events = it.process(ticks, it.ThresholdConfig(0.01))
-    with pytest.raises(it.ConsistencyError):
-        it.overshoot_lengths(events, ticks, it.ThresholdConfig(0.02))
-
-
-def test_overshoot_rejects_foreign_ticks():
-    cfg = it.ThresholdConfig(0.01)
-    ticks = ticks_from_prices([100.0, 99.0, 100.0])
-    events = it.process(ticks, cfg)
-    other = ticks_from_prices([100.0, 98.0, 100.0, 97.0, 100.0])
-    with pytest.raises(it.ConsistencyError):
-        it.overshoot_lengths(events, other, cfg)
+    assert it.overshoot_lengths(it.process_arrays(ticks, cfg)).size == 0
 
 
 def test_mean_overshoot_near_threshold_on_diffusive_path():
     walk = it.generate_gbm(it.GbmParams(s0=1.0, mu=0.5 * 1e-4**2, sigma=1e-4,
                                         dt_step=1.0, n_steps=10**6, seed=7))
-    cfg = it.ThresholdConfig(0.003)
-    events = it.process(walk, cfg)
-    omegas = it.overshoot_lengths(events, walk, cfg)
+    omegas = it.overshoot_lengths(it.process_arrays(walk, it.ThresholdConfig(0.003)))
     assert 0.8 <= float(np.mean(omegas)) / 0.003 <= 1.2
 
 
@@ -411,11 +408,11 @@ def test_overshoot_lengths_match_reference(walk):
     convention = LOG if use_log else REL
     cfg = it.ThresholdConfig(delta, convention)
     series = it.TickSeries(timestamps, prices)
-    events = it.process(series, cfg, init_mode)
+    arrays = it.process_arrays(series, cfg, init_mode)
     expected = np.array(reference_overshoots(
         prices, reference_events(timestamps.tolist(), prices, delta, use_log,
                                  init_mode.value), use_log))
-    got = it.overshoot_lengths(events, series, cfg)
+    got = it.overshoot_lengths(arrays)
     assert got.shape == expected.shape
     if expected.size:
         # vectorized and scalar log may disagree in the last bit
@@ -628,12 +625,12 @@ def test_overshoot_lengths_past_full_buffer(monkeypatch, backend, series, delta,
         monkeypatch.setattr(engine, "_kernel", None)
     assert it.kernel_backend() == backend
     cfg = it.ThresholdConfig(delta, LOG)
-    events = it.process(series, cfg, mode)
-    assert len(events) > 1024
+    arrays = it.process_arrays(series, cfg, mode)
+    assert len(arrays) > 1024
     expected = reference_events(series.timestamps.tolist(), series.prices, delta,
                                 True, mode.value)
     dc_events = [ev for ev in expected if ev[0] == "DC"]
-    got = it.overshoot_lengths(events, series, cfg)
+    got = it.overshoot_lengths(arrays)
     old = reduceat_overshoots(series.prices, dc_events, True)
     assert got.size >= 2 and got.dtype == old.dtype and got.tobytes() == old.tobytes()
     np.testing.assert_array_max_ulp(

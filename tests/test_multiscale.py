@@ -80,8 +80,7 @@ def test_summarize_rejects_mixed_deltas():
 
 def test_summarize_with_ticks_fills_overshoot_lengths():
     cfg = it.ThresholdConfig(0.01)
-    events = it.process(FOUR_TICKS, cfg)
-    omegas = it.overshoot_lengths(events, FOUR_TICKS, cfg)
+    omegas = it.overshoot_lengths(it.process_arrays(FOUR_TICKS, cfg))
     assert omegas.shape == (1,)
     assert omegas[0] == pytest.approx(0.01)
 

@@ -118,7 +118,7 @@ def test_mean_overshoot_ratio_errors():
 def test_mean_overshoot_ratio_brownian():
     walk = brownian(1e-4, 10**6, seed=11)
     cfg = it.ThresholdConfig(0.003)
-    omegas = it.overshoot_lengths(it.process(walk, cfg), walk, cfg)
+    omegas = it.overshoot_lengths(it.process_arrays(walk, cfg))
     assert 0.8 <= it.mean_overshoot_ratio(omegas, 0.003) <= 1.2
 
 
@@ -226,8 +226,9 @@ def test_decompose_rows_follow_definition():
     assert report.lhs == lhs
     for row in report.rows:
         cfg = it.ThresholdConfig(row.delta)
-        events = it.process(walk, cfg)
-        omegas = it.overshoot_lengths(events, walk, cfg)
+        arrays = it.process_arrays(walk, cfg)
+        events = it.events_from_arrays(arrays)
+        omegas = it.overshoot_lengths(arrays)
         assert row.n_dc == sum(1 for e in events
                                if e.kind is it.EventKind.DIRECTIONAL_CHANGE)
         assert row.os_variability == pytest.approx(

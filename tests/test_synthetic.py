@@ -77,6 +77,20 @@ def test_gbm_invalid_params_rejected(kwargs):
         it.GbmParams(**kwargs)
 
 
+@pytest.mark.parametrize("name, value", [("s0", math.inf), ("mu", math.nan), ("mu", math.inf),
+                                         ("mu", -math.inf), ("sigma", math.nan),
+                                         ("sigma", math.inf)])
+def test_gbm_parameters_that_are_not_finite_are_named(name, value):
+    kwargs = dict(s0=1.0, mu=0.0, sigma=0.1, dt_step=1.0, n_steps=10, seed=0)
+    with pytest.raises(it.ConfigurationError, match=f"^{name} must be .*finite, got {value!r}$"):
+        it.GbmParams(**{**kwargs, name: value})
+
+
+def test_walk_s0_that_is_not_finite_is_named():
+    with pytest.raises(it.ConfigurationError, match="^s0 must be positive and finite, got inf$"):
+        it.generate_random_walk(math.inf, 0.01, 10, seed=0)
+
+
 def test_gbm_span_past_int64_is_a_configuration_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
