@@ -19,8 +19,9 @@
  * xt gets the trend extremum: a DC writes it before resetting ``ext``, so
  * it is that of the trend the DC ends; an OS writes its own price.
  *
- * After the scan come the tick-file parser and writer that ``io.py`` uses
- * in place of its Python row loop and writer when this unit is loaded.
+ * After the scan come the tick-file parser and writer and the event-file
+ * parser that ``io.py`` uses in place of its Python row loops and writer
+ * when this unit is loaded.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -lm (no fused multiply-add,
  * no fast-math: the arithmetic must round exactly as Python's does).
@@ -189,4 +190,142 @@ int64_t it_format_ticks(const int64_t *ts, const double *px, int64_t n,
     freelocale(c_locale);
     *i = k;
     return size;
+}
+
+/* The field readers below are inlined into it_parse_events: as functions
+ * of their own, the compiler would place them before it_scan and move it. */
+#define FIELD static inline __attribute__((always_inline))
+
+/* The end of the text lit at p, or NULL when p does not start with it. */
+FIELD const char *literal(const char *p, const char *end, const char *lit)
+{
+    for (; *lit; lit++, p++)
+        if (p == end || *p != *lit)
+            return NULL;
+    return p;
+}
+
+/* The end of a at p, else of b at p (then *second is set), else NULL. */
+FIELD const char *either(const char *p, const char *end, const char *a,
+                          const char *b, int *second)
+{
+    const char *q = literal(p, end, a);
+    *second = q == NULL;
+    return q != NULL ? q : literal(p, end, b);
+}
+
+/* The end of a JSON integer ``-?(0|[1-9][0-9]*)`` at p (without the minus
+ * when sign is 0), or NULL. */
+FIELD const char *integer(const char *p, const char *end, int sign)
+{
+    p += sign && p < end && *p == '-';
+    if (p == end || *p < '0' || *p > '9')
+        return NULL;
+    return *p == '0' ? p + 1 : digits(p, end);
+}
+
+/* The end of a JSON number ``-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?``
+ * at p, or NULL. */
+FIELD const char *number(const char *p, const char *end)
+{
+    const char *q = integer(p, end, 1), *r;
+    if (q != NULL && q < end && *q == '.') {
+        r = digits(q + 1, end);
+        q = r > q + 1 ? r : NULL;
+    }
+    if (q != NULL && q < end && (*q == 'e' || *q == 'E')) {
+        r = q + 1;
+        r += r < end && (*r == '+' || *r == '-');
+        q = digits(r, end);
+        q = q > r ? q : NULL;
+    }
+    return q;
+}
+
+/* An integer field at p, read by strtoll into *out, followed by the text
+ * next: the end of next, or NULL when the field is outside the grammar or
+ * int64. Checking next first keeps strtoll inside the buffer. */
+FIELD const char *int_field(const char *p, const char *end, int sign,
+                             const char *next, int64_t *out)
+{
+    const char *q = integer(p, end, sign), *r;
+    char *stop;
+    if (q == NULL || (r = literal(q, end, next)) == NULL)
+        return NULL;
+    errno = 0;
+    *out = strtoll(p, &stop, 10);
+    return stop == q && errno != ERANGE ? r : NULL;
+}
+
+/* A number field at p, read by strtod into *out, followed by the text next:
+ * the end of next, or NULL when the field is outside the grammar, ERANGE or
+ * not in (0, hi). */
+FIELD const char *real_field(const char *p, const char *end, double hi,
+                              const char *next, double *out)
+{
+    const char *q = number(p, end), *r;
+    char *stop;
+    if (q == NULL || (r = literal(q, end, next)) == NULL)
+        return NULL;
+    errno = 0;
+    *out = strtod(p, &stop);
+    return stop == q && errno != ERANGE && *out > 0.0 && *out < hi ? r : NULL;
+}
+
+/* The text before each of the six fields of an event row and after the
+ * last, as ``_write_event_rows`` writes them: CSV, then JSON Lines. */
+static const char *const EVENT_SEP[2][7] = {
+    {"", ",", ",", ",", ",", ",", "\n"},
+    {"{\"kind\":\"", "\",\"direction\":\"", "\",\"timestamp_ns\":", ",\"price\":",
+     ",\"delta\":", ",\"clock_index\":", "}\n"},
+};
+
+/* Event rows from buf[*pos] on, in the exact layout ``_write_event_rows``
+ * writes (CSV when jsonl is 0, JSON Lines otherwise), into kind (0 = DC,
+ * 1 = OS), dir (+1 up, -1 down), ts, px, delta and clock. The fields are
+ * ``DC|OS``, ``up|down``, a ``-?(0|[1-9][0-9]*)`` timestamp, a price and a
+ * delta in the JSON number grammar, and a ``0|[1-9][0-9]*`` clock index.
+ * The return value is the number of rows read. The parse stops at
+ * buf[len], after cap rows, or at a row it does not read: one outside that
+ * layout, without its LF, with a number out of range (ERANGE), a price
+ * that is not in (0, inf) or a delta that is not in (0, 1). *pos is left
+ * at the start of the next unread row. No byte at or past buf[len] is read.
+ *
+ * Everything this grammar accepts, the Python row loop reads to the same
+ * values without an error, so a caller that falls back to it on any
+ * unread row gets the same result either way. strtoll and strtod run in
+ * the C locale whatever the process locale is.
+ */
+int64_t it_parse_events(const char *buf, int64_t len, int64_t *pos, int jsonl,
+                        int8_t *kind, int8_t *dir, int64_t *ts, double *px,
+                        double *delta, int64_t *clock, int64_t cap)
+{
+    const char *const *sep = EVENT_SEP[jsonl != 0];
+    const char *end = buf + len, *row = buf + *pos;
+    int64_t m = 0;
+    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return 0;
+    locale_t caller = uselocale(c_locale);
+
+    for (; m < cap && row < end; m++) {
+        int os, down;
+        const char *p = literal(row, end, sep[0]);
+        if (p == NULL || (p = either(p, end, "DC", "OS", &os)) == NULL
+            || (p = literal(p, end, sep[1])) == NULL
+            || (p = either(p, end, "up", "down", &down)) == NULL
+            || (p = literal(p, end, sep[2])) == NULL
+            || (p = int_field(p, end, 1, sep[3], &ts[m])) == NULL
+            || (p = real_field(p, end, HUGE_VAL, sep[4], &px[m])) == NULL
+            || (p = real_field(p, end, 1.0, sep[5], &delta[m])) == NULL
+            || (p = int_field(p, end, 0, sep[6], &clock[m])) == NULL)
+            break;
+        kind[m] = (int8_t)os;
+        dir[m] = down ? -1 : 1;
+        row = p;
+    }
+    uselocale(caller);
+    freelocale(c_locale);
+    *pos = row - buf;
+    return m;
 }

@@ -159,7 +159,8 @@ def _cmd_transform(args) -> int:
 
     rows = []
     print(f"{'delta':>10} {'n_dc':>8} {'n_os':>8} {'coastline':>12}")
-    for delta, arrays in _scan_grid(series, args.deltas, convention):
+    for arrays in _scan_grid(series, args.deltas, convention):
+        delta = arrays.config.delta
         path = out_dir / f"events_delta_{delta!r}.{fmt.value}"
         _write_event_arrays(arrays, path, fmt)
         coastline = len(arrays) * delta
@@ -173,7 +174,8 @@ def _cmd_scaling(args) -> int:
     series = _read_input(args)
     convention = MoveConvention(args.convention)
     rows = []
-    for delta, arrays in _scan_grid(series, args.deltas, convention):
+    for arrays in _scan_grid(series, args.deltas, convention):
+        delta = arrays.config.delta
         omegas = overshoot_lengths(arrays)
         ratio = mean_overshoot_ratio(omegas, delta) if omegas.size else float("nan")
         rows.append((delta, arrays.n_dc, ratio))

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
+import itertools
 import math
 import os
 import platform
@@ -75,18 +77,41 @@ class Tick(NamedTuple):
     price: float
 
 
-@dataclass(frozen=True)
+def _eq_with_arrays(self, other) -> bool:
+    """``==`` for a dataclass that holds numpy columns: same type, equal
+    scalar fields, and every column equal in dtype and by ``np.array_equal``.
+
+    Such a dataclass sets ``eq=False`` and takes this as its ``__eq__``,
+    which also leaves it unhashable.
+    """
+    if type(other) is not type(self):
+        return NotImplemented
+    for field in dataclasses.fields(self):
+        a, b = getattr(self, field.name), getattr(other, field.name)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                    and a.dtype == b.dtype and np.array_equal(a, b)):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class TickSeries:
     """Column-oriented tick buffer: int64 nanosecond timestamps, float64 prices.
 
     Validates on construction: equal lengths, whole-number timestamps
     inside int64 (integral floats are accepted), prices that read as
     float64 and are strictly positive and finite, non-decreasing
-    timestamps. Iterating yields ``Tick`` tuples.
+    timestamps. Iterating yields ``Tick`` tuples. Two series are equal
+    when their columns are.
     """
 
     timestamps: np.ndarray
     prices: np.ndarray
+
+    __eq__ = _eq_with_arrays
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps)
@@ -324,12 +349,12 @@ def step(state: RunnerState, tick: Tick,
     return state, events
 
 
-# The batch scan and the tick-file parser and writer run in C (``_scan.c``),
-# compiled with the system ``cc`` on first use and cached by a checksum of
-# source and flags: beside this module in ``__pycache__/``, else in the
-# user's cache directory. Without a working compiler, ``_scan_python`` runs
-# the same loop (``step`` runs it too) and ``io`` its Python row loop and
-# writer.
+# The batch scan, the tick-file parser and writer and the event-file parser
+# run in C (``_scan.c``), compiled with the system ``cc`` on first use and
+# cached by a checksum of source and flags: beside this module in
+# ``__pycache__/``, else in the user's cache directory. Without a working
+# compiler, ``_scan_python`` runs the same loop (``step`` runs it too) and
+# ``io`` its Python row loops and writer.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNLOADED = object()
@@ -352,6 +377,7 @@ class _Kernel(NamedTuple):
     scan: Callable[..., int]  # it_scan
     parse_ticks: Callable[..., int]  # it_parse_ticks
     format_ticks: Callable[..., int]  # it_format_ticks
+    parse_events: Callable[..., int]  # it_parse_events
 
 
 def _compile_kernel(cache_dirs: list[Path]):
@@ -388,21 +414,22 @@ def _compile_kernel(cache_dirs: list[Path]):
                 os.unlink(tmp)
             detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
             warnings.warn(f"cannot compile the C scan kernel ({exc}) {detail.strip()}; "
-                          "using the slower Python scan and tick-file I/O", RuntimeWarning)
+                          "using the slower Python scan and file I/O", RuntimeWarning)
             return None
         return _bind_kernel(directory / name)
     warnings.warn("no writable cache directory for the C scan kernel; "
-                  "using the slower Python scan and tick-file I/O", RuntimeWarning)
+                  "using the slower Python scan and file I/O", RuntimeWarning)
     return None
 
 
 def _bind_kernel(path: Path):
     try:
         lib = ctypes.CDLL(str(path))
-        kernel = _Kernel(lib.it_scan, lib.it_parse_ticks, lib.it_format_ticks)
+        kernel = _Kernel(lib.it_scan, lib.it_parse_ticks, lib.it_format_ticks,
+                         lib.it_parse_events)
     except OSError as exc:
         warnings.warn(f"cannot load the C scan kernel {path}: {exc}; "
-                      "using the slower Python scan and tick-file I/O", RuntimeWarning)
+                      "using the slower Python scan and file I/O", RuntimeWarning)
         return None
     ptr, i64, f64, c_int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
     i64_ptr = ctypes.POINTER(i64)
@@ -410,6 +437,8 @@ def _bind_kernel(path: Path):
                             ptr, ptr, ptr, ptr, i64]
     kernel.parse_ticks.argtypes = [ctypes.c_char_p, i64, i64_ptr, ptr, ptr, i64]
     kernel.format_ticks.argtypes = [ptr, ptr, i64, i64_ptr, ptr, i64]
+    kernel.parse_events.argtypes = [ctypes.c_char_p, i64, i64_ptr, c_int,
+                                    ptr, ptr, ptr, ptr, ptr, ptr, i64]
     for function in kernel:
         function.restype = i64
     return kernel
@@ -428,8 +457,9 @@ def _load_kernel():
 def kernel_backend() -> str:
     """The backend in use: ``"c"`` (the compiled ``_scan.c``) or ``"python"``.
 
-    One compiled unit serves both the batch scan and the parsing and
-    writing of nanosecond tick files; results never depend on the backend.
+    One compiled unit serves the batch scan, the parsing and writing of
+    nanosecond tick files and the parsing of event files; results never
+    depend on the backend.
     """
     return "python" if _load_kernel() is None else "c"
 
@@ -494,7 +524,7 @@ def _scan_python(px: list, i: int, ext: float, ref: float, mode: int,
     return events, ext, ref, mode, confirmed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventArrays:
     """Column-oriented event buffer, the fast-path twin of IntrinsicEvent lists.
 
@@ -503,7 +533,8 @@ class EventArrays:
     the trend it ends. Clock indices are implicit (array position).
     ``config`` is the threshold and convention of the scan that made the
     columns; the functions that read them take both from it. CLI
-    ``transform`` writes its event files from these columns.
+    ``transform`` writes its event files from these columns. Two buffers
+    are equal when their columns and configs are.
     """
 
     kinds: np.ndarray
@@ -512,6 +543,8 @@ class EventArrays:
     prices: np.ndarray
     extrema: np.ndarray
     config: ThresholdConfig
+
+    __eq__ = _eq_with_arrays
 
     def __len__(self) -> int:
         return int(self.kinds.size)
@@ -544,21 +577,23 @@ def process_arrays(ticks: TickInput, config: ThresholdConfig,
     return EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx], xt, config)
 
 
+_KINDS = (EventKind.DIRECTIONAL_CHANGE, EventKind.OVERSHOOT)  # by kind code
+_DIRECTIONS = {1: Mode.UP, -1: Mode.DOWN}
+
+
+def _build_events(rows: Iterable[tuple]) -> list[IntrinsicEvent]:
+    """IntrinsicEvent objects from ``(kind, direction, timestamp, price,
+    delta, clock_index)`` rows of Python values, with the kind as a code
+    (0 = DC, 1 = OS) and the direction as +1 (up) or -1 (down)."""
+    return [IntrinsicEvent(_KINDS[k], _DIRECTIONS[d], t, p, delta, clock)
+            for k, d, t, p, delta, clock in rows]
+
+
 def events_from_arrays(arrays: EventArrays) -> list[IntrinsicEvent]:
     """Materialize IntrinsicEvent objects from an array buffer."""
-    delta = arrays.config.delta
-    kinds = arrays.kinds.tolist()
-    dirs = arrays.directions.tolist()
-    tss = arrays.timestamps.tolist()
-    pxs = arrays.prices.tolist()
-    return [
-        IntrinsicEvent(
-            EventKind.DIRECTIONAL_CHANGE if k == 0 else EventKind.OVERSHOOT,
-            Mode.UP if d == 1 else Mode.DOWN,
-            t, p, delta, i,
-        )
-        for i, (k, d, t, p) in enumerate(zip(kinds, dirs, tss, pxs))
-    ]
+    return _build_events(zip(arrays.kinds.tolist(), arrays.directions.tolist(),
+                             arrays.timestamps.tolist(), arrays.prices.tolist(),
+                             itertools.repeat(arrays.config.delta), range(len(arrays))))
 
 
 def process(ticks: TickInput, config: ThresholdConfig,

@@ -5,15 +5,17 @@ File formats are deliberately plain: tick files are two-column CSV
 field order. Every CSV written here starts with a ``#``-prefixed schema
 version comment. One reader, ``_text_rows``, numbers the lines of every
 file read here and skips blank lines, CSV comments and the header;
-one writer, ``_write_event_rows``, formats every event row. Nanosecond
-tick files are parsed and written in C when ``_scan.c`` is compiled: the
-parser reads a strict subset of what ``_text_rows`` and ``float()`` read
-and hands any other file to the Python row loop, so the result never
-depends on the path taken. Prices are
-serialized with 17 significant digits so numeric round-trips are
-lossless. Writers go through a temp-file-then-rename step, so a failed
-run never leaves a partial output behind, and the files they create
-take their permissions from the umask.
+one writer, ``_write_event_rows``, formats every event row. When
+``_scan.c`` is compiled, nanosecond tick files are parsed and written in
+C, and event files are parsed in C into columns from which the events
+are built. Each C parser reads a strict subset of what its Python row
+loop reads, through one driver, ``_parse_c``, and hands any other file
+whole to that loop, which stays the spec: the result and every error
+never depend on the path taken. Prices are serialized with 17
+significant digits so numeric round-trips are lossless. Writers go
+through a temp-file-then-rename step, so a failed run never leaves a
+partial output behind, and the files they create take their permissions
+from the umask.
 """
 
 from __future__ import annotations
@@ -31,13 +33,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import (EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries, _in_int64,
-                     _load_kernel, _whole)
+from .engine import (_KINDS, EventArrays, EventKind, IntrinsicEvent, TickSeries,
+                     _build_events, _in_int64, _load_kernel, _whole)
 from .errors import DomainError, IngestionError, WriteError
 
 TICK_SCHEMA_COMMENT = "# intrinsic-time tick-csv v1"
 EVENT_SCHEMA_COMMENT = "# intrinsic-time event-csv v1"
 EVENT_FIELDS = ("kind", "direction", "timestamp_ns", "price", "delta", "clock_index")
+EVENT_HEADER = ",".join(EVENT_FIELDS)
 
 
 class TimestampUnit(Enum):
@@ -109,7 +112,8 @@ def _text_rows(path: Path, data: bytes, comments: bool,
     Rows count from 1 over every line of the file. Blank lines, ``#``
     lines when ``comments`` is set, and the first remaining line when
     ``header`` is set are skipped; a ``header`` string must equal that
-    line. Bytes that are not UTF-8 raise IngestionError.
+    line (``_header_matches``). Bytes that are not UTF-8 raise
+    IngestionError.
     """
     try:
         text = data.decode("utf-8")
@@ -124,20 +128,27 @@ def _text_rows(path: Path, data: bytes, comments: bool,
             continue
         if header_pending:
             header_pending = False
-            if header is not True and line != header:
+            if not _header_matches(line, header):
                 raise IngestionError(
                     f"row {row_no}: expected header {header!r}, got {line!r}", row=row_no)
             continue
         yield row_no, line
 
 
-def _first_row_offset(data: bytes, has_header: bool) -> int | None:
-    """The byte offset of the first line ``_text_rows`` yields for a tick file.
+def _header_matches(line: str, header: bool | str) -> bool:
+    """Whether the stripped ``line`` passes as the header ``header`` asks for:
+    any line for True, that exact line for a string."""
+    return header is True or line == header
+
+
+def _first_row_offset(data: bytes, comments: bool, header: bool | str) -> int | None:
+    """The byte offset of the first line ``_text_rows`` yields for ``data``.
 
     None when a line before it is not UTF-8 or holds a line break other
-    than LF, which ``str.splitlines`` would split where this does not.
+    than LF, which ``str.splitlines`` would split where this does not, or
+    when its header line does not match: the row loop reports those.
     """
-    start, header_pending = 0, has_header
+    start, header_pending = 0, bool(header)
     while start < len(data):
         end = data.find(b"\n", start)
         end = len(data) if end < 0 else end
@@ -148,35 +159,42 @@ def _first_row_offset(data: bytes, has_header: bool) -> int | None:
         if len((line + "_").splitlines()) > 1:
             return None
         line = line.strip()
-        if line and line[0] != "#":
+        if line and not (comments and line[0] == "#"):
             if not header_pending:
                 return start
+            if not _header_matches(line, header):
+                return None
             header_pending = False
         start = end + 1
     return len(data)
 
 
-def _parse_ticks_c(parse, data: bytes, has_header: bool):
-    """``(timestamps, prices)`` of a nanosecond tick file through the C
-    parser, or None when any line of it is outside the parser's grammar."""
-    pos = _first_row_offset(data, has_header)
+def _parse_c(parse, data: bytes, comments: bool, header: bool | str,
+             dtypes: Sequence[type]) -> list[np.ndarray] | None:
+    """The columns of the data rows of ``data``, read by a C row parser, or
+    None when any line of it is outside the parser's grammar.
+
+    ``parse(buf, len, *pos, *columns, cap)`` reads rows from ``buf[*pos]``
+    into one array per dtype, returns how many, and leaves ``*pos`` where
+    it stopped; ``comments`` and ``header`` are ``_text_rows``' rules.
+    """
+    pos = _first_row_offset(data, comments, header)
     if pos is None:
         return None
     cap = data.count(b"\n", pos) + 1
-    ts = np.empty(cap, dtype=np.int64)
-    px = np.empty(cap, dtype=np.float64)
+    columns = [np.empty(cap, dtype=dtype) for dtype in dtypes]
     stop = ctypes.c_int64(pos)
-    n = parse(data, len(data), stop, ts.ctypes.data, px.ctypes.data, cap)
+    n = parse(data, len(data), stop, *[c.ctypes.data for c in columns], cap)
     if stop.value < len(data):
         # The parser stops before a last row without its LF; give it one.
         if data.find(b"\n", stop.value) >= 0:
             return None
         tail = data[stop.value:] + b"\n"
         stop.value = 0
-        n += parse(tail, len(tail), stop, ts[n:].ctypes.data, px[n:].ctypes.data, cap - n)
+        n += parse(tail, len(tail), stop, *[c[n:].ctypes.data for c in columns], cap - n)
         if stop.value < len(tail):
             return None
-    return ts[:n], px[:n]
+    return [c[:n] for c in columns]
 
 
 def _parse_tick_rows(spec: TickFileSpec, data: bytes, allow_unordered: bool):
@@ -236,7 +254,8 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
     kernel = _load_kernel()
     fast = None
     if kernel is not None and spec.timestamp_unit is TimestampUnit.NANOS:
-        fast = _parse_ticks_c(kernel.parse_ticks, data, spec.has_header)
+        fast = _parse_c(kernel.parse_ticks, data, True, spec.has_header,
+                        (np.int64, np.float64))
     if fast is not None and (allow_unordered or not (fast[0][1:] < fast[0][:-1]).any()):
         ts_arr, px_arr = fast
     else:
@@ -336,7 +355,7 @@ def _write_event_rows(rows: Iterable[tuple], path: str | Path,
                       format: EventFileFormat) -> None:
     # float.__repr__ writes what json.dumps does, also for numpy float64s.
     if format is EventFileFormat.CSV:
-        lines = [EVENT_SCHEMA_COMMENT, ",".join(EVENT_FIELDS)]
+        lines = [EVENT_SCHEMA_COMMENT, EVENT_HEADER]
         lines += [f"{k},{d},{t},{p:.17g},{dl:.17g},{c}" for k, d, t, p, dl, c in rows]
     else:
         lines = [f'{{"kind":"{k}","direction":"{d}","timestamp_ns":{t},'
@@ -378,12 +397,12 @@ def _write_event_arrays(arrays: EventArrays, path: str | Path,
                       path, format)
 
 
-def _event_from_fields(kind: str, direction: str, ts, price, delta,
-                       clock) -> IntrinsicEvent:
+def _event_row(kind: str, direction: str, ts, price, delta, clock) -> tuple:
+    """The row ``_build_events`` takes, from the six raw fields of a file row."""
     if direction not in ("up", "down"):
         raise ValueError(f"direction {direction!r} is not 'up' or 'down'")
     values = _event_values(int(ts), float(price), float(delta), int(clock))
-    return IntrinsicEvent(EventKind(kind), Mode.UP if direction == "up" else Mode.DOWN, *values)
+    return (_KINDS.index(EventKind(kind)), 1 if direction == "up" else -1, *values)
 
 
 def _jsonl_fields(line: str) -> list:
@@ -400,6 +419,26 @@ def _jsonl_fields(line: str) -> list:
     return fields
 
 
+def _read_event_rows(path: Path, data: bytes, csv: bool) -> list[IntrinsicEvent]:
+    """The events of an event file, read row by row in Python: the spec of
+    ``it_parse_events``, and the only reader that names a bad row."""
+    rows = []
+    header = EVENT_HEADER if csv else False
+    for row_no, line in _text_rows(path, data, comments=csv, header=header):
+        try:
+            fields = line.split(",") if csv else _jsonl_fields(line)
+            if len(fields) != len(EVENT_FIELDS):
+                raise ValueError(f"expected {len(EVENT_FIELDS)} fields")
+            rows.append(_event_row(*fields))
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise IngestionError(f"row {row_no}: {exc}", row=row_no) from exc
+    return _build_events(rows)
+
+
+# it_parse_events' columns: kind and direction codes, timestamp, price, delta, clock
+_EVENT_DTYPES = (np.int8, np.int8, np.int64, np.float64, np.float64, np.int64)
+
+
 def read_events(path: str | Path,
                 format: EventFileFormat = EventFileFormat.CSV) -> list[IntrinsicEvent]:
     """Parse an event file written by write_events.
@@ -413,17 +452,20 @@ def read_events(path: str | Path,
     ``delta`` that is not a JSON number, a timestamp outside int64, a
     negative clock index, a price that is not positive and finite, or
     a delta outside (0, 1).
+
+    When the C kernel is loaded, ``it_parse_events`` reads the file into
+    columns and the events are built from them; a file it does not read
+    whole goes to the Python row loop, which raises the row-numbered
+    error. The result never depends on the path taken.
     """
     csv = format is EventFileFormat.CSV
-    events: list[IntrinsicEvent] = []
-    header = ",".join(EVENT_FIELDS) if csv else False
     path = Path(path)
-    for row_no, line in _text_rows(path, _read_bytes(path), comments=csv, header=header):
-        try:
-            fields = line.split(",") if csv else _jsonl_fields(line)
-            if len(fields) != len(EVENT_FIELDS):
-                raise ValueError(f"expected {len(EVENT_FIELDS)} fields")
-            events.append(_event_from_fields(*fields))
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise IngestionError(f"row {row_no}: {exc}", row=row_no) from exc
-    return events
+    data = _read_bytes(path)
+    kernel = _load_kernel()
+    if kernel is not None:
+        columns = _parse_c(lambda buf, size, pos, *rest:
+                           kernel.parse_events(buf, size, pos, not csv, *rest),
+                           data, csv, EVENT_HEADER if csv else False, _EVENT_DTYPES)
+        if columns is not None:
+            return _build_events(zip(*(c.tolist() for c in columns)))
+    return _read_event_rows(path, data, csv)

@@ -76,10 +76,11 @@ class ThresholdSummary:
 
 
 def _scan_grid(series: TickSeries, grid: GridInput,
-               convention: MoveConvention) -> list[tuple[float, EventArrays]]:
-    """``run_grid`` before event materialisation: ``(delta, EventArrays)`` pairs."""
+               convention: MoveConvention) -> list[EventArrays]:
+    """``run_grid`` before event materialisation: one scan per threshold, in
+    grid order, each carrying its threshold in ``config.delta``."""
     # through the module, so that a patched ``engine.process_arrays`` sees every scan
-    return [(d, engine.process_arrays(series, ThresholdConfig(d, convention)))
+    return [engine.process_arrays(series, ThresholdConfig(d, convention))
             for d in as_threshold_grid(grid)]
 
 
@@ -94,7 +95,7 @@ def run_grid(ticks: TickInput, grid: GridInput,
     threshold returns.
     """
     scans = _scan_grid(as_tick_series(ticks), grid, convention)
-    return [(delta, engine.events_from_arrays(arrays)) for delta, arrays in scans]
+    return [(arrays.config.delta, engine.events_from_arrays(arrays)) for arrays in scans]
 
 
 def summarize(delta: float, events: Sequence[IntrinsicEvent]) -> ThresholdSummary:

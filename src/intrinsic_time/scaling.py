@@ -26,6 +26,7 @@ from .engine import (
     MoveConvention,
     ThresholdConfig,
     TickInput,
+    _eq_with_arrays,
     _moves,
     _whole,
     as_tick_series,
@@ -51,12 +52,14 @@ class ScalingFit:
     n_points: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSeries:
     """Returns sampled on a fixed physical-time grid of spacing dt (ns)."""
 
     dt: int
     returns: np.ndarray
+
+    __eq__ = _eq_with_arrays
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,8 @@ def decompose(ticks: TickInput, grid: GridInput, dt: int,
     lhs = squared_mean(physical_returns(series, dt, convention).returns)
 
     rows: list[DecompositionRow] = []
-    for delta, arrays in _scan_grid(series, grid, convention):
+    for arrays in _scan_grid(series, grid, convention):
+        delta = arrays.config.delta
         omegas = overshoot_lengths(arrays)
         n_dc = arrays.n_dc
         if omegas.size < 2:

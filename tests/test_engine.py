@@ -1,5 +1,6 @@
 """Unit and property tests for the event engine."""
 
+import dataclasses
 import math
 import shutil
 import sys
@@ -362,6 +363,36 @@ def test_mean_overshoot_near_threshold_on_diffusive_path():
                                         dt_step=1.0, n_steps=10**6, seed=7))
     omegas = it.overshoot_lengths(it.process_arrays(walk, it.ThresholdConfig(0.003)))
     assert 0.8 <= float(np.mean(omegas)) / 0.003 <= 1.2
+
+
+# ---------------------------------------------------------------------------
+# value equality of the dataclasses that hold arrays
+# ---------------------------------------------------------------------------
+
+EQ_WALK = it.generate_random_walk(1.0, 0.004, 500, seed=5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda delta: it.process_arrays(EQ_WALK, it.ThresholdConfig(delta)),
+    lambda delta: it.TickSeries(EQ_WALK.timestamps, EQ_WALK.prices * (1.0 + delta)),
+    lambda delta: it.physical_returns(EQ_WALK, int(delta * 2e11)),  # dt 1 s, 2 s
+], ids=["EventArrays", "TickSeries", "ReturnSeries"])
+def test_array_dataclasses_compare_by_value(make):
+    a, b, other = make(0.005), make(0.005), make(0.01)
+    assert a is not b and a == b and not a != b
+    assert a != other and not a == other
+    assert a.__eq__(object()) is NotImplemented
+    assert a != [a] and a != None  # noqa: E711 -- == with a non-instance is False
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+def test_array_dataclass_equality_needs_equal_dtypes():
+    series = it.TickSeries(np.arange(3), np.array([1.0, 2.0, 3.0]))
+    arrays = it.process_arrays(series, it.ThresholdConfig(0.1))
+    as_int16 = dataclasses.replace(arrays, kinds=arrays.kinds.astype(np.int16))
+    assert np.array_equal(as_int16.kinds, arrays.kinds) and as_int16 != arrays
+    assert dataclasses.replace(arrays, config=it.ThresholdConfig(0.1, LOG)) != arrays
 
 
 # ---------------------------------------------------------------------------

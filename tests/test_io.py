@@ -4,6 +4,7 @@ import dataclasses
 import json
 import locale
 import os
+import re
 import shutil
 import stat
 import time
@@ -615,3 +616,263 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
              if p.is_file()}
     assert modes == dict.fromkeys(["ticks.csv", "events.csv", "events_delta_0.01.jsonl",
                                    "events_delta_0.02.jsonl", "summary.csv"], mode)
+
+
+# ---------------------------------------------------------------------------
+# event files in C: the compiled reader against the Python row loop
+# ---------------------------------------------------------------------------
+
+# strtod reports ERANGE below the smallest normal double and strtoll past
+# int64, so a subnormal price or delta or a clock index past int64 sends its
+# file to the row loop; the writers below write none
+NORMAL_PRICES = st.floats(min_value=np.finfo(np.float64).tiny,
+                          max_value=np.finfo(np.float64).max)
+NORMAL_DELTAS = st.floats(min_value=np.finfo(np.float64).tiny, max_value=1.0,
+                          exclude_max=True)
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+wide_event_lists = st.lists(st.builds(
+    it.IntrinsicEvent,
+    kind=st.sampled_from(list(it.EventKind)),
+    direction=st.sampled_from([it.Mode.UP, it.Mode.DOWN]),
+    timestamp=INT64, price=NORMAL_PRICES, delta=NORMAL_DELTAS,
+    clock_index=st.integers(0, 2**63 - 1)), max_size=25)
+
+
+@st.composite
+def event_arrays(draw):
+    n = draw(st.integers(0, 25))
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+
+    prices = column(NORMAL_PRICES, np.float64)
+    config = it.ThresholdConfig(draw(NORMAL_DELTAS),
+                                draw(st.sampled_from(list(it.MoveConvention))))
+    return it.EventArrays(column(st.sampled_from([0, 1]), np.int8),
+                          column(st.sampled_from([1, -1]), np.int8),
+                          column(INT64, np.int64), prices, prices, config)
+
+
+# (writer, its input, the events read_events should give back)
+event_writes = st.one_of(
+    wide_event_lists.map(lambda events: (it.write_events, events, events)),
+    event_arrays().map(lambda arrays: (io._write_event_arrays, arrays,
+                                       it.events_from_arrays(arrays))))
+
+
+def read_outcome(path, fmt):
+    """What read_events gives: the repr of its events (exact, and naming
+    every value's type), or its error's row and text."""
+    try:
+        events = it.read_events(path, fmt)
+    except it.IngestionError as exc:
+        return "error", exc.row, str(exc)
+    return "ok", repr(events)
+
+
+def read_both_ways(path, fmt):
+    """``(compiled, row loop, took the fast path)`` outcomes of read_events,
+    counted and switched as in ``parse_both_ways``."""
+    assert it.kernel_backend() == "c"
+    loop_calls = []
+    row_loop = io._read_event_rows
+
+    def counting(*args):
+        loop_calls.append(args)
+        return row_loop(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_read_event_rows", counting)
+        fast = read_outcome(path, fmt)
+        took_fast_path = not loop_calls
+        mp.setattr(engine, "_kernel", None)
+        assert it.kernel_backend() == "python"
+        slow = read_outcome(path, fmt)
+    assert len(loop_calls) == 1 + (not took_fast_path)
+    return fast, slow, took_fast_path
+
+
+@needs_cc
+@given(event_writes, st.sampled_from([CSV, JSONL]), st.booleans())
+@settings(max_examples=150)
+def test_fast_event_reader_takes_written_files_and_equals_row_loop(
+        tmp_path_factory, write, fmt, final_newline):
+    writer, data, expected = write
+    path = tmp_path_factory.mktemp("written") / f"events.{fmt.value}"
+    writer(data, path, fmt)
+    if not final_newline:  # the C reader gets the last row again, with its LF
+        path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+    fast, slow, took_fast_path = read_both_ways(path, fmt)
+    assert took_fast_path
+    assert fast == slow == ("ok", repr(expected))
+
+
+def set_event_field(name, text):
+    """Write ``text`` as the raw value of field ``name`` in either format."""
+    index = EVENT_FIELDS.index(name)
+
+    def mutate(fmt, lines, k):
+        if fmt is CSV:
+            fields = lines[k].split(",")
+            fields[index] = text
+            lines[k] = ",".join(fields)
+        else:
+            lines[k] = re.sub(f'"{name}":[^,}}]*', lambda _: f'"{name}":{text}', lines[k])
+    return mutate
+
+
+def set_event_word(name, word):
+    """``word`` as field ``name``: bare in CSV, a JSON string in JSONL."""
+    def mutate(fmt, lines, k):
+        set_event_field(name, word if fmt is CSV else f'"{word}"')(fmt, lines, k)
+    return mutate
+
+
+def reorder_keys(fmt, lines, k):  # in CSV, the price and delta trade places
+    if fmt is CSV:
+        fields = lines[k].split(",")
+        fields[3], fields[4] = fields[4], fields[3]
+        lines[k] = ",".join(fields)
+    else:
+        obj = json.loads(lines[k])
+        lines[k] = "{" + ",".join(f'"{key}":{json.dumps(obj[key])}'
+                                  for key in reversed(obj)) + "}"
+
+
+def space_after_separators(fmt, lines, k):
+    lines[k] = lines[k].replace(",", ", ") if fmt is CSV else lines[k].replace(":", ": ")
+
+
+def wrong_csv_header(fmt, lines, k):  # a JSONL file gets it as its first line
+    if fmt is CSV:
+        lines[1] = "kind,direction,timestamp_ns,price,delta"
+    else:
+        lines.insert(0, ",".join(EVENT_FIELDS))
+
+
+def drop_final_newline(fmt, lines, k):
+    lines.pop()  # the empty text after the last LF
+
+
+EVENT_NUMBER_TEXTS = ["007", "-0", "+5", "1E5", ".5", "5.", "5e-324", "1e400", "nan",
+                      "NaN", "Infinity", "true", '"0.01"', "0", "1", "0.5", "-1.5e-3"]
+EVENT_MUTATIONS = {
+    **{f"{name} {text}": set_event_field(name, text)
+       for name in ("timestamp_ns", "price", "delta", "clock_index")
+       for text in EVENT_NUMBER_TEXTS},
+    **{f"clock_index {c}": set_event_field("clock_index", str(c)) for c in (2**63 - 1, 2**63)},
+    **{f"timestamp_ns {t}": set_event_field("timestamp_ns", str(t))
+       for t in (-2**63 - 1, -2**63, 2**63 - 1, 2**63)},
+    **{f"{name} {word!r}": set_event_word(name, word) for name, word in [
+        ("kind", "OS"), ("kind", "dc"), ("kind", "D\\u0043"), ("kind", "DC "),
+        ("direction", "down"), ("direction", "UP"), ("direction", "u\\u0070")]},
+    "CRLF": lambda fmt, lines, k: lines.__setitem__(k, lines[k] + "\r"),
+    "blank line after the row": lambda fmt, lines, k: lines.insert(k + 1, ""),
+    "comment after the row": lambda fmt, lines, k: lines.insert(k + 1, "# mid"),
+    "comment with a break before the rows":
+        lambda fmt, lines, k: lines.insert(0, "# a\x85b"),
+    "keys reordered": reorder_keys,
+    "spaces after the separators": space_after_separators,
+    "wrong CSV header": wrong_csv_header,
+    "no final LF": drop_final_newline,
+    "invalid UTF-8 in the row": lambda fmt, lines, k: lines.__setitem__(k, lines[k] + "\udcff"),
+}
+
+
+@needs_cc
+@given(event_writes.filter(lambda write: len(write[2]) > 0), st.sampled_from([CSV, JSONL]),
+       st.sampled_from(sorted(EVENT_MUTATIONS)), st.data())
+@settings(max_examples=500)
+def test_fast_event_reader_equals_row_loop_on_mutated_files(
+        tmp_path_factory, write, fmt, mutation, data):
+    writer, events, _ = write
+    path = tmp_path_factory.mktemp("mutated") / f"events.{fmt.value}"
+    writer(events, path, fmt)
+    lines = path.read_text().split("\n")
+    first = 2 if fmt is CSV else 0  # CSV files start with the schema comment and header
+    EVENT_MUTATIONS[mutation](fmt, lines, data.draw(st.integers(first, len(lines) - 2)))
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    fast, slow, _ = read_both_ways(path, fmt)
+    assert fast == slow
+
+
+EVENT_JSONL_ROW = ('{{"kind":"{}","direction":"up","timestamp_ns":{},"price":{},'
+                   '"delta":{},"clock_index":{}}}\n')
+
+
+def event_file(fmt, *rows):
+    """An event file with rows of (kind, timestamp, price, delta, clock) texts."""
+    if fmt is CSV:
+        return EVENT_CSV_HEAD + "".join(f"{k},up,{t},{p},{d},{c}\n" for k, t, p, d, c in rows)
+    return "".join(EVENT_JSONL_ROW.format(*row) for row in rows)
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+@pytest.mark.parametrize("row, taken", [
+    (("DC", 1, 1.5, 0.01, 0), True),
+    (("OS", -2**63, 1e-5, 0.5, 2**63 - 1), True),
+    (("DC", 2**63 - 1, 1e+22, 1e-300, 7), True),
+    (("DC", 1, 100, 0.25, 0), True),
+    (("DC", 1, "2.5E+3", "1E-2", 0), True),
+    (("DC", "-0", 1.5, 0.01, 0), True),
+    (("DC", "007", 1.5, 0.01, 0), False),
+    (("DC", 1, 1.5, 0.01, "007"), False),
+    (("DC", 1, "01.5", 0.01, 0), False),
+    (("DC", 1, 1.5, 0.01, "-0"), False),
+    (("DC", 1, 1.5, 0.01, 2**63), False),
+    (("DC", 2**63, 1.5, 0.01, 0), False),
+    (("DC", 1, "5e-324", 0.01, 0), False),
+    (("DC", 1, 1.5, "5e-324", 0), False),
+    (("DC", 1, "1e400", 0.01, 0), False),
+    (("DC", 1, 1.5, 1, 0), False),
+    (("DC", 1, "-1.5", 0.01, 0), False),
+    (("DC", 1, ".5", 0.01, 0), False),
+    (("DC", 1, "5.", 0.01, 0), False),
+    (("XX", 1, 1.5, 0.01, 0), False),
+])
+def test_fast_event_reader_takes_exactly_its_grammar(tmp_path, fmt, row, taken):
+    path = tmp_path / f"events.{fmt.value}"
+    path.write_text(event_file(fmt, ("OS", 0, 1.25, 0.01, 0), row))
+    fast, slow, took_fast_path = read_both_ways(path, fmt)
+    assert fast == slow
+    assert took_fast_path == taken
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+def test_event_files_written_by_transform_take_the_c_path(tmp_path, fmt):
+    walk = it.generate_random_walk(1.0, 0.004, 3000, seed=13)
+    it.write_ticks(walk, tmp_path / "ticks.csv")
+    assert cli_main(["transform", "--in", str(tmp_path / "ticks.csv"), "--deltas",
+                     "0.002,0.005,0.01", "--convention", "log", "--format", fmt.value,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    paths = sorted((tmp_path / "out").glob(f"events_delta_*.{fmt.value}"))
+    assert len(paths) == 3
+    for path in paths:
+        fast, slow, took_fast_path = read_both_ways(path, fmt)
+        assert took_fast_path and fast == slow and fast[0] == "ok"
+
+
+@needs_cc
+def test_event_reader_ignores_a_comma_decimal_locale(tmp_path, comma_decimal_locale):
+    events = [it.IntrinsicEvent(it.EventKind.OVERSHOOT, it.Mode.DOWN, i, price, 0.015625, i)
+              for i, price in enumerate(p for p in HARD_PRICES if p != 5e-324)]
+    for fmt in (CSV, JSONL):
+        path = tmp_path / f"events.{fmt.value}"
+        it.write_events(events, path, fmt)
+        fast, slow, took_fast_path = read_both_ways(path, fmt)
+        assert took_fast_path and fast == slow == ("ok", repr(events))
+
+
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+def test_read_events_without_the_kernel_reads_the_same_events(tmp_path, monkeypatch, fmt):
+    walk = it.generate_random_walk(1.0, 0.004, 2000, seed=13)
+    events = it.process(walk, it.ThresholdConfig(0.005))
+    path = tmp_path / f"events.{fmt.value}"
+    it.write_events(events, path, fmt)
+    loaded = it.read_events(path, fmt)
+    monkeypatch.setattr(engine, "_kernel", None)
+    assert it.kernel_backend() == "python"
+    assert it.read_events(path, fmt) == loaded == events

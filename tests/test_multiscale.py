@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intrinsic_time as it
+from intrinsic_time import multiscale
 
 DC = it.EventKind.DIRECTIONAL_CHANGE
 OS = it.EventKind.OVERSHOOT
@@ -17,6 +18,15 @@ def test_singleton_grid_matches_single_process():
     events = it.process(FOUR_TICKS, it.ThresholdConfig(0.01))
     results = it.run_grid(FOUR_TICKS, [0.01])
     assert results == [(0.01, events)]
+
+
+def test_grid_scan_returns_one_event_buffer_per_threshold():
+    series = it.as_tick_series(FOUR_TICKS)
+    scans = multiscale._scan_grid(series, [0.005, 0.01], it.MoveConvention.LOG_RETURN)
+    assert [type(arrays) for arrays in scans] == [it.EventArrays] * 2
+    assert [arrays.config for arrays in scans] == [
+        it.ThresholdConfig(d, it.MoveConvention.LOG_RETURN) for d in (0.005, 0.01)]
+    assert scans[1] == it.process_arrays(series, scans[1].config)
 
 
 def test_two_threshold_grid_on_fixture():
