@@ -20,8 +20,10 @@
  * it is that of the trend the DC ends; an OS writes its own price.
  *
  * After the scan come the tick-file parser and writer and the event-file
- * parser that ``io.py`` uses in place of its Python row loops and writer
- * when this unit is loaded.
+ * parser and writer that ``io.py`` uses in place of its Python row loops
+ * and writers when this unit is loaded. The event writer formats a JSON
+ * Lines price as float.__repr__ does, exactly, for prices in [1e-3, 2^52);
+ * it leaves a row with any other price to Python.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -lm (no fused multiply-add,
  * no fast-math: the arithmetic must round exactly as Python's does).
@@ -33,6 +35,7 @@
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 struct it_state {
     double ext;        /* trend extremum */
@@ -192,8 +195,9 @@ int64_t it_format_ticks(const int64_t *ts, const double *px, int64_t n,
     return size;
 }
 
-/* The field readers below are inlined into it_parse_events: as functions
- * of their own, the compiler would place them before it_scan and move it. */
+/* The field readers and writers below are inlined into it_parse_events and
+ * it_format_events: as functions of their own, the compiler would place
+ * them before it_scan and move it. */
 #define FIELD static inline __attribute__((always_inline))
 
 /* The end of the text lit at p, or NULL when p does not start with it. */
@@ -328,4 +332,171 @@ int64_t it_parse_events(const char *buf, int64_t len, int64_t *pos, int jsonl,
     freelocale(c_locale);
     *pos = row - buf;
     return m;
+}
+
+/* 10^0 .. 10^11: 10^q for q <= 22 is the product of two of them. */
+static const uint64_t POW10[12] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL};
+
+/* The decimal digits of v, written so that they end at end: their start. */
+FIELD char *digits_before(char *end, uint64_t v)
+{
+    do {
+        *--end = (char)('0' + v % 10);
+        v /= 10;
+    } while (v != 0);
+    return end;
+}
+
+/* The text s at out: the end of it. */
+FIELD char *put_text(char *out, const char *s)
+{
+    while (*s)
+        *out++ = *s++;
+    return out;
+}
+
+/* The n characters at s, at out: the end of them. */
+FIELD char *put_chars(char *out, const char *s, int n)
+{
+    while (n-- > 0)
+        *out++ = *s++;
+    return out;
+}
+
+/* v in decimal at out: the end of it. */
+FIELD char *put_int(char *out, int64_t v)
+{
+    char text[20], *end = text + sizeof text;
+    if (v < 0)
+        *out++ = '-';
+    const char *first = digits_before(end, v < 0 ? -(uint64_t)v : (uint64_t)v);
+    return put_chars(out, first, (int)(end - first));
+}
+
+/* x as Python's float.__repr__ writes it, at out: the end of the text. NULL
+ * when x is not a normal double in [1e-3, 2^52), the range where the exact
+ * arithmetic below fits in 128 bits.
+ *
+ * The digits are Ryu's (Adams, "Ryu: fast float-to-string conversion",
+ * PLDI 2018): the shortest that read back to x, and of those the nearest
+ * to x, ties to even. Where Ryu takes the bounds of x's rounding interval
+ * from tables, they are computed here exactly: with x = m 2^e and
+ * q = 18 - floor(log10 x), the interval is (vm, vp) around vr in units of
+ * 10^-q, where vr, vp and vm are 4m, 4m + 2 and 4m - 1 - (m != 2^52),
+ * times 10^q, shifted right by 2 - e. The bits shifted out say whether a
+ * value is a whole number of units. The digits are then laid out in
+ * repr's fixed form, with ".0" after a whole number. repr takes the
+ * exponent form instead when the decimal point is 4 or more places left of
+ * the first digit or more than 16 right of it, which no x in the range
+ * needs; such an x would be left to Python too.
+ */
+FIELD char *put_repr(char *out, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int32_t biased = (int32_t)(bits >> 52);   /* with the sign: 0 for x > 0 */
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    int32_t e = biased - 1075;                /* x = m 2^e */
+    if (biased == 0 || e >= 0)     /* 0, subnormal, x >= 2^52, inf, nan, x < 0 */
+        return NULL;
+    /* q = 18 - floor(log10 x), guessed from b = floor(log2 x) as
+     * 17 - floor(b log10 2): right, or one too small when vr < 10^18 */
+    int32_t q = 17 - (((e + 52) * 78913) >> 18);
+    if (q > 21)
+        return NULL;
+    unsigned __int128 ten = (unsigned __int128)POW10[q / 2] * POW10[q - q / 2];
+    unsigned __int128 r = ten * (4 * m);
+    int shift = 2 - e;
+    if ((uint64_t)(r >> shift) < 1000000000000000000ULL) {
+        if (++q > 21)                         /* x < 1e-3 */
+            return NULL;
+        ten *= 10;
+        r *= 10;
+    }
+    unsigned __int128 p = r + 2 * ten, lo = r - (1 + (m != 1ULL << 52)) * ten;
+    unsigned __int128 frac = ((unsigned __int128)1 << shift) - 1;
+    uint64_t vr = (uint64_t)(r >> shift), vp = (uint64_t)(p >> shift),
+             vm = (uint64_t)(lo >> shift);
+    int even = (m & 1) == 0;                  /* the bounds round to x */
+    int vr_whole = (r & frac) == 0, vm_whole = even && (lo & frac) == 0;
+    vp -= !even && (p & frac) == 0;
+    int removed = 0, last = 0;
+    while (vp / 10 > vm / 10 || (vm_whole && vm % 10 == 0)) {
+        vm_whole &= vm % 10 == 0;
+        vr_whole &= last == 0;
+        last = (int)(vr % 10);
+        vr /= 10, vp /= 10, vm /= 10;
+        removed++;
+    }
+    if (vr_whole && last == 5 && vr % 2 == 0)
+        last = 4;                             /* a tie rounds to even */
+    uint64_t d = vr + ((vr == vm && !vm_whole) || last >= 5);
+
+    char text[20], *end = text + sizeof text;
+    const char *first = digits_before(end, d);
+    int n = (int)(end - first), point = n + removed - q;
+    if (point <= -4 || point > 16)            /* repr's exponent form */
+        return NULL;
+    if (point <= 0)
+        return put_chars(put_chars(out, "0.000", 2 - point), first, n);
+    if (point >= n)
+        return put_chars(put_chars(put_chars(out, first, n), "0000000000000000",
+                                   point - n), ".0", 2);
+    out = put_chars(put_chars(out, first, point), ".", 1);
+    return put_chars(out, first + point, n - point);
+}
+
+/* Longer than any event row less its delta: 76 characters of field names
+ * and separators, then kind, direction, timestamp, price and clock index. */
+#define EVENT_ROW_MAX 160
+
+/* Event rows *i, *i + 1, ... of n into buf, in the exact layout
+ * ``_write_event_rows`` writes (CSV when jsonl is 0, JSON Lines otherwise),
+ * while a longest row still fits in its cap bytes. The fields are kind
+ * (0 = DC, else OS), dir (+1 up, else down), ts, px, the threshold as the
+ * text delta, which is the same on every row, and the row number as the
+ * clock index. A CSV price is written by "%.17g" in the C locale, a JSON
+ * Lines price as float.__repr__ writes it (put_repr). The writer stops
+ * before a row whose price is not in (0, inf), or, in JSON Lines, is not
+ * in [1e-3, 2^52): a call that writes nothing leaves row *i to the caller.
+ * Returns the bytes written and leaves *i at the next row; -1 when no C
+ * locale could be made.
+ *
+ * Left to itself, gcc turns the copy loops into calls to memcpy and strlen,
+ * whose two new entries in the PLT would move it_scan.
+ */
+__attribute__((optimize("no-tree-loop-distribute-patterns")))
+int64_t it_format_events(const int8_t *kind, const int8_t *dir, const int64_t *ts,
+                         const double *px, int64_t n, const char *delta, int jsonl,
+                         int64_t *i, char *buf, int64_t cap)
+{
+    const char *const *sep = EVENT_SEP[jsonl != 0];
+    int64_t k = *i, size = 0, row_max = EVENT_ROW_MAX;
+    for (const char *c = delta; *c; c++)
+        row_max++;
+    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return -1;
+    locale_t caller = uselocale(c_locale);
+
+    for (; k < n && cap - size >= row_max; k++) {
+        char *out = put_text(buf + size, sep[0]);
+        out = put_text(put_text(out, kind[k] ? "OS" : "DC"), sep[1]);
+        out = put_text(put_text(out, dir[k] == 1 ? "up" : "down"), sep[2]);
+        out = put_text(put_int(out, ts[k]), sep[3]);
+        double x = px[k];
+        if (!(x > 0.0 && x < HUGE_VAL)) /* "%.17g" writes some NaNs as -nan */
+            break;
+        out = jsonl ? put_repr(out, x) : out + snprintf(out, 32, "%.17g", x);
+        if (out == NULL)
+            break;
+        out = put_text(put_text(put_text(out, sep[4]), delta), sep[5]);
+        size = put_text(put_int(out, k), sep[6]) - buf;
+    }
+    uselocale(caller);
+    freelocale(c_locale);
+    *i = k;
+    return size;
 }

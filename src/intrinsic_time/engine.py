@@ -349,12 +349,13 @@ def step(state: RunnerState, tick: Tick,
     return state, events
 
 
-# The batch scan, the tick-file parser and writer and the event-file parser
-# run in C (``_scan.c``), compiled with the system ``cc`` on first use and
+# The batch scan and the tick-file and event-file parsers and writers run
+# in C (``_scan.c``), compiled with the system ``cc`` on first use and
 # cached by a checksum of source and flags: beside this module in
-# ``__pycache__/``, else in the user's cache directory. Without a working
-# compiler, ``_scan_python`` runs the same loop (``step`` runs it too) and
-# ``io`` its Python row loops and writer.
+# ``__pycache__/``, else in the user's cache directory. A new build there
+# replaces the builds of earlier sources. Without a working compiler,
+# ``_scan_python`` runs the same loop (``step`` runs it too) and ``io`` its
+# Python row loops and writers.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNLOADED = object()
@@ -378,6 +379,7 @@ class _Kernel(NamedTuple):
     parse_ticks: Callable[..., int]  # it_parse_ticks
     format_ticks: Callable[..., int]  # it_format_ticks
     parse_events: Callable[..., int]  # it_parse_events
+    format_events: Callable[..., int]  # it_format_events
 
 
 def _compile_kernel(cache_dirs: list[Path]):
@@ -409,6 +411,7 @@ def _compile_kernel(cache_dirs: list[Path]):
             subprocess.run([cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
                            check=True, capture_output=True, timeout=300)
             os.replace(tmp, directory / name)
+            _remove_other_builds(directory, name)
         except (OSError, subprocess.SubprocessError) as exc:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
@@ -422,11 +425,21 @@ def _compile_kernel(cache_dirs: list[Path]):
     return None
 
 
+def _remove_other_builds(directory: Path, name: str) -> None:
+    """Delete the builds of other ``_scan.c`` sources from ``directory``,
+    leaving any that cannot be listed or removed."""
+    with contextlib.suppress(OSError):
+        for stale in directory.glob("_scan-*.so"):
+            if stale.name != name:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
+
+
 def _bind_kernel(path: Path):
     try:
         lib = ctypes.CDLL(str(path))
         kernel = _Kernel(lib.it_scan, lib.it_parse_ticks, lib.it_format_ticks,
-                         lib.it_parse_events)
+                         lib.it_parse_events, lib.it_format_events)
     except OSError as exc:
         warnings.warn(f"cannot load the C scan kernel {path}: {exc}; "
                       "using the slower Python scan and file I/O", RuntimeWarning)
@@ -439,6 +452,8 @@ def _bind_kernel(path: Path):
     kernel.format_ticks.argtypes = [ptr, ptr, i64, i64_ptr, ptr, i64]
     kernel.parse_events.argtypes = [ctypes.c_char_p, i64, i64_ptr, c_int,
                                     ptr, ptr, ptr, ptr, ptr, ptr, i64]
+    kernel.format_events.argtypes = [ptr, ptr, ptr, ptr, i64, ctypes.c_char_p, c_int,
+                                     i64_ptr, ptr, i64]
     for function in kernel:
         function.restype = i64
     return kernel
@@ -457,9 +472,9 @@ def _load_kernel():
 def kernel_backend() -> str:
     """The backend in use: ``"c"`` (the compiled ``_scan.c``) or ``"python"``.
 
-    One compiled unit serves the batch scan, the parsing and writing of
-    nanosecond tick files and the parsing of event files; results never
-    depend on the backend.
+    One compiled unit serves the batch scan and the parsing and writing of
+    nanosecond tick files and of event files; results never depend on the
+    backend.
     """
     return "python" if _load_kernel() is None else "c"
 
@@ -584,9 +599,26 @@ _DIRECTIONS = {1: Mode.UP, -1: Mode.DOWN}
 def _build_events(rows: Iterable[tuple]) -> list[IntrinsicEvent]:
     """IntrinsicEvent objects from ``(kind, direction, timestamp, price,
     delta, clock_index)`` rows of Python values, with the kind as a code
-    (0 = DC, 1 = OS) and the direction as +1 (up) or -1 (down)."""
-    return [IntrinsicEvent(_KINDS[k], _DIRECTIONS[d], t, p, delta, clock)
-            for k, d, t, p, delta, clock in rows]
+    (0 = DC, 1 = OS) and the direction as +1 (up) or -1 (down).
+
+    The fields are set as the frozen dataclass's ``__init__`` sets them,
+    in the same order, with the lookups hoisted out of the loop: about a
+    quarter faster, and each object keeps CPython's compact attribute
+    storage. (Assigning a whole ``__dict__`` is faster still, but gives
+    every object a dict of its own: 336 bytes an event instead of 136.)
+    """
+    new, set_field = object.__new__, object.__setattr__
+    events = []
+    for k, d, t, p, delta, clock in rows:
+        event = new(IntrinsicEvent)
+        set_field(event, "kind", _KINDS[k])
+        set_field(event, "direction", _DIRECTIONS[d])
+        set_field(event, "timestamp", t)
+        set_field(event, "price", p)
+        set_field(event, "delta", delta)
+        set_field(event, "clock_index", clock)
+        events.append(event)
+    return events
 
 
 def events_from_arrays(arrays: EventArrays) -> list[IntrinsicEvent]:

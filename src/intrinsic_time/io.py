@@ -5,14 +5,19 @@ File formats are deliberately plain: tick files are two-column CSV
 field order. Every CSV written here starts with a ``#``-prefixed schema
 version comment. One reader, ``_text_rows``, numbers the lines of every
 file read here and skips blank lines, CSV comments and the header;
-one writer, ``_write_event_rows``, formats every event row. When
-``_scan.c`` is compiled, nanosecond tick files are parsed and written in
-C, and event files are parsed in C into columns from which the events
-are built. Each C parser reads a strict subset of what its Python row
-loop reads, through one driver, ``_parse_c``, and hands any other file
-whole to that loop, which stays the spec: the result and every error
-never depend on the path taken. Prices are serialized with 17
-significant digits so numeric round-trips are lossless. Writers go
+one set of row templates, ``_event_lines``, formats every event row in
+Python. When ``_scan.c`` is compiled, nanosecond tick files are parsed
+and written in C, event files are parsed in C into columns from which
+the events are built, and CLI ``transform`` writes its event files from
+the scan's columns in C. Each C parser reads a strict subset of what its
+Python row loop reads, through one driver, ``_parse_c``, and hands any
+other file whole to that loop, which stays the spec: the result and
+every error never depend on the path taken. The C writers write the
+bytes of the Python ones; the event writer leaves to the templates each
+row whose price it does not format, which in JSON Lines is any price
+outside [1e-3, 2**52), subnormals included. CSV prices are serialized
+with 17 significant digits and JSON Lines prices as ``repr`` writes
+them, so numeric round-trips are lossless. Writers go
 through a temp-file-then-rename step, so a failed run never leaves a
 partial output behind, and the files they create take their permissions
 from the umask.
@@ -21,6 +26,7 @@ from the umask.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import json
 import math
 import os
@@ -35,7 +41,7 @@ import numpy as np
 
 from .engine import (_KINDS, EventArrays, EventKind, IntrinsicEvent, TickSeries,
                      _build_events, _in_int64, _load_kernel, _whole)
-from .errors import DomainError, IngestionError, WriteError
+from .errors import ConfigurationError, DomainError, IngestionError, WriteError
 
 TICK_SCHEMA_COMMENT = "# intrinsic-time tick-csv v1"
 EVENT_SCHEMA_COMMENT = "# intrinsic-time event-csv v1"
@@ -60,6 +66,15 @@ _EXPONENT_FORM = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE]([+-]?)[0-9]+")
 class EventFileFormat(Enum):
     CSV = "csv"
     JSONL = "jsonl"
+
+
+def _event_format(format) -> EventFileFormat:
+    """``format`` as an EventFileFormat: a member, or its value such as
+    ``"csv"``; anything else raises ConfigurationError."""
+    try:
+        return EventFileFormat(format)
+    except ValueError:
+        raise ConfigurationError(f"unknown event file format {format!r}") from None
 
 
 @dataclass(frozen=True)
@@ -299,16 +314,21 @@ def _fmt(x: float | None, spec: str = ".17g", blank: str = "") -> str:
     return blank if x is None else format(x, spec)
 
 
+# The size of the buffer the C writers fill and hand on, block by block.
+_BLOCK_BYTES = 1 << 18
+
+
 def _tick_blocks(format_ticks, series: TickSeries,
                  head: str) -> Iterator[bytes | memoryview]:
-    """The tick file in blocks of at most 256 KiB, its rows formatted in C.
+    """The tick file in blocks of at most ``_BLOCK_BYTES``, its rows
+    formatted in C.
 
     Each block is a view of one reused buffer, valid until the next.
     """
     yield head.encode("utf-8")
     ts = np.ascontiguousarray(series.timestamps, dtype=np.int64)
     px = series.prices  # C-contiguous float64 (TickSeries guarantees it)
-    buf = np.empty(1 << 18, dtype=np.uint8)
+    buf = np.empty(_BLOCK_BYTES, dtype=np.uint8)
     row = ctypes.c_int64(0)
     while row.value < len(series):
         size = format_ticks(ts.ctypes.data, px.ctypes.data, len(series), row,
@@ -351,8 +371,9 @@ def _event_values(ts, price: float, delta: float, clock) -> tuple[int, float, fl
     return whole_ts, price, delta, whole_clock
 
 
-def _write_event_rows(rows: Iterable[tuple], path: str | Path,
-                      format: EventFileFormat) -> None:
+def _event_lines(rows: Iterable[tuple], format: EventFileFormat) -> list[str]:
+    """The lines of an event file that holds ``rows``, header included: the
+    spec of ``it_format_events``."""
     # float.__repr__ writes what json.dumps does, also for numpy float64s.
     if format is EventFileFormat.CSV:
         lines = [EVENT_SCHEMA_COMMENT, EVENT_HEADER]
@@ -361,11 +382,17 @@ def _write_event_rows(rows: Iterable[tuple], path: str | Path,
         lines = [f'{{"kind":"{k}","direction":"{d}","timestamp_ns":{t},'
                  f'"price":{float.__repr__(float(p))},"delta":{float.__repr__(float(dl))},'
                  f'"clock_index":{c}}}' for k, d, t, p, dl, c in rows]
+    return lines
+
+
+def _write_event_rows(rows: Iterable[tuple], path: str | Path,
+                      format: EventFileFormat) -> None:
+    lines = _event_lines(rows, format)
     _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
-                 format: EventFileFormat = EventFileFormat.CSV) -> None:
+                 format: EventFileFormat | str = EventFileFormat.CSV) -> None:
     """Serialize events losslessly to CSV or JSON Lines.
 
     CSV carries a version comment plus header even when empty; JSONL is
@@ -376,7 +403,10 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     or a clock index that is not a whole number >= 0 raises DomainError
     naming the event's position, and no file is written. Timestamps and
     clock indices are written as ``int(value)``, so ``2.0`` becomes ``2``.
+    ``format`` is an EventFileFormat or its value (``"csv"``,
+    ``"jsonl"``); any other value raises ConfigurationError.
     """
+    format = _event_format(format)
     rows = []
     for i, ev in enumerate(events):
         try:
@@ -388,13 +418,56 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     _write_event_rows(rows, path, format)
 
 
+def _array_rows(arrays: EventArrays, rows: slice = slice(None)) -> Iterator[tuple]:
+    """The ``_event_lines`` rows of the events ``arrays[rows]``."""
+    return zip(np.where(arrays.kinds[rows] == 0, "DC", "OS").tolist(),
+               np.where(arrays.directions[rows] == 1, "up", "down").tolist(),
+               arrays.timestamps[rows].tolist(), arrays.prices[rows].tolist(),
+               itertools.repeat(arrays.config.delta), range(len(arrays))[rows])
+
+
+def _event_blocks(format_events, arrays: EventArrays,
+                  format: EventFileFormat) -> Iterator[bytes | memoryview]:
+    """The event file of ``arrays`` in blocks of at most ``_BLOCK_BYTES``,
+    its rows formatted in C, except each row that ``it_format_events``
+    leaves to the ``_event_lines`` template.
+
+    Each C block is a view of one reused buffer, valid until the next.
+    """
+    jsonl = format is EventFileFormat.JSONL
+    head = _event_lines((), format)
+    yield "".join(line + "\n" for line in head).encode("utf-8")
+    delta = float(arrays.config.delta)
+    delta_text = (float.__repr__(delta) if jsonl else _fmt(delta)).encode("ascii")
+    columns = [np.ascontiguousarray(column, dtype=dtype) for column, dtype in (
+        (arrays.kinds, np.int8), (arrays.directions, np.int8),
+        (arrays.timestamps, np.int64), (arrays.prices, np.float64))]
+    pointers = [column.ctypes.data for column in columns]  # columns keeps them alive
+    buf = np.empty(_BLOCK_BYTES, dtype=np.uint8)
+    row, n = ctypes.c_int64(0), len(arrays)
+    while row.value < n:
+        size = format_events(*pointers, n, delta_text, jsonl, row, buf.ctypes.data,
+                             buf.size)
+        if size < 0:
+            raise MemoryError("cannot make a C locale to write events in")
+        if size > 0:
+            yield memoryview(buf)[:size]
+        else:
+            k = row.value
+            line = _event_lines(_array_rows(arrays, slice(k, k + 1)), format)[-1]
+            yield (line + "\n").encode("utf-8")
+            row.value += 1
+
+
 def _write_event_arrays(arrays: EventArrays, path: str | Path,
                         format: EventFileFormat) -> None:
-    _write_event_rows(zip(np.where(arrays.kinds == 0, "DC", "OS").tolist(),
-                          np.where(arrays.directions == 1, "up", "down").tolist(),
-                          arrays.timestamps.tolist(), arrays.prices.tolist(),
-                          [arrays.config.delta] * len(arrays), range(len(arrays))),
-                      path, format)
+    """Write the events of a scan: the bytes ``write_events`` writes for
+    ``events_from_arrays(arrays)``, formatted in C when it is compiled."""
+    kernel = _load_kernel()
+    if kernel is None:
+        _write_event_rows(_array_rows(arrays), path, format)
+    else:
+        _atomic_write(path, _event_blocks(kernel.format_events, arrays, format))
 
 
 def _event_row(kind: str, direction: str, ts, price, delta, clock) -> tuple:
@@ -440,7 +513,7 @@ _EVENT_DTYPES = (np.int8, np.int8, np.int64, np.float64, np.float64, np.int64)
 
 
 def read_events(path: str | Path,
-                format: EventFileFormat = EventFileFormat.CSV) -> list[IntrinsicEvent]:
+                format: EventFileFormat | str = EventFileFormat.CSV) -> list[IntrinsicEvent]:
     """Parse an event file written by write_events.
 
     A malformed row raises IngestionError naming its 1-based line:
@@ -451,14 +524,14 @@ def read_events(path: str | Path,
     ``clock_index`` that is not a JSON integer or a ``price`` or
     ``delta`` that is not a JSON number, a timestamp outside int64, a
     negative clock index, a price that is not positive and finite, or
-    a delta outside (0, 1).
+    a delta outside (0, 1). ``format`` is taken as by write_events.
 
     When the C kernel is loaded, ``it_parse_events`` reads the file into
     columns and the events are built from them; a file it does not read
     whole goes to the Python row loop, which raises the row-numbered
     error. The result never depends on the path taken.
     """
-    csv = format is EventFileFormat.CSV
+    csv = _event_format(format) is EventFileFormat.CSV
     path = Path(path)
     data = _read_bytes(path)
     kernel = _load_kernel()

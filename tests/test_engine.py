@@ -2,10 +2,14 @@
 
 import dataclasses
 import math
+import os
 import shutil
+import subprocess
 import sys
+import textwrap
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +399,52 @@ def test_array_dataclass_equality_needs_equal_dtypes():
     assert dataclasses.replace(arrays, config=it.ThresholdConfig(0.1, LOG)) != arrays
 
 
+def test_built_events_are_the_events_the_constructor_makes():
+    rows = [(0, 1, 5, 1.5, 0.01, 0), (1, -1, -2**63, 2.0, 0.5, 2**63 - 1),
+            (1, 1, 7, np.float64(3.25), 0.25, 3)]
+    built = engine._build_events(rows)
+    made = [it.IntrinsicEvent(engine._KINDS[k], engine._DIRECTIONS[d], t, p, delta, clock)
+            for k, d, t, p, delta, clock in rows]
+    for b, m in zip(built, made, strict=True):
+        assert type(b) is it.IntrinsicEvent
+        assert list(vars(b).items()) == list(vars(m).items())
+        assert b == m and hash(b) == hash(m) and repr(b) == repr(m)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built[0].price = 2.0
+
+
+def test_built_events_keep_compact_attribute_storage():
+    # In a fresh interpreter: how CPython stores the attributes of a class's
+    # objects depends on the objects made before, here by earlier tests.
+    script = textwrap.dedent("""
+        import tracemalloc
+        from intrinsic_time import engine
+
+        class Plain:
+            def __init__(self, *values):
+                (self.kind, self.direction, self.timestamp, self.price, self.delta,
+                 self.clock_index) = values
+
+        def traced_bytes(build, rows):
+            tracemalloc.start()
+            try:
+                objects = build(rows)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        rows = [(i % 2, 1 - 2 * (i % 3 == 0), i, 1.0 + i, 0.01, i) for i in range(2000)]
+        plain = traced_bytes(lambda rows: [Plain(*row) for row in rows], rows)
+        print(traced_bytes(engine._build_events, rows) / plain)
+    """)
+    package_root = str(Path(it.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    ratio = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    # a dict of its own per event would take about 2.5 times as much
+    assert float(ratio) < 1.1
+
+
 # ---------------------------------------------------------------------------
 # property tests against the brute-force reference
 # ---------------------------------------------------------------------------
@@ -702,6 +752,21 @@ def test_unwritable_cache_warns_and_falls_back(monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "_kernel_cache_dirs", lambda: [blocker / "cache"])
     with pytest.warns(RuntimeWarning, match="no writable cache directory"):
         assert it.kernel_backend() == "python"
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+def test_a_new_build_removes_the_builds_of_other_sources(tmp_path):
+    stale = tmp_path / "_scan-0badc0de.so"
+    stale.write_bytes(b"a build of an earlier _scan.c")
+    compiling = tmp_path / "_scan-k2x9q1.tmp"  # another process's build in progress
+    compiling.write_bytes(b"")
+    kernel = engine._compile_kernel([tmp_path])
+    assert kernel is not None
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert len(left) == 2 and compiling.name in left and stale.name not in left
+    built = tmp_path / next(name for name in left if name.endswith(".so"))
+    assert engine._compile_kernel([tmp_path]) is not None  # the cached build
+    assert sorted(p.name for p in tmp_path.iterdir()) == left and built.is_file()
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")

@@ -7,7 +7,9 @@ import os
 import re
 import shutil
 import stat
+import subprocess
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,21 +395,42 @@ COMMA_LOCALES = ["de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8", "fr_FR.utf
                  "fr_FR", "nl_NL.UTF-8", "ru_RU.UTF-8", "es_ES.UTF-8", "it_IT.UTF-8"]
 
 
-@pytest.fixture
-def comma_decimal_locale():
-    """LC_NUMERIC set to an installed locale that writes 1.5 as 1,5."""
-    old = locale.setlocale(locale.LC_NUMERIC)
-    for name in COMMA_LOCALES:
+def set_comma_decimal_locale(names):
+    """Whether LC_NUMERIC could be set to one of ``names`` that writes 1.5 as 1,5."""
+    for name in names:
         try:
             locale.setlocale(locale.LC_NUMERIC, name)
         except locale.Error:
             continue
         if locale.localeconv()["decimal_point"] == ",":
-            break
-    else:
-        locale.setlocale(locale.LC_NUMERIC, old)
-        pytest.skip("no comma-decimal locale installed")
+            return True
+    return False
+
+
+@pytest.fixture(scope="session")
+def compiled_locales(tmp_path_factory):
+    """A directory holding de_DE.UTF-8, compiled by localedef (about 2 s)."""
+    source = Path(os.environ.get("I18NPATH", "/usr/share/i18n")) / "locales" / "de_DE"
+    if shutil.which("localedef") is None or not source.is_file():
+        pytest.skip("no comma-decimal locale installed, and localedef or its "
+                    "de_DE source is missing")
+    directory = tmp_path_factory.mktemp("locales")
+    # localedef may exit non-zero for warnings alone; the locale is checked
+    # when it is set
+    subprocess.run(["localedef", "-i", "de_DE", "-f", "UTF-8",
+                    str(directory / "de_DE.UTF-8")], capture_output=True, timeout=300)
+    return directory
+
+
+@pytest.fixture
+def comma_decimal_locale(request, monkeypatch):
+    """LC_NUMERIC set to a locale that writes 1.5 as 1,5: an installed one,
+    else de_DE.UTF-8 compiled for the session and found through LOCPATH."""
+    old = locale.setlocale(locale.LC_NUMERIC)
     try:
+        if not set_comma_decimal_locale(COMMA_LOCALES):
+            monkeypatch.setenv("LOCPATH", str(request.getfixturevalue("compiled_locales")))
+            assert set_comma_decimal_locale(["de_DE.UTF-8"]), "the compiled locale does not load"
         yield
     finally:
         locale.setlocale(locale.LC_NUMERIC, old)
@@ -876,3 +899,157 @@ def test_read_events_without_the_kernel_reads_the_same_events(tmp_path, monkeypa
     monkeypatch.setattr(engine, "_kernel", None)
     assert it.kernel_backend() == "python"
     assert it.read_events(path, fmt) == loaded == events
+
+
+# ---------------------------------------------------------------------------
+# event files written in C: it_format_events against the row templates
+# ---------------------------------------------------------------------------
+
+def write_arrays_both_ways(arrays, path, fmt):
+    """The bytes ``_write_event_arrays`` writes in C, the bytes
+    ``_write_event_rows`` writes for the same rows (which it writes without
+    the kernel too), and one ``(first row, next row, bytes)`` per call of
+    the C writer."""
+    kernel = engine._load_kernel()
+    assert kernel is not None
+    calls = []
+
+    def counting(*args):
+        row = args[7]
+        first = row.value
+        size = kernel.format_events(*args)
+        calls.append((first, row.value, size))
+        return size
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_kernel", kernel._replace(format_events=counting))
+        io._write_event_arrays(arrays, path, fmt)
+        compiled = path.read_bytes()
+        mp.setattr(engine, "_kernel", None)
+        io._write_event_arrays(arrays, path, fmt)
+        without_kernel = path.read_bytes()
+    rows = [("DC" if k == 0 else "OS", "up" if d == 1 else "down", t, p,
+             arrays.config.delta, i)
+            for i, (k, d, t, p) in enumerate(zip(
+                arrays.kinds.tolist(), arrays.directions.tolist(),
+                arrays.timestamps.tolist(), arrays.prices.tolist()))]
+    io._write_event_rows(rows, path, fmt)
+    assert path.read_bytes() == without_kernel
+    return compiled, without_kernel, calls
+
+
+def rows_left_to_python(calls):
+    return [first for first, _, size in calls if size == 0]
+
+
+def arrays_with_prices(prices, delta=0.0025):
+    n = len(prices)
+    return it.EventArrays(np.arange(n, dtype=np.int8) % 2,
+                          np.where(np.arange(n) % 3 == 0, 1, -1).astype(np.int8),
+                          (np.arange(n, dtype=np.int64) - n // 2) * 2**57,  # n <= 128
+                          np.array(prices, dtype=np.float64),
+                          np.array(prices, dtype=np.float64),
+                          it.ThresholdConfig(delta))
+
+
+SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+# Prices whose float.__repr__ is easy to get wrong: the ends of C's range,
+# the places where repr's layout changes, and exact ties on the last digit
+# (2**50 + 0.25 and 1307231931751.78125), which round to the even digit.
+REPR_HARD_PRICES = [2.0 ** k for k in range(-20, 61)] + [
+    0.1, 0.3, 1 / 3, 1e-3, float(np.nextafter(1e-3, 0)), float(np.nextafter(1e-3, 1)),
+    2.0 ** 52 - 1, 2.0 ** 52 + 1, 1e15, 1e16, 1e22, 5e-324, SMALLEST_NORMAL,
+    2.0 ** 50 + 0.25, 1307231931751.78125]
+# exactly the prices it_format_events writes in JSON Lines
+C_REPR_RANGE = (1e-3, 2.0 ** 52)
+
+writer_prices = st.one_of(
+    st.floats(min_value=5e-324, max_value=np.finfo(np.float64).max),
+    st.floats(min_value=C_REPR_RANGE[0], max_value=C_REPR_RANGE[1]),
+    st.floats(min_value=0.99e-3, max_value=1.01e-3),
+    st.floats(min_value=0.99 * 2.0 ** 52, max_value=1.01 * 2.0 ** 52),
+    st.floats(min_value=5e-324, max_value=SMALLEST_NORMAL, exclude_max=True),
+    # exact binary fractions, among them ties on the last digit
+    st.builds(lambda m, k: m / 2.0 ** k, st.integers(1, 2 ** 53), st.integers(1, 60)))
+
+
+@needs_cc
+@given(st.lists(writer_prices, max_size=30), NORMAL_DELTAS, st.sampled_from([CSV, JSONL]))
+@settings(max_examples=300)
+def test_c_event_writer_equals_row_templates(tmp_path_factory, prices, delta, fmt):
+    path = tmp_path_factory.mktemp("written") / f"events.{fmt.value}"
+    compiled, python, calls = write_arrays_both_ways(arrays_with_prices(prices, delta),
+                                                    path, fmt)
+    assert compiled == python
+    outside = [i for i, p in enumerate(prices) if not C_REPR_RANGE[0] <= p < C_REPR_RANGE[1]]
+    assert rows_left_to_python(calls) == (outside if fmt is JSONL else [])
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+def test_c_event_writer_on_hard_prices(tmp_path, fmt):
+    compiled, python, calls = write_arrays_both_ways(
+        arrays_with_prices(REPR_HARD_PRICES), tmp_path / f"events.{fmt.value}", fmt)
+    assert compiled == python
+    lines = compiled.decode().splitlines()[2 if fmt is CSV else 0:]
+    field = (lambda line: line.split(",")[3]) if fmt is CSV else (
+        lambda line: line.split('"price":')[1].split(",")[0])
+    written = [field(line) for line in lines]
+    assert written == [format(p, ".17g") if fmt is CSV else repr(p) for p in REPR_HARD_PRICES]
+    assert "1125899906842624.2" in written and "1307231931751.7812" in written
+    left = [i for i, p in enumerate(REPR_HARD_PRICES)
+            if not C_REPR_RANGE[0] <= p < C_REPR_RANGE[1]]
+    assert rows_left_to_python(calls) == (left if fmt is JSONL else [])
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+def test_c_event_writer_resumes_after_a_full_buffer(tmp_path, monkeypatch, fmt):
+    arrays = it.process_arrays(it.generate_random_walk(1.0, 0.004, 3000, seed=13),
+                               it.ThresholdConfig(0.002, it.MoveConvention.LOG_RETURN))
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 600)  # three or four rows a block
+    compiled, python, calls = write_arrays_both_ways(arrays, tmp_path / "events", fmt)
+    assert compiled == python
+    assert len(calls) > 10 and not rows_left_to_python(calls)
+    assert [first for first, _, _ in calls] == [0] + [after for _, after, _ in calls[:-1]]
+    assert calls[-1][1] == len(arrays) and all(0 < size <= 600 for _, _, size in calls)
+
+
+@needs_cc
+def test_c_event_writer_leaves_one_row_to_python_between_two_c_rows(tmp_path):
+    compiled, python, calls = write_arrays_both_ways(
+        arrays_with_prices([1.5, 1e-5, 2.5]), tmp_path / "events.jsonl", JSONL)
+    assert compiled == python and b'"price":1e-05,' in compiled
+    assert [(first, after) for first, after, _ in calls] == [(0, 1), (1, 1), (2, 3)]
+    assert rows_left_to_python(calls) == [1]
+
+
+@needs_cc
+def test_c_event_writer_ignores_a_comma_decimal_locale(tmp_path, comma_decimal_locale):
+    arrays = arrays_with_prices([p for p in HARD_PRICES if p != 5e-324], delta=0.015625)
+    for fmt in (CSV, JSONL):
+        compiled, python, calls = write_arrays_both_ways(
+            arrays, tmp_path / f"events.{fmt.value}", fmt)
+        assert compiled == python and b"1.0000000000000002," in compiled
+
+
+@pytest.mark.parametrize("name", ["csv", "jsonl"])
+def test_event_formats_may_be_named_by_value(tmp_path, name):
+    events = it.process(it.generate_random_walk(1.0, 0.004, 2000, seed=13),
+                        it.ThresholdConfig(0.005))
+    it.write_events(events, tmp_path / "by_value", name)
+    it.write_events(events, tmp_path / "by_member", it.EventFileFormat(name))
+    assert (tmp_path / "by_value").read_bytes() == (tmp_path / "by_member").read_bytes()
+    assert (tmp_path / "by_value").read_bytes().startswith(
+        b"# intrinsic-time" if name == "csv" else b'{"kind":')
+    assert it.read_events(tmp_path / "by_value", name) == events
+
+
+@pytest.mark.parametrize("bad", ["CSV", "json", None, 1])
+def test_unknown_event_format_raises(tmp_path, bad):
+    with pytest.raises(it.ConfigurationError, match="unknown event file format"):
+        it.write_events([], tmp_path / "events", bad)
+    assert not (tmp_path / "events").exists()
+    (tmp_path / "events").write_text("")
+    with pytest.raises(it.ConfigurationError, match="unknown event file format"):
+        it.read_events(tmp_path / "events", bad)
