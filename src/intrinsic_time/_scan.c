@@ -19,11 +19,13 @@
  * xt gets the trend extremum: a DC writes it before resetting ``ext``, so
  * it is that of the trend the DC ends; an OS writes its own price.
  *
- * After the scan come the tick-file parser and writer and the event-file
- * parser and writer that ``io.py`` uses in place of its Python row loops
- * and writers when this unit is loaded. The event writer formats a JSON
- * Lines price as float.__repr__ does, exactly, for prices in [1e-3, 2^52);
- * it leaves a row with any other price to Python.
+ * After the scan come the tick-file and event-file parsers, then their
+ * writers, which ``io.py`` uses in place of its Python row loops and
+ * writers when this unit is loaded. Both parsers read their numbers with
+ * int_field and real_field, in the JSON number grammar; both writers write
+ * "%.17g" with put_g17. The event writer formats a JSON Lines price as
+ * float.__repr__ does, exactly, for prices in [1e-3, 2^52); it leaves a
+ * row with any other price to Python.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -lm (no fused multiply-add,
  * no fast-math: the arithmetic must round exactly as Python's does).
@@ -102,102 +104,9 @@ static const char *digits(const char *p, const char *end)
     return p;
 }
 
-/* Tick rows from buf[*pos] on, each ``-?[0-9]+`` nanoseconds, a comma, a
- * plain-decimal or exponent price (``[0-9]*(.[0-9]*)?([eE][+-]?[0-9]+)?``
- * with at least one mantissa digit) and LF, into ts and px. The return
- * value is the number of rows read. The parse stops at buf[len], after cap
- * rows, or at a row it does not read: one outside that grammar, without
- * its LF, whose timestamp or price is out of range (ERANGE), or whose price
- * is not positive. *pos is left at the start of the next unread row. No
- * byte at or past buf[len] is read, so buf needs no terminator.
- *
- * Everything this grammar accepts, Python's int() and float() read to the
- * same values, so a caller that falls back to its Python reader on any
- * unread row gets the same result either way. strtoll and strtod run in
- * the C locale whatever the process locale is.
- */
-int64_t it_parse_ticks(const char *buf, int64_t len, int64_t *pos,
-                       int64_t *ts, double *px, int64_t cap)
-{
-    const char *end = buf + len, *row = buf + *pos;
-    int64_t m = 0;
-    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    if (c_locale == (locale_t)0)
-        return 0;
-    locale_t caller = uselocale(c_locale);
-
-    for (; m < cap && row < end; m++) {
-        const char *p = row + (*row == '-'), *q = digits(p, end), *r;
-        char *stop;
-        if (q == p || q == end || *q != ',')
-            break;
-        errno = 0;
-        long long t = strtoll(row, &stop, 10);
-        if (stop != q || errno == ERANGE)
-            break;
-
-        p = q + 1;
-        q = digits(p, end);
-        int mantissa = q > p;
-        if (q < end && *q == '.') {
-            r = digits(q + 1, end);
-            mantissa |= r > q + 1;
-            q = r;
-        }
-        if (!mantissa)
-            break;
-        if (q < end && (*q == 'e' || *q == 'E')) {
-            r = q + 1;
-            r += r < end && (*r == '+' || *r == '-');
-            q = digits(r, end);
-            if (q == r)
-                break;
-        }
-        if (q == end || *q != '\n')
-            break;
-        errno = 0;
-        double x = strtod(p, &stop);
-        if (stop != q || errno == ERANGE || !(x > 0.0 && x < HUGE_VAL))
-            break;
-        ts[m] = t;
-        px[m] = x;
-        row = q + 1;
-    }
-    uselocale(caller);
-    freelocale(c_locale);
-    *pos = row - buf;
-    return m;
-}
-
-/* Longer than any "%lld,%.17g\n" row: 20 + 1 + 24 + 1 characters. */
-#define TICK_ROW_MAX 64
-
-/* Tick rows ts[*i], px[*i], ... as "%lld,%.17g\n" into buf, while a
- * longest row still fits in its cap bytes, in the C locale. Returns the
- * bytes written and leaves *i at the next row; -1 when no C locale could
- * be made.
- */
-int64_t it_format_ticks(const int64_t *ts, const double *px, int64_t n,
-                        int64_t *i, char *buf, int64_t cap)
-{
-    int64_t k = *i, size = 0;
-    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    if (c_locale == (locale_t)0)
-        return -1;
-    locale_t caller = uselocale(c_locale);
-
-    for (; k < n && cap - size >= TICK_ROW_MAX; k++)
-        size += snprintf(buf + size, TICK_ROW_MAX, "%lld,%.17g\n",
-                         (long long)ts[k], px[k]);
-    uselocale(caller);
-    freelocale(c_locale);
-    *i = k;
-    return size;
-}
-
-/* The field readers and writers below are inlined into it_parse_events and
- * it_format_events: as functions of their own, the compiler would place
- * them before it_scan and move it. */
+/* The field readers and writers below are inlined into the parsers and
+ * writers: as functions of their own, the compiler would place them before
+ * it_scan and move it. */
 #define FIELD static inline __attribute__((always_inline))
 
 /* The end of the text lit at p, or NULL when p does not start with it. */
@@ -263,7 +172,7 @@ FIELD const char *int_field(const char *p, const char *end, int sign,
 
 /* A number field at p, read by strtod into *out, followed by the text next:
  * the end of next, or NULL when the field is outside the grammar, ERANGE or
- * not in (0, hi). */
+ * not in (0, hi). The one place this unit reads a double. */
 FIELD const char *real_field(const char *p, const char *end, double hi,
                               const char *next, double *out)
 {
@@ -274,6 +183,41 @@ FIELD const char *real_field(const char *p, const char *end, double hi,
     errno = 0;
     *out = strtod(p, &stop);
     return stop == q && errno != ERANGE && *out > 0.0 && *out < hi ? r : NULL;
+}
+
+/* Tick rows from buf[*pos] on, each a ``-?(0|[1-9][0-9]*)`` timestamp in
+ * nanoseconds, a comma, a price in the JSON number grammar and LF, into ts
+ * and px. The return value is the number of rows read. The parse stops at
+ * buf[len], after cap rows, or at a row it does not read: one outside that
+ * grammar, without its LF, with a number out of range (ERANGE), or whose
+ * price is not positive. *pos is left at the start of the next unread row.
+ * No byte at or past buf[len] is read, so buf needs no terminator.
+ *
+ * Everything this grammar accepts, Python's int() and float() read to the
+ * same values, so a caller that falls back to its Python reader on any
+ * unread row gets the same result either way. strtoll and strtod run in
+ * the C locale whatever the process locale is.
+ */
+int64_t it_parse_ticks(const char *buf, int64_t len, int64_t *pos,
+                       int64_t *ts, double *px, int64_t cap)
+{
+    const char *end = buf + len, *row = buf + *pos;
+    int64_t m = 0;
+    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return 0;
+    locale_t caller = uselocale(c_locale);
+
+    for (; m < cap && row < end; m++) {
+        const char *p = int_field(row, end, 1, ",", &ts[m]);
+        if (p == NULL || (p = real_field(p, end, HUGE_VAL, "\n", &px[m])) == NULL)
+            break;
+        row = p;
+    }
+    uselocale(caller);
+    freelocale(c_locale);
+    *pos = row - buf;
+    return m;
 }
 
 /* The text before each of the six fields of an event row and after the
@@ -287,18 +231,14 @@ static const char *const EVENT_SEP[2][7] = {
 /* Event rows from buf[*pos] on, in the exact layout ``_write_event_rows``
  * writes (CSV when jsonl is 0, JSON Lines otherwise), into kind (0 = DC,
  * 1 = OS), dir (+1 up, -1 down), ts, px, delta and clock. The fields are
- * ``DC|OS``, ``up|down``, a ``-?(0|[1-9][0-9]*)`` timestamp, a price and a
- * delta in the JSON number grammar, and a ``0|[1-9][0-9]*`` clock index.
- * The return value is the number of rows read. The parse stops at
- * buf[len], after cap rows, or at a row it does not read: one outside that
- * layout, without its LF, with a number out of range (ERANGE), a price
- * that is not in (0, inf) or a delta that is not in (0, 1). *pos is left
- * at the start of the next unread row. No byte at or past buf[len] is read.
+ * ``DC|OS``, ``up|down``, a timestamp and a price as in a tick row, a delta
+ * in the same number grammar and a ``0|[1-9][0-9]*`` clock index. The parse
+ * reads, stops and leaves *pos as it_parse_ticks does, and also stops at a
+ * delta that is not in (0, 1).
  *
  * Everything this grammar accepts, the Python row loop reads to the same
  * values without an error, so a caller that falls back to it on any
- * unread row gets the same result either way. strtoll and strtod run in
- * the C locale whatever the process locale is.
+ * unread row gets the same result either way.
  */
 int64_t it_parse_events(const char *buf, int64_t len, int64_t *pos, int jsonl,
                         int8_t *kind, int8_t *dir, int64_t *ts, double *px,
@@ -333,6 +273,10 @@ int64_t it_parse_events(const char *buf, int64_t len, int64_t *pos, int jsonl,
     *pos = row - buf;
     return m;
 }
+
+/* Left to itself, gcc turns the writers' copy loops into calls to memcpy
+ * and strlen, whose two new entries in the PLT would move it_scan. */
+#define WRITER __attribute__((optimize("no-tree-loop-distribute-patterns")))
 
 /* 10^0 .. 10^11: 10^q for q <= 22 is the product of two of them. */
 static const uint64_t POW10[12] = {
@@ -373,6 +317,13 @@ FIELD char *put_int(char *out, int64_t v)
         *out++ = '-';
     const char *first = digits_before(end, v < 0 ? -(uint64_t)v : (uint64_t)v);
     return put_chars(out, first, (int)(end - first));
+}
+
+/* x as "%.17g" writes it, in the caller's C locale, at out: the end of the
+ * text, at most 24 characters. The one place this unit writes "%.17g". */
+FIELD char *put_g17(char *out, double x)
+{
+    return out + snprintf(out, 32, "%.17g", x);
 }
 
 /* x as Python's float.__repr__ writes it, at out: the end of the text. NULL
@@ -448,6 +399,32 @@ FIELD char *put_repr(char *out, double x)
     return put_chars(out, first + point, n - point);
 }
 
+/* Longer than any "%lld,%.17g\n" row: 20 + 1 + 24 + 1 characters. */
+#define TICK_ROW_MAX 64
+
+/* Tick rows ts[*i], px[*i], ... as "%lld,%.17g\n" into buf, while a
+ * longest row still fits in its cap bytes, in the C locale. Returns the
+ * bytes written and leaves *i at the next row; -1 when no C locale could
+ * be made.
+ */
+WRITER int64_t it_format_ticks(const int64_t *ts, const double *px, int64_t n,
+                               int64_t *i, char *buf, int64_t cap)
+{
+    int64_t k = *i, size = 0;
+    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    if (c_locale == (locale_t)0)
+        return -1;
+    locale_t caller = uselocale(c_locale);
+
+    for (; k < n && cap - size >= TICK_ROW_MAX; k++)
+        size = put_text(put_g17(put_text(put_int(buf + size, ts[k]), ","), px[k]),
+                        "\n") - buf;
+    uselocale(caller);
+    freelocale(c_locale);
+    *i = k;
+    return size;
+}
+
 /* Longer than any event row less its delta: 76 characters of field names
  * and separators, then kind, direction, timestamp, price and clock index. */
 #define EVENT_ROW_MAX 160
@@ -457,20 +434,17 @@ FIELD char *put_repr(char *out, double x)
  * while a longest row still fits in its cap bytes. The fields are kind
  * (0 = DC, else OS), dir (+1 up, else down), ts, px, the threshold as the
  * text delta, which is the same on every row, and the row number as the
- * clock index. A CSV price is written by "%.17g" in the C locale, a JSON
+ * clock index. A CSV price is written as a tick row's is (put_g17), a JSON
  * Lines price as float.__repr__ writes it (put_repr). The writer stops
  * before a row whose price is not in (0, inf), or, in JSON Lines, is not
  * in [1e-3, 2^52): a call that writes nothing leaves row *i to the caller.
  * Returns the bytes written and leaves *i at the next row; -1 when no C
  * locale could be made.
- *
- * Left to itself, gcc turns the copy loops into calls to memcpy and strlen,
- * whose two new entries in the PLT would move it_scan.
  */
-__attribute__((optimize("no-tree-loop-distribute-patterns")))
-int64_t it_format_events(const int8_t *kind, const int8_t *dir, const int64_t *ts,
-                         const double *px, int64_t n, const char *delta, int jsonl,
-                         int64_t *i, char *buf, int64_t cap)
+WRITER int64_t it_format_events(const int8_t *kind, const int8_t *dir,
+                                const int64_t *ts, const double *px, int64_t n,
+                                const char *delta, int jsonl, int64_t *i,
+                                char *buf, int64_t cap)
 {
     const char *const *sep = EVENT_SEP[jsonl != 0];
     int64_t k = *i, size = 0, row_max = EVENT_ROW_MAX;
@@ -489,7 +463,7 @@ int64_t it_format_events(const int8_t *kind, const int8_t *dir, const int64_t *t
         double x = px[k];
         if (!(x > 0.0 && x < HUGE_VAL)) /* "%.17g" writes some NaNs as -nan */
             break;
-        out = jsonl ? put_repr(out, x) : out + snprintf(out, 32, "%.17g", x);
+        out = jsonl ? put_repr(out, x) : put_g17(out, x);
         if (out == NULL)
             break;
         out = put_text(put_text(put_text(out, sep[4]), delta), sep[5]);

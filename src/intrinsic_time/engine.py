@@ -219,7 +219,11 @@ class ThresholdConfig:
     move_convention: MoveConvention = MoveConvention.RELATIVE
 
     def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
+        try:
+            in_range = 0.0 < self.delta < 1.0
+        except (TypeError, ValueError):  # not a number: "0.5", None, an array
+            in_range = False
+        if not in_range:
             raise ConfigurationError(f"delta must be in (0, 1), got {self.delta!r}")
         if not isinstance(self.move_convention, MoveConvention):
             raise ConfigurationError(f"unknown move convention {self.move_convention!r}")
@@ -350,7 +354,8 @@ def step(state: RunnerState, tick: Tick,
 
 
 # The batch scan and the tick-file and event-file parsers and writers run
-# in C (``_scan.c``), compiled with the system ``cc`` on first use and
+# in C (``_scan.c``; the parsers share one number reader, the writers one
+# "%.17g" formatter), compiled with the system ``cc`` on first use and
 # cached by a checksum of source and flags: beside this module in
 # ``__pycache__/``, else in the user's cache directory. A new build there
 # replaces the builds of earlier sources. Without a working compiler,

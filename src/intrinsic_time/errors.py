@@ -34,7 +34,7 @@ class FitError(IntrinsicTimeError):
 
 
 class IngestionError(IntrinsicTimeError):
-    """A tick file failed to parse; carries the offending row number."""
+    """A tick or event file failed to parse; carries the offending row number."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)

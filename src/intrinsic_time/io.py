@@ -9,15 +9,16 @@ one set of row templates, ``_event_lines``, formats every event row in
 Python. When ``_scan.c`` is compiled, nanosecond tick files are parsed
 and written in C, event files are parsed in C into columns from which
 the events are built, and CLI ``transform`` writes its event files from
-the scan's columns in C. Each C parser reads a strict subset of what its
-Python row loop reads, through one driver, ``_parse_c``, and hands any
-other file whole to that loop, which stays the spec: the result and
-every error never depend on the path taken. The C writers write the
-bytes of the Python ones; the event writer leaves to the templates each
-row whose price it does not format, which in JSON Lines is any price
-outside [1e-3, 2**52), subnormals included. CSV prices are serialized
-with 17 significant digits and JSON Lines prices as ``repr`` writes
-them, so numeric round-trips are lossless. Writers go
+the scan's columns in C. Tick and event files share one number grammar
+in C, JSON's. Each C parser reads a strict subset of what its Python row
+loop reads, through one driver, ``_parse_c``, and hands any other file
+whole to that loop, which stays the spec: the result and every error
+never depend on the path taken. The C writers write the bytes of the
+Python ones, through one driver, ``_c_blocks``; the event writer leaves
+to the templates each row whose price it does not format, which in JSON
+Lines is any price outside [1e-3, 2**52), subnormals included. CSV
+prices are serialized with 17 significant digits and JSON Lines prices
+as ``repr`` writes them, so numeric round-trips are lossless. Writers go
 through a temp-file-then-rename step, so a failed run never leaves a
 partial output behind, and the files they create take their permissions
 from the umask.
@@ -26,6 +27,7 @@ from the umask.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import json
 import math
@@ -318,24 +320,33 @@ def _fmt(x: float | None, spec: str = ".17g", blank: str = "") -> str:
 _BLOCK_BYTES = 1 << 18
 
 
-def _tick_blocks(format_ticks, series: TickSeries,
-                 head: str) -> Iterator[bytes | memoryview]:
-    """The tick file in blocks of at most ``_BLOCK_BYTES``, its rows
-    formatted in C.
+def _c_blocks(head: str, n: int, format_rows,
+              python_row) -> Iterator[bytes | memoryview]:
+    """A file of ``head`` and ``n`` rows in blocks of at most ``_BLOCK_BYTES``.
 
-    Each block is a view of one reused buffer, valid until the next.
+    ``format_rows(row, buf, cap)``, a C writer, formats the rows from
+    ``row.value`` on into the ``cap`` bytes at ``buf`` and moves ``row``
+    past them; a row it leaves (a call that writes nothing) is formatted by
+    the template ``python_row(k)``. Each C block is a view of one reused
+    buffer, valid until the next.
     """
     yield head.encode("utf-8")
-    ts = np.ascontiguousarray(series.timestamps, dtype=np.int64)
-    px = series.prices  # C-contiguous float64 (TickSeries guarantees it)
     buf = np.empty(_BLOCK_BYTES, dtype=np.uint8)
     row = ctypes.c_int64(0)
-    while row.value < len(series):
-        size = format_ticks(ts.ctypes.data, px.ctypes.data, len(series), row,
-                            buf.ctypes.data, buf.size)
+    while row.value < n:
+        size = format_rows(row, buf.ctypes.data, buf.size)
         if size < 0:
-            raise MemoryError("cannot make a C locale to write ticks in")
-        yield memoryview(buf)[:size]
+            raise MemoryError("cannot make a C locale to write rows in")
+        if size > 0:
+            yield memoryview(buf)[:size]
+        else:
+            yield python_row(row.value).encode("utf-8")
+            row.value += 1
+
+
+def _tick_line(ts: int, price: float) -> str:
+    """The row of a tick file: the spec of ``it_format_ticks``."""
+    return f"{ts},{_fmt(price)}\n"
 
 
 def write_ticks(series: TickSeries, path: str | Path) -> None:
@@ -346,12 +357,16 @@ def write_ticks(series: TickSeries, path: str | Path) -> None:
     """
     head = f"{TICK_SCHEMA_COMMENT}\ntimestamp,price\n"
     kernel = _load_kernel()
-    if kernel is not None:
-        _atomic_write(path, _tick_blocks(kernel.format_ticks, series, head))
+    if kernel is None:
+        _atomic_write(path, head + "".join(map(
+            _tick_line, series.timestamps.tolist(), series.prices.tolist())))
         return
-    _atomic_write(path, head + "".join(
-        f"{int(t)},{_fmt(p)}\n"
-        for t, p in zip(series.timestamps.tolist(), series.prices.tolist())))
+    ts = np.ascontiguousarray(series.timestamps, dtype=np.int64)
+    px = series.prices  # C-contiguous float64 (TickSeries guarantees it)
+    _atomic_write(path, _c_blocks(
+        head, len(series),
+        functools.partial(kernel.format_ticks, ts.ctypes.data, px.ctypes.data, len(series)),
+        lambda k: _tick_line(int(ts[k]), float(px[k]))))
 
 
 def _event_values(ts, price: float, delta: float, clock) -> tuple[int, float, float, int]:
@@ -426,48 +441,28 @@ def _array_rows(arrays: EventArrays, rows: slice = slice(None)) -> Iterator[tupl
                itertools.repeat(arrays.config.delta), range(len(arrays))[rows])
 
 
-def _event_blocks(format_events, arrays: EventArrays,
-                  format: EventFileFormat) -> Iterator[bytes | memoryview]:
-    """The event file of ``arrays`` in blocks of at most ``_BLOCK_BYTES``,
-    its rows formatted in C, except each row that ``it_format_events``
-    leaves to the ``_event_lines`` template.
-
-    Each C block is a view of one reused buffer, valid until the next.
-    """
+def _write_event_arrays(arrays: EventArrays, path: str | Path,
+                        format: EventFileFormat) -> None:
+    """Write the events of a scan: the bytes ``write_events`` writes for
+    ``events_from_arrays(arrays)``, formatted in C when it is compiled,
+    except each row that ``it_format_events`` leaves to the ``_event_lines``
+    template."""
+    kernel = _load_kernel()
+    if kernel is None:
+        _write_event_rows(_array_rows(arrays), path, format)
+        return
     jsonl = format is EventFileFormat.JSONL
-    head = _event_lines((), format)
-    yield "".join(line + "\n" for line in head).encode("utf-8")
     delta = float(arrays.config.delta)
     delta_text = (float.__repr__(delta) if jsonl else _fmt(delta)).encode("ascii")
     columns = [np.ascontiguousarray(column, dtype=dtype) for column, dtype in (
         (arrays.kinds, np.int8), (arrays.directions, np.int8),
         (arrays.timestamps, np.int64), (arrays.prices, np.float64))]
-    pointers = [column.ctypes.data for column in columns]  # columns keeps them alive
-    buf = np.empty(_BLOCK_BYTES, dtype=np.uint8)
-    row, n = ctypes.c_int64(0), len(arrays)
-    while row.value < n:
-        size = format_events(*pointers, n, delta_text, jsonl, row, buf.ctypes.data,
-                             buf.size)
-        if size < 0:
-            raise MemoryError("cannot make a C locale to write events in")
-        if size > 0:
-            yield memoryview(buf)[:size]
-        else:
-            k = row.value
-            line = _event_lines(_array_rows(arrays, slice(k, k + 1)), format)[-1]
-            yield (line + "\n").encode("utf-8")
-            row.value += 1
-
-
-def _write_event_arrays(arrays: EventArrays, path: str | Path,
-                        format: EventFileFormat) -> None:
-    """Write the events of a scan: the bytes ``write_events`` writes for
-    ``events_from_arrays(arrays)``, formatted in C when it is compiled."""
-    kernel = _load_kernel()
-    if kernel is None:
-        _write_event_rows(_array_rows(arrays), path, format)
-    else:
-        _atomic_write(path, _event_blocks(kernel.format_events, arrays, format))
+    _atomic_write(path, _c_blocks(
+        "".join(line + "\n" for line in _event_lines((), format)), len(arrays),
+        # columns keeps the arrays behind these pointers alive
+        functools.partial(kernel.format_events, *[c.ctypes.data for c in columns],
+                          len(arrays), delta_text, jsonl),
+        lambda k: _event_lines(_array_rows(arrays, slice(k, k + 1)), format)[-1] + "\n"))
 
 
 def _event_row(kind: str, direction: str, ts, price, delta, clock) -> tuple:

@@ -14,10 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import TickSeries
+from .engine import TickSeries, _whole
 from .errors import ConfigurationError, DomainError
 
 NS_PER_SECOND = 1_000_000_000
+
+
+def _whole_at_least(name: str, value, least: int) -> int:
+    """``value`` as an int; ConfigurationError unless it is a whole number >= ``least``."""
+    whole = _whole(value)
+    if whole is None or whole < least:
+        raise ConfigurationError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -25,7 +33,8 @@ class GbmParams:
     """Geometric Brownian motion: dS = mu*S*dt + sigma*S*dW, Euler-exact in logs.
 
     ``dt_step`` is the physical step in seconds; timestamps come out as
-    k * dt_step in nanoseconds.
+    k * dt_step in nanoseconds. ``n_steps`` and ``seed`` are whole numbers,
+    >= 1 and >= 0, stored as ints.
     """
 
     s0: float
@@ -45,8 +54,8 @@ class GbmParams:
                 f"sigma must be non-negative and finite, got {self.sigma!r}")
         if not (self.dt_step > 0.0):
             raise ConfigurationError(f"dt_step must be positive, got {self.dt_step!r}")
-        if self.n_steps < 1:
-            raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps!r}")
+        object.__setattr__(self, "n_steps", _whole_at_least("n_steps", self.n_steps, 1))
+        object.__setattr__(self, "seed", _whole_at_least("seed", self.seed, 0))
         # _timestamps casts the rounded last timestamp to int64; no float
         # below 2**63 rounds up to it, so the unrounded product decides
         if not self.n_steps * (self.dt_step * NS_PER_SECOND) < 2**63:
@@ -100,14 +109,14 @@ def generate_random_walk(s0: float, step_size: float, n_steps: int,
     """Log-price random walk with equiprobable +-step_size increments.
 
     One tick per second plus the starting tick at s0. Deterministic for
-    a given seed.
+    a given seed. ``n_steps`` and ``seed`` are whole numbers, >= 1 and >= 0.
     """
     if not (0.0 < s0 < math.inf):
         raise ConfigurationError(f"s0 must be positive and finite, got {s0!r}")
     if not (0.0 < step_size < 1.0):
         raise ConfigurationError(f"step_size must be in (0, 1), got {step_size!r}")
-    if n_steps < 1:
-        raise ConfigurationError(f"n_steps must be >= 1, got {n_steps!r}")
+    n_steps = _whole_at_least("n_steps", n_steps, 1)
+    seed = _whole_at_least("seed", seed, 0)
     rng = np.random.default_rng(seed)
     up = rng.random(n_steps) < 0.5
     increments = np.where(up, step_size, -step_size)

@@ -290,3 +290,12 @@ def test_generate_gbm_leaving_float64_exits_1_naming_the_parameters(tmp_path, ca
                   "at step 16527"):
         assert named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [["gbm"], ["walk", "--step-size", "0.01"]])
+def test_generate_negative_seed_exits_1(tmp_path, capsys, model):
+    out = tmp_path / "ticks.csv"
+    assert run_cli("generate", "--model", *model, "--steps", "10", "--seed", "-1",
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: seed must be a whole number >= 0, got -1\n"
+    assert not out.exists()

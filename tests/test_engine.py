@@ -71,6 +71,12 @@ def test_threshold_out_of_range_rejected(delta):
         it.ThresholdConfig(delta)
 
 
+@pytest.mark.parametrize("delta", ["0.5", None, b"0.5", [0.5], np.array([0.5, 0.6])])
+def test_threshold_that_is_not_a_number_is_a_configuration_error(delta):
+    with pytest.raises(it.ConfigurationError, match=r"^delta must be in \(0, 1\), got "):
+        it.ThresholdConfig(delta)
+
+
 def test_new_runner_rejects_nonpositive_price():
     with pytest.raises(it.DomainError):
         it.new_runner(it.ThresholdConfig(0.01), it.Tick(0, 0.0))
@@ -752,6 +758,15 @@ def test_unwritable_cache_warns_and_falls_back(monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "_kernel_cache_dirs", lambda: [blocker / "cache"])
     with pytest.warns(RuntimeWarning, match="no writable cache directory"):
         assert it.kernel_backend() == "python"
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # an unused helper or a narrowing slip fails here, not only in review
+    result = subprocess.run(["cc", *engine._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+                             "-o", str(tmp_path / "scan.so"), str(engine._KERNEL_SOURCE), "-lm"],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")

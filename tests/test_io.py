@@ -329,7 +329,10 @@ def test_fast_parser_equals_row_loop_on_mutated_files(
     (b"", b"-9223372036854775808,1.0\n", False, True),
     (b"", b"9223372036854775808,1.0\n", False, False),
     (b"", b"12345678901234567890,1.0\n", False, False),
-    (b"", b"0,.5\n1,1.\n2,1e-5\n3,2.5E+3\n", False, True),
+    (b"", b"2,1e-5\n3,2.5E+3\n", False, True),
+    (b"", b"0,.5\n", False, False),
+    (b"", b"1,1.\n", False, False),
+    (b"", b"007,1.0\n", False, False),
     (b"", b"0,5e-324\n", False, False),
     (b"", b"0,1e400\n", False, False),
     (b"", b"0,0\n", False, False),
@@ -380,6 +383,27 @@ def test_both_tick_writers_write_17g_bytes(tmp_path, series):
                    for t, p in zip(series.timestamps.tolist(), series.prices.tolist()))
     assert compiled == python == f"{TICK_SCHEMA_COMMENT}\ntimestamp,price\n{rows}".encode()
     assert [p.name for p in tmp_path.iterdir()] == ["ticks.csv"]  # no temp file left
+
+
+@needs_cc
+def test_c_tick_writer_resumes_after_a_full_buffer(tmp_path, monkeypatch):
+    kernel = engine._load_kernel()
+    calls = []
+
+    def counting(*args):
+        first = args[3].value
+        size = kernel.format_ticks(*args)
+        calls.append((first, args[3].value, size))
+        return size
+
+    monkeypatch.setattr(engine, "_kernel", kernel._replace(format_ticks=counting))
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 200)  # four to six rows a block
+    walk = it.TickSeries(GBM_WALK.timestamps[:300], GBM_WALK.prices[:300])
+    compiled, python = write_both_ways(walk, tmp_path / "ticks.csv")
+    assert compiled == python
+    assert len(calls) > 40 and all(0 < size <= 200 for _, _, size in calls)
+    assert [first for first, _, _ in calls] == [0] + [after for _, after, _ in calls[:-1]]
+    assert calls[-1][1] == len(walk)
 
 
 @needs_cc
@@ -861,6 +885,22 @@ def test_fast_event_reader_takes_exactly_its_grammar(tmp_path, fmt, row, taken):
     fast, slow, took_fast_path = read_both_ways(path, fmt)
     assert fast == slow
     assert took_fast_path == taken
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+@pytest.mark.parametrize("text, taken", [
+    ("1e-5", True), ("2.5E+3", True), (".5", False), ("1.", False), ("007", False),
+    ("-0", False), ("+5", False), ("5e-324", False), ("1e400", False)])
+def test_tick_and_event_prices_share_one_grammar(tmp_path, fmt, text, taken):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(f"0,1.25\n1,{text}\n")
+    tick_fast, tick_slow, tick_taken = parse_both_ways(ticks)
+    events = tmp_path / f"events.{fmt.value}"
+    events.write_text(event_file(fmt, ("OS", 0, 1.25, 0.01, 0), ("DC", 1, text, 0.01, 1)))
+    event_fast, event_slow, event_taken = read_both_ways(events, fmt)
+    assert tick_fast == tick_slow and event_fast == event_slow
+    assert tick_taken == event_taken == taken
 
 
 @needs_cc

@@ -1,6 +1,7 @@
 """Tests for the seeded synthetic price generators."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -129,6 +130,42 @@ def test_walk_deterministic_for_seed():
 def test_walk_invalid_params_rejected(kwargs):
     with pytest.raises(it.ConfigurationError):
         it.generate_random_walk(**kwargs)
+
+
+WHOLE_NUMBER_CASES = [("n_steps", 0, ">= 1"), ("n_steps", 2.5, ">= 1"),
+                      ("n_steps", None, ">= 1"), ("n_steps", "10", ">= 1"),
+                      ("seed", -1, ">= 0"), ("seed", 1.5, ">= 0"), ("seed", None, ">= 0"),
+                      ("seed", math.nan, ">= 0"), ("seed", "7", ">= 0")]
+
+
+
+def whole_number_message(name, value, bound):
+    return f"^{name} must be a whole number {bound}, got {re.escape(repr(value))}$"
+
+
+@pytest.mark.parametrize("name, value, bound", WHOLE_NUMBER_CASES)
+def test_gbm_seed_and_step_count_must_be_whole_numbers(name, value, bound):
+    kwargs = dict(s0=1.0, mu=0.0, sigma=0.1, dt_step=1.0, n_steps=10, seed=0)
+    with pytest.raises(it.ConfigurationError, match=whole_number_message(name, value, bound)):
+        it.GbmParams(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize("name, value, bound", WHOLE_NUMBER_CASES)
+def test_walk_seed_and_step_count_must_be_whole_numbers(name, value, bound):
+    kwargs = dict(s0=1.0, step_size=0.01, n_steps=10, seed=0)
+    with pytest.raises(it.ConfigurationError, match=whole_number_message(name, value, bound)):
+        it.generate_random_walk(**{**kwargs, name: value})
+
+
+def test_whole_float_seed_and_step_count_give_the_int_path():
+    gbm = dict(s0=1.0, mu=0.0, sigma=0.01, dt_step=1.0)
+    params = it.GbmParams(**gbm, n_steps=200.0, seed=np.int64(3))
+    assert params == it.GbmParams(**gbm, n_steps=200, seed=3)
+    assert type(params.n_steps) is int and type(params.seed) is int
+    a, b = it.generate_gbm(params), it.generate_gbm(it.GbmParams(**gbm, n_steps=200, seed=3))
+    assert a.prices.tobytes() == b.prices.tobytes()
+    walk = it.generate_random_walk(1.0, 0.01, 200.0, seed=3.0)
+    assert walk.prices.tobytes() == it.generate_random_walk(1.0, 0.01, 200, 3).prices.tobytes()
 
 
 def predicted_events_from_signs(signs):
