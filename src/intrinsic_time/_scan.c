@@ -1,10 +1,27 @@
 /* Resumable directional-change / overshoot scan over a price array.
  *
- * The C twin of ``engine._scan_python``, operation by operation, because
- * the fold-equivalence and oracle tests compare events bit for bit.
- * ``mode`` is +1 (up) or -1 (down); negating a double is exact, so
- * ``mode * x >= guard`` is the same comparison as ``x >= guard`` in up mode
- * and ``x <= -guard`` in down mode.
+ * The C twin of ``engine._scan_python``: it makes the same decisions, with
+ * the same exact tests in the same operations, because the fold-equivalence
+ * and oracle tests compare events bit for bit. ``mode`` is +1 (up) or -1
+ * (down); negating a double is exact, so ``mode * x >= guard`` is the same
+ * comparison as ``x >= guard`` in up mode and ``x <= -guard`` in down mode.
+ *
+ * Price bands. Most ticks can fire nothing, and for them the scan skips
+ * the exact test and its log or division. A move up reaches guard only at
+ * a price above c_up times its base, a move down only below c_dn times it:
+ * c_up = exp(guard) (1 - mu) and c_dn = exp(-guard) (1 + mu) in the log
+ * convention, 1 + guard - mu and 1 - guard + mu in the relative one, with
+ * mu = 2^-30. So the overshoot test runs only at or past os_at = ref * c
+ * (c_up up, c_dn down), and the DC test only at or past dc_at = ext * c
+ * (c_dn up, c_up down); each band moves when its base does. mu is many
+ * orders above every rounding between a band and its exact test: of c_up
+ * and c_dn, of p / ref or p - ref and the division (2^-53 each), and of
+ * libm's log (1 ulp of a value below 1). Rounding the band product cannot
+ * move the band past a tick that fires, as rounding is monotone and every
+ * tick is a double; band() keeps that product a normal double, or lets
+ * every tick through. The relative margin is added, not multiplied: with
+ * (1 - guard)(1 + mu), a delta near 1 would leave a margin of mu (1 - guard),
+ * below the rounding of p - ref.
  *
  * The runner state comes in through ``s`` and goes back there. Events go
  * to kind (0 = DC, 1 = OS), dir (+1 / -1) and idx (triggering tick); the
@@ -15,6 +32,9 @@
  * test is ``>=`` so that the resumed tick, already the extremum, re-enters
  * the loop. On an ordinary tie the loop emits nothing: its first test
  * repeats the one that ended it, or is move(p, p) = 0 right after a DC.
+ * The scan also stops, with ``s->i`` at the tick and room left, where an
+ * overshoot step cannot move ref (ref * factor == ref, for a threshold
+ * below the price's rounding or a subnormal ref): the loop would never end.
  *
  * xt gets the trend extremum: a DC writes it before resetting ``ext``, so
  * it is that of the trend the DC ends; an OS writes its own price.
@@ -32,12 +52,15 @@
  */
 #define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
 #include <errno.h>
+#include <float.h>
 #include <locale.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+
+#define BAND_MU 0x1p-30 /* mu, the price bands' margin */
 
 struct it_state {
     double ext;        /* trend extremum */
@@ -52,6 +75,14 @@ static double move(double from, double to, int use_log)
     return use_log ? log(to / from) : (to - from) / from;
 }
 
+/* The band at price * c where that product is a normal double, else a
+ * band that every tick passes: side * p >= side * band(price, c, side). */
+static inline double band(double price, double c, int side)
+{
+    double b = price * c;
+    return b >= DBL_MIN && b <= DBL_MAX ? b : -side * HUGE_VAL;
+}
+
 int64_t it_scan(const double *px, int64_t n, double guard, double up_factor,
                 double down_factor, int use_log, struct it_state *s,
                 int8_t *kind, int8_t *dir, int64_t *idx, double *xt,
@@ -60,6 +91,10 @@ int64_t it_scan(const double *px, int64_t n, double guard, double up_factor,
     double ext = s->ext, ref = s->ref;
     int mode = s->mode, confirmed = s->confirmed;
     int64_t i = s->i, m = 0;
+    const double c_up = use_log ? exp(guard) * (1 - BAND_MU) : 1 + guard - BAND_MU;
+    const double c_dn = use_log ? exp(-guard) * (1 + BAND_MU) : 1 - guard + BAND_MU;
+    double os_at = band(ref, mode == 1 ? c_up : c_dn, mode);
+    double dc_at = band(ext, mode == 1 ? c_dn : c_up, -mode);
 
 #define EMIT(k, d)                                                         \
     do {                                                                   \
@@ -75,19 +110,25 @@ int64_t it_scan(const double *px, int64_t n, double guard, double up_factor,
         double p = px[i];
         if (mode * p >= mode * ext) {         /* the trend extends (or ties) */
             ext = p;
-            if (confirmed) {
+            dc_at = band(ext, mode == 1 ? c_dn : c_up, -mode);
+            if (confirmed && mode * p >= mode * os_at) {
                 double factor = mode == 1 ? up_factor : down_factor;
                 while (mode * move(ref, p, use_log) >= guard) {
+                    if (ref * factor == ref)
+                        goto out;             /* a step that cannot move ref */
                     EMIT(1, mode);
                     ref = ref * factor;
                 }
+                os_at = band(ref, mode == 1 ? c_up : c_dn, mode);
             }
-        } else if (-mode * move(ext, p, use_log) >= guard) {
+        } else if (mode * p <= mode * dc_at && -mode * move(ext, p, use_log) >= guard) {
             EMIT(0, -mode);                   /* retraced: directional change */
             mode = -mode;
             ext = p;
             ref = p;
             confirmed = 1;
+            os_at = band(ref, mode == 1 ? c_up : c_dn, mode);
+            dc_at = band(ext, mode == 1 ? c_dn : c_up, -mode);
         }
     }
 #undef EMIT

@@ -221,10 +221,12 @@ class ThresholdConfig:
     def __post_init__(self):
         try:
             in_range = 0.0 < self.delta < 1.0
+            delta = float(self.delta)  # a Decimal, Fraction or numpy scalar too
         except (TypeError, ValueError):  # not a number: "0.5", None, an array
             in_range = False
         if not in_range:
             raise ConfigurationError(f"delta must be in (0, 1), got {self.delta!r}")
+        object.__setattr__(self, "delta", delta)
         if not isinstance(self.move_convention, MoveConvention):
             raise ConfigurationError(f"unknown move convention {self.move_convention!r}")
 
@@ -293,6 +295,16 @@ def _scan_args(config: ThresholdConfig) -> tuple[float, float, float, bool]:
     return guard, 1.0 + delta, 1.0 - delta, False
 
 
+def _endless_scan(config: ThresholdConfig, timestamp: int, price: float,
+                  ref: float) -> DomainError:
+    """The error for a tick where an overshoot step leaves the reference
+    price where it is (``ref * factor == ref``), so the scan would never end."""
+    return DomainError(
+        f"threshold {config.delta!r}: an overshoot step from reference price {ref!r} "
+        f"rounds back to it at the tick at timestamp {timestamp} (price {price!r}), "
+        "so the scan would never end")
+
+
 def _tick_values(tick) -> tuple[int, float]:
     """``(timestamp, price)`` of a streamed tick; DomainError as in TickSeries."""
     ts = _whole(tick[0])
@@ -333,13 +345,15 @@ def step(state: RunnerState, tick: Tick,
     if ts < state.last_timestamp:
         raise OrderingError(
             f"timestamp {ts} precedes previous tick at {state.last_timestamp}")
-    state.last_timestamp = ts
 
     mode = state.mode
     sign = mode.value
-    found, state.extremum_price, state.os_reference_price, new_sign, _ = _scan_python(
+    found, ext, ref, new_sign, _, stop = _scan_python(
         [price], 0, state.extremum_price, state.os_reference_price, sign,
         state.dc_confirm_price is not None, *_scan_args(config))
+    if stop == 0:
+        raise _endless_scan(config, ts, price, ref)
+    state.extremum_price, state.os_reference_price, state.last_timestamp = ext, ref, ts
     if new_sign != sign:  # a DC fired, and it is this tick's only event
         mode = state.mode = mode.flipped
         state.dc_confirm_price = price
@@ -359,8 +373,8 @@ def step(state: RunnerState, tick: Tick,
 # cached by a checksum of source and flags: beside this module in
 # ``__pycache__/``, else in the user's cache directory. A new build there
 # replaces the builds of earlier sources. Without a working compiler,
-# ``_scan_python`` runs the same loop (``step`` runs it too) and ``io`` its
-# Python row loops and writers.
+# ``_scan_python`` runs the same loop without the C price bands (``step``
+# runs it too) and ``io`` its Python row loops and writers.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNLOADED = object()
@@ -494,8 +508,11 @@ class _ScanState(ctypes.Structure):
 
 def _scan_c(scan, prices: np.ndarray, guard: float, up_factor: float,
             down_factor: float, use_log: bool, mode: int):
-    """Scan the whole array. When the kernel stops on a full buffer, it is
-    resumed from its state with one twice as large, never from tick 1."""
+    """Scan the array; return the event columns, the tick the scan stopped
+    at and the overshoot reference there. When the kernel stops on a full
+    buffer, it is resumed from its state with one twice as large, never
+    from tick 1. It stops short of the end with room left only at a tick
+    whose overshoot step cannot move the reference price."""
     state = _ScanState(prices[0], prices[0], 1, mode, 0)
     parts = []
     cap = 1024
@@ -509,19 +526,25 @@ def _scan_c(scan, prices: np.ndarray, guard: float, up_factor: float,
                  use_log, state, kinds.ctypes.data, dirs.ctypes.data,
                  idx.ctypes.data, xt.ctypes.data, cap)
         parts.append((kinds[:m], dirs[:m], idx[:m], xt[:m]))
-        if state.i == prices.size:
-            return tuple(np.concatenate(column) for column in zip(*parts))
+        if state.i == prices.size or m < cap:
+            columns = (np.concatenate(column) for column in zip(*parts))
+            return (*columns, state.i, state.ref)
         cap *= 2
 
 
 def _scan_python(px: list, i: int, ext: float, ref: float, mode: int,
                  confirmed: bool, guard: float, up_factor: float,
                  down_factor: float, use_log: bool):
-    """Pure-Python twin of ``it_scan`` in ``_scan.c``, operation by operation.
+    """Pure-Python twin of ``it_scan`` in ``_scan.c``: the same events from
+    the same tests, without the C scan's price bands, so it is the spec
+    the compiled scan is tested against.
 
     Scans ``px[i:]`` from the given runner state; returns the events as
     ``(kind, direction, tick index, trend extremum)`` tuples (a DC's is
-    the extremum of the trend it ends) and the state after the last tick.
+    the extremum of the trend it ends), the state after the last tick
+    read and the index of the next tick to read: ``len(px)``, unless an
+    overshoot step cannot move the reference price (``ref * factor ==
+    ref``), where the scan stops at that tick instead of looping forever.
     ``mode`` is +1 or -1; ``mode * x >= guard`` reads ``x >= guard`` up
     and ``x <= -guard`` down, exactly, since negation does not round.
     """
@@ -534,6 +557,8 @@ def _scan_python(px: list, i: int, ext: float, ref: float, mode: int,
             if confirmed:
                 factor = up_factor if mode == 1 else down_factor
                 while mode * (log(p / ref) if use_log else (p - ref) / ref) >= guard:
+                    if ref * factor == ref:
+                        return events, ext, ref, mode, confirmed, i
                     events.append((1, mode, i, ext))
                     ref = ref * factor
         elif -mode * (log(p / ext) if use_log else (p - ext) / ext) >= guard:
@@ -541,7 +566,7 @@ def _scan_python(px: list, i: int, ext: float, ref: float, mode: int,
             events.append((0, mode, i, ext))
             ext = ref = p
             confirmed = True
-    return events, ext, ref, mode, confirmed
+    return events, ext, ref, mode, confirmed, len(px)
 
 
 @dataclass(frozen=True, eq=False)
@@ -588,12 +613,17 @@ def process_arrays(ticks: TickInput, config: ThresholdConfig,
     args = _scan_args(config)
     if kernel is None:
         px = series.prices.tolist()
-        found = _scan_python(px, 1, px[0], px[0], initial_mode.value, False, *args)[0]
+        found, _, ref, _, _, stop = _scan_python(px, 1, px[0], px[0], initial_mode.value,
+                                                 False, *args)
         # float64 holds these kinds, directions and tick indices exactly
         kinds, dirs, idx, xt = np.array(found, dtype=np.float64).reshape(-1, 4).T.copy()
         kinds, dirs, idx = kinds.astype(np.int8), dirs.astype(np.int8), idx.astype(np.int64)
     else:
-        kinds, dirs, idx, xt = _scan_c(kernel.scan, series.prices, *args, initial_mode.value)
+        kinds, dirs, idx, xt, stop, ref = _scan_c(kernel.scan, series.prices, *args,
+                                                  initial_mode.value)
+    if stop < len(series):
+        raise _endless_scan(config, int(series.timestamps[stop]),
+                            float(series.prices[stop]), ref)
     return EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx], xt, config)
 
 

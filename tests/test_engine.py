@@ -1,14 +1,18 @@
 """Unit and property tests for the event engine."""
 
 import dataclasses
+import itertools
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import textwrap
 import threading
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +79,17 @@ def test_threshold_out_of_range_rejected(delta):
 def test_threshold_that_is_not_a_number_is_a_configuration_error(delta):
     with pytest.raises(it.ConfigurationError, match=r"^delta must be in \(0, 1\), got "):
         it.ThresholdConfig(delta)
+
+
+@pytest.mark.parametrize("delta", [Decimal("0.01"), Fraction(1, 100), np.float32(0.01),
+                                   np.float64(0.01), np.array(0.01)])
+def test_threshold_is_kept_as_the_float_the_scans_use(delta):
+    config = it.ThresholdConfig(delta, LOG)
+    assert type(config.delta) is float and config.delta == float(delta)
+    assert repr(config.delta) == repr(float(delta))  # the CLI's file label
+    events = run([100.0, 98.0, 97.0, 99.5], delta, LOG)
+    assert [e.kind for e in events] == [DC, OS, DC]
+    assert all(type(e.delta) is float for e in events)
 
 
 def test_new_runner_rejects_nonpositive_price():
@@ -685,6 +700,117 @@ def test_full_buffer_resumes_without_rescanning(monkeypatch, series, delta, mode
         assert spans[0] == (1, 2)  # the first stop falls inside the gap tick
 
 
+def grid_walk(rng, start, factors, n, lo, hi):
+    """n prices from start on the scan's own grid: each is 0, 1 or 2 steps
+    of up_factor or down_factor from the last (ties and double steps),
+    then moved by up to 2 ulps, so that ticks fall on both sides of the
+    triggers within rounding. A step that would leave [lo, hi] goes the
+    other way."""
+    up, down = factors
+    prices = [start]
+    for k, ulps in zip(rng.integers(-2, 3, n - 1).tolist(), rng.integers(-2, 3, n - 1).tolist()):
+        for first, second in ((up, down), (down, up)):
+            q = prices[-1]
+            for _ in range(abs(k)):
+                q *= first if k > 0 else second
+            if lo <= q <= hi:
+                break
+        nudged = q + ulps * math.ulp(q)
+        prices.append(nudged if lo <= nudged <= hi else q)
+    return np.array(prices)
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+def test_price_bands_skip_only_ticks_that_cannot_fire(monkeypatch):
+    # The C scan runs its exact tests only outside its price bands; the
+    # Python twin runs them on every tick. Walks on the scan's own grid
+    # put ticks within rounding of every trigger, where a band that is
+    # too narrow or on the wrong side of it drops or adds events.
+    rng = np.random.default_rng(17)
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    walks = [(delta, 1.0 + float(rng.random()), 1e-30, 1e30) for delta in (1e-9, 1e-4, 0.01, 0.49)]
+    # band products that go subnormal, and band products that overflow
+    walks += [(delta, tiny, tiny * 2.0**-30, tiny * 1e6) for delta in (1e-4, 0.01)]
+    walks += [(delta, huge * 0.9999, huge * 1e-6, huge) for delta in (1e-4, 0.01)]
+    cases = []
+    for delta, start, lo, hi in walks:
+        for convention in (REL, LOG):
+            config = it.ThresholdConfig(delta, convention)
+            prices = grid_walk(rng, start, engine._scan_args(config)[1:3], 2000, lo, hi)
+            series = it.TickSeries(np.arange(prices.size), prices)
+            cases += [(series, config, mode) for mode in it.Mode]
+    n_walks = len(cases)
+    # a gap tick that fills the first event buffer inside its overshoot loop
+    cases += [(GAP_SERIES, it.ThresholdConfig(0.001, convention), it.Mode.UP)
+              for convention in (REL, LOG)]
+    # ticks within rounding of a relative DC down at a threshold near 1,
+    # where a margin of mu (1 - guard) would be below the rounding of p - ref
+    near_one = it.ThresholdConfig(1 - 2**-40)
+    low = 1.0 - engine._scan_args(near_one)[0]
+    for p in (low + k * 2.0**-56 for k in range(-4, 5)):
+        cases += [(it.TickSeries(np.arange(3), np.array(prices)), near_one, mode)
+                  for prices, mode in (([1.0, p, 1.0], it.Mode.UP), ([1.0, 1 / p, 1.0], it.Mode.DOWN))]
+    compiled = [it.process_arrays(*case) for case in cases]
+    monkeypatch.setattr(engine, "_kernel", None)
+    for case, got in zip(cases, compiled):
+        twin = it.process_arrays(*case)
+        for field in ARRAY_FIELDS:
+            a, b = getattr(got, field), getattr(twin, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (case[1], case[2], field)
+    assert min(len(arrays) for arrays in compiled[:n_walks]) > 20
+    assert min(len(arrays) for arrays in compiled[n_walks:n_walks + 2]) > 1024
+
+
+def within_lines(budget, fn, *args):
+    """fn(*args), stopped with RuntimeError after budget traced lines: a
+    scan that never ends then fails its test instead of hanging it."""
+    lines = itertools.count()
+
+    def trace(frame, event, arg):
+        if next(lines) == budget:
+            raise RuntimeError(f"{fn.__name__} did not end within {budget} lines")
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        return fn(*args)
+    finally:
+        sys.settrace(previous)
+
+
+# An overshoot step that cannot move its reference price: 1 + 1e-17 == 1
+# and exp(1e-17) == 1, and 4e-323 * 1.001 rounds back to 4e-323
+ENDLESS = [([1.0, 0.5, 1.0, 2.0], 1e-17), ([2e-323, 1e-323, 4e-323, 3.2e-322], 0.001)]
+
+
+@pytest.mark.parametrize("prices, delta", ENDLESS)
+@pytest.mark.parametrize("convention", [REL, LOG])
+def test_a_step_that_cannot_move_the_reference_stops_the_scan(monkeypatch, prices, delta,
+                                                              convention):
+    config = it.ThresholdConfig(delta, convention)
+    series = it.TickSeries(np.arange(4) * 10, np.array(prices))
+    error = r"rounds back to it at the tick at timestamp 30 \(price "
+    if HAS_CC:  # the kernel first, capped, so that a scan without end cannot hang
+        kernel = engine._load_kernel()
+        state = engine._ScanState(prices[0], prices[0], 1, 1, 0)
+        cap = 100_000
+        out = [np.empty(cap, dtype) for dtype in (np.int8, np.int8, np.int64, np.float64)]
+        written = kernel.scan(series.prices.ctypes.data, 4, *engine._scan_args(config),
+                              state, *(column.ctypes.data for column in out), cap)
+        assert (written, state.i) == (2, 3)  # the two DCs, then the stop at tick 3
+        with pytest.raises(it.DomainError, match=error):
+            it.process_arrays(series, config)
+    monkeypatch.setattr(engine, "_kernel", None)
+    with pytest.raises(it.DomainError, match=error):
+        within_lines(100_000, it.process_arrays, series, config)
+    state = it.new_runner(config, series[0])
+    assert [len(it.step(state, series[k], config)[1]) for k in (1, 2)] == [1, 1]
+    with pytest.raises(it.DomainError, match=error):
+        within_lines(100_000, it.step, state, series[3], config)
+    assert (state.last_timestamp, state.intrinsic_clock) == (20, 2)  # left as it was
+
+
 def reduceat_overshoots(prices, dc_events, use_log):
     """Overshoot lengths taken from the whole tick array: the highest (up
     trend) or lowest (down trend) price over ticks [DC k, DC k+1)."""
@@ -767,6 +893,16 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
                              "-o", str(tmp_path / "scan.so"), str(engine._KERNEL_SOURCE), "-lm"],
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_every_static_function_of_the_kernel_is_used():
+    # gcc warns about an unused static function, not about an unused
+    # static inline one, so the compile test above misses those
+    source = engine._KERNEL_SOURCE.read_text()
+    defined = re.findall(r"^(?:static|FIELD)\b[^;=]*?\b(\w+)\(", source, re.MULTILINE)
+    assert {"move", "band", "digits", "real_field", "put_g17"} <= set(defined)
+    unused = [name for name in defined if len(re.findall(rf"\b{name}\b", source)) < 2]
+    assert unused == []
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")

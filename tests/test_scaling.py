@@ -1,5 +1,10 @@
 """Tests for power-law fitting, overshoot statistics and the decomposition."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +93,22 @@ def test_fit_recovers_exact_laws(a, b, n, seed):
     assert abs(fit.b - b) <= 1e-10 * max(1.0, abs(b))
     assert abs(fit.a - a) <= 1e-10 * a
     assert fit.r_squared > 1 - 1e-12
+
+
+def test_fit_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, 14-22 ms of every CLI ``scaling`` start-up
+    script = ("import sys, intrinsic_time as it\n"
+              "it.fit_power_law([(1.0, 2.0), (2.0, 3.0), (4.0, 5.0)])\n"
+              "try:\n"
+              "    it.fit_power_law([(2.0, 1.0), (1.0, 2.0), (2.0, 3.0)])\n"
+              "except it.FitError as error:\n"
+              "    print(error)\n"
+              "print('numpy.ma' in sys.modules)\n")
+    package_root = str(Path(it.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out == "x values must be distinct\nFalse\n"
 
 
 def test_fit_reports_residual_spread():
