@@ -1,12 +1,15 @@
-/* Resumable directional-change / overshoot scan over a price array.
+/* Resumable directional-change / overshoot scan of one price array at a
+ * grid of thresholds, each tick read once for all of them.
  *
- * The C twin of ``engine._scan_python``: it makes the same decisions, with
- * the same exact tests in the same operations, because the fold-equivalence
- * and oracle tests compare events bit for bit. ``mode`` is +1 (up) or -1
- * (down); negating a double is exact, so ``mode * x >= guard`` is the same
- * comparison as ``x >= guard`` in up mode and ``x <= -guard`` in down mode.
+ * Each runner (struct it_runner) is the C twin of ``engine._scan_python``
+ * at one threshold: it makes the same decisions, with the same exact tests
+ * in the same operations, because the fold-equivalence and oracle tests
+ * compare events bit for bit. ``mode`` is +1.0 (up) or -1.0 (down), a
+ * double so that the tick loop converts no integer; negating a double is
+ * exact, so ``mode * x >= guard`` is the same comparison as ``x >= guard``
+ * in up mode and ``x <= -guard`` in down mode.
  *
- * Price bands. Most ticks can fire nothing, and for them the scan skips
+ * Price bands. Most ticks can fire nothing, and for them a runner skips
  * the exact test and its log or division. A move up reaches guard only at
  * a price above c_up times its base, a move down only below c_dn times it:
  * c_up = exp(guard) (1 - mu) and c_dn = exp(-guard) (1 + mu) in the log
@@ -23,18 +26,36 @@
  * (1 - guard)(1 + mu), a delta near 1 would leave a margin of mu (1 - guard),
  * below the rounding of p - ref.
  *
- * The runner state comes in through ``s`` and goes back there. Events go
- * to kind (0 = DC, 1 = OS), dir (+1 / -1) and idx (triggering tick); the
- * return value is the number written. The scan stops at the end of the
- * prices, or when an event is due and all ``cap`` slots are full: then
- * ``s->i`` is that event's tick, and a call with fresh buffers resumes
- * there. The stop may fall inside a gap tick's overshoot loop; the trend
- * test is ``>=`` so that the resumed tick, already the extremum, re-enters
- * the loop. On an ordinary tie the loop emits nothing: its first test
- * repeats the one that ended it, or is move(p, p) = 0 right after a DC.
- * The scan also stops, with ``s->i`` at the tick and room left, where an
- * overshoot step cannot move ref (ref * factor == ref, for a threshold
- * below the price's rounding or a subnormal ref): the loop would never end.
+ * Quiet intervals. A tick in [dc_at, ext] in up mode, or [ext, dc_at] in
+ * down mode, changes nothing for that runner. Strictly inside, it neither
+ * extends the trend nor reaches the DC band. At dc_at it would run the DC
+ * test, which fails there: the band ends mu short of the trigger, as
+ * above. At ext it ties: the trend test passes, but ext and dc_at are set
+ * to what they were, and the overshoot loop emits nothing, because its
+ * first test repeats the one that ended it, or is move(p, p) = 0 right
+ * after a DC. The scan keeps the intersection of all runners' intervals,
+ * [lo, hi] with lo the largest lower end and hi the smallest upper end; a
+ * tick inside it costs two compares whatever the grid's size. Every other
+ * tick runs each runner's step, and the intersection is rebuilt from all
+ * runners as they stand after it. A call starts from an empty one, so
+ * that every runner reads its first tick, which may be one whose
+ * overshoot loop a full buffer cut short.
+ *
+ * Events go to each runner's own kind (0 = DC, 1 = OS), dir (+1 / -1), idx
+ * (triggering tick) and xt columns, m of its cap slots written. The scan
+ * stops at the end of the prices, returning -1, or when an event is due
+ * and its runner's cap slots are full, returning that runner's index; then
+ * ``*at`` is that event's tick, and a call with a larger buffer for that
+ * runner resumes every runner there. The stop may fall inside a gap tick's
+ * overshoot loop; the trend test is ``>=`` so that the resumed tick,
+ * already the extremum, re-enters the loop. The runners before the full
+ * one have read that tick already, and reading it again is a no-op: a tie
+ * as above, or a tick that failed the DC test and fails it again. A runner
+ * whose overshoot step cannot move ref (ref * factor == ref, for a
+ * threshold below the price's rounding or a subnormal ref) would loop
+ * forever: it records the tick in ``stall`` and parks, with ext and dc_at
+ * at infinities that no tick reaches, so it fires nothing more and narrows
+ * no intersection; the other runners scan on.
  *
  * xt gets the trend extremum: a DC writes it before resetting ``ext``, so
  * it is that of the trend the DC ends; an OS writes its own price.
@@ -62,12 +83,21 @@
 
 #define BAND_MU 0x1p-30 /* mu, the price bands' margin */
 
-struct it_state {
-    double ext;        /* trend extremum */
-    double ref;        /* overshoot reference */
-    int64_t i;         /* next tick to read */
-    int32_t mode;      /* +1 up, -1 down */
-    int32_t confirmed; /* a DC has fired, so overshoots may */
+struct it_runner {
+    double guard, up_factor, down_factor; /* the threshold (engine._scan_args) */
+    double ext;         /* trend extremum */
+    double mode;        /* +1.0 up, -1.0 down */
+    double ref;         /* overshoot reference; kept apart from ext, which gcc
+                           would otherwise store with it as one (p, p) vector,
+                           built on every tick the loop reads */
+    int32_t use_log;    /* log moves, else relative */
+    int32_t confirmed;  /* a DC has fired, so overshoots may */
+    int64_t stall;      /* -1, or the tick where an overshoot step cannot move ref */
+    int8_t *kind, *dir; /* the event columns */
+    int64_t *idx;
+    double *xt;
+    int64_t cap, m;     /* their slots, and the events written */
+    double os_c, dc_c, os_at, dc_at; /* it_scan's own: band factors, bands */
 };
 
 static double move(double from, double to, int use_log)
@@ -77,64 +107,90 @@ static double move(double from, double to, int use_log)
 
 /* The band at price * c where that product is a normal double, else a
  * band that every tick passes: side * p >= side * band(price, c, side). */
-static inline double band(double price, double c, int side)
+static inline double band(double price, double c, double side)
 {
     double b = price * c;
     return b >= DBL_MIN && b <= DBL_MAX ? b : -side * HUGE_VAL;
 }
 
-int64_t it_scan(const double *px, int64_t n, double guard, double up_factor,
-                double down_factor, int use_log, struct it_state *s,
-                int8_t *kind, int8_t *dir, int64_t *idx, double *xt,
-                int64_t cap)
+int64_t it_scan(const double *px, int64_t n, int64_t *at, struct it_runner *run,
+                int64_t k)
 {
-    double ext = s->ext, ref = s->ref;
-    int mode = s->mode, confirmed = s->confirmed;
-    int64_t i = s->i, m = 0;
-    const double c_up = use_log ? exp(guard) * (1 - BAND_MU) : 1 + guard - BAND_MU;
-    const double c_dn = use_log ? exp(-guard) * (1 + BAND_MU) : 1 - guard + BAND_MU;
-    double os_at = band(ref, mode == 1 ? c_up : c_dn, mode);
-    double dc_at = band(ext, mode == 1 ? c_dn : c_up, -mode);
+    struct it_runner *const end = run + k, *r;
+    int64_t i = *at;
+    double lo = HUGE_VAL, hi = -HUGE_VAL; /* the quiet intersection, empty */
 
-#define EMIT(k, d)                                                         \
+    for (r = run; r < end; r++) {
+        double g = r->guard, mode = r->mode;
+        if (r->stall >= 0)
+            continue;                         /* parked: it keeps its bands */
+        double c_up = r->use_log ? exp(g) * (1 - BAND_MU) : 1 + g - BAND_MU;
+        double c_dn = r->use_log ? exp(-g) * (1 + BAND_MU) : 1 - g + BAND_MU;
+        r->os_c = mode > 0 ? c_up : c_dn;
+        r->dc_c = mode > 0 ? c_dn : c_up;
+        r->os_at = band(r->ref, r->os_c, mode);
+        r->dc_at = band(r->ext, r->dc_c, -mode);
+    }
+
+#define EMIT(code, d)                                                      \
     do {                                                                   \
-        if (m == cap)                                                      \
-            goto out;                                                      \
-        kind[m] = (k);                                                     \
-        dir[m] = (int8_t)(d);                                              \
-        xt[m] = ext;                                                       \
-        idx[m++] = i;                                                      \
+        if (r->m == r->cap)                                                \
+            goto full;                                                     \
+        r->kind[r->m] = (code);                                            \
+        r->dir[r->m] = (int8_t)(d);                                        \
+        r->xt[r->m] = r->ext;                                              \
+        r->idx[r->m++] = i;                                                \
     } while (0)
 
     for (; i < n; i++) {
-        double p = px[i];
-        if (mode * p >= mode * ext) {         /* the trend extends (or ties) */
-            ext = p;
-            dc_at = band(ext, mode == 1 ? c_dn : c_up, -mode);
-            if (confirmed && mode * p >= mode * os_at) {
-                double factor = mode == 1 ? up_factor : down_factor;
-                while (mode * move(ref, p, use_log) >= guard) {
-                    if (ref * factor == ref)
-                        goto out;             /* a step that cannot move ref */
-                    EMIT(1, mode);
-                    ref = ref * factor;
+        const double p = px[i];
+        if (lo <= p && p <= hi)
+            continue;                         /* quiet for every runner */
+        lo = -HUGE_VAL;
+        hi = HUGE_VAL;
+        for (r = run; r < end; r++) {
+            double mode = r->mode, ext = r->ext, dc_at = r->dc_at;
+            if (mode * p >= mode * ext) {     /* the trend extends (or ties) */
+                r->ext = ext = p;
+                r->dc_at = dc_at = band(p, r->dc_c, -mode);
+                if (r->confirmed && mode * p >= mode * r->os_at) {
+                    double factor = mode > 0 ? r->up_factor : r->down_factor;
+                    while (mode * move(r->ref, p, r->use_log) >= r->guard) {
+                        if (r->ref * factor == r->ref) {
+                            r->stall = i;     /* a step that cannot move ref: */
+                            r->ext = ext = mode * HUGE_VAL; /* park past every tick */
+                            r->dc_at = dc_at = -mode * HUGE_VAL;
+                            break;
+                        }
+                        EMIT(1, mode);
+                        r->ref *= factor;
+                    }
+                    r->os_at = band(r->ref, r->os_c, mode);
                 }
-                os_at = band(ref, mode == 1 ? c_up : c_dn, mode);
+            } else if (mode * p <= mode * dc_at
+                       && -mode * move(ext, p, r->use_log) >= r->guard) {
+                EMIT(0, -mode);               /* retraced: directional change */
+                double c = r->os_c;           /* the band factors trade sides */
+                r->os_c = r->dc_c;
+                r->dc_c = c;
+                r->mode = mode = -mode;
+                r->ref = p;
+                r->confirmed = 1;
+                r->ext = ext = p;
+                r->os_at = band(p, r->os_c, mode);
+                r->dc_at = dc_at = band(p, r->dc_c, -mode);
             }
-        } else if (mode * p <= mode * dc_at && -mode * move(ext, p, use_log) >= guard) {
-            EMIT(0, -mode);                   /* retraced: directional change */
-            mode = -mode;
-            ext = p;
-            ref = p;
-            confirmed = 1;
-            os_at = band(ref, mode == 1 ? c_up : c_dn, mode);
-            dc_at = band(ext, mode == 1 ? c_dn : c_up, -mode);
+            double q_lo = mode > 0 ? dc_at : ext, q_hi = mode > 0 ? ext : dc_at;
+            lo = q_lo > lo ? q_lo : lo;
+            hi = q_hi < hi ? q_hi : hi;
         }
     }
 #undef EMIT
-out:
-    *s = (struct it_state){ext, ref, i, mode, confirmed};
-    return m;
+    *at = i;
+    return -1;
+full:
+    *at = i;
+    return r - run;
 }
 
 /* The end of the run of ASCII digits that starts at p. */

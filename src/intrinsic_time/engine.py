@@ -367,14 +367,15 @@ def step(state: RunnerState, tick: Tick,
     return state, events
 
 
-# The batch scan and the tick-file and event-file parsers and writers run
-# in C (``_scan.c``; the parsers share one number reader, the writers one
-# "%.17g" formatter), compiled with the system ``cc`` on first use and
-# cached by a checksum of source and flags: beside this module in
-# ``__pycache__/``, else in the user's cache directory. A new build there
-# replaces the builds of earlier sources. Without a working compiler,
-# ``_scan_python`` runs the same loop without the C price bands (``step``
-# runs it too) and ``io`` its Python row loops and writers.
+# The batch scan (one pass over the ticks for a whole threshold grid) and
+# the tick-file and event-file parsers and writers run in C (``_scan.c``;
+# the parsers share one number reader, the writers one "%.17g" formatter),
+# compiled with the system ``cc`` on first use and cached by a checksum of
+# source and flags: beside this module in ``__pycache__/``, else in the
+# user's cache directory. A new build there replaces the builds of earlier
+# sources. Without a working compiler, ``_scan_python`` runs the same loop
+# once per threshold, without the C price bands and quiet intervals
+# (``step`` runs it too), and ``io`` its Python row loops and writers.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNLOADED = object()
@@ -465,8 +466,7 @@ def _bind_kernel(path: Path):
         return None
     ptr, i64, f64, c_int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
     i64_ptr = ctypes.POINTER(i64)
-    kernel.scan.argtypes = [ptr, i64, f64, f64, f64, c_int, ctypes.POINTER(_ScanState),
-                            ptr, ptr, ptr, ptr, i64]
+    kernel.scan.argtypes = [ptr, i64, i64_ptr, ctypes.POINTER(_Runner), i64]
     kernel.parse_ticks.argtypes = [ctypes.c_char_p, i64, i64_ptr, ptr, ptr, i64]
     kernel.format_ticks.argtypes = [ptr, ptr, i64, i64_ptr, ptr, i64]
     kernel.parse_events.argtypes = [ctypes.c_char_p, i64, i64_ptr, c_int,
@@ -498,38 +498,74 @@ def kernel_backend() -> str:
     return "python" if _load_kernel() is None else "c"
 
 
-class _ScanState(ctypes.Structure):
-    """``struct it_state`` of ``_scan.c``: the runner state a scan resumes from."""
+class _Runner(ctypes.Structure):
+    """``struct it_runner`` of ``_scan.c``: one threshold's scan arguments,
+    runner state and event columns; the last four fields are the kernel's."""
 
-    _fields_ = [("ext", ctypes.c_double), ("ref", ctypes.c_double),
-                ("i", ctypes.c_int64), ("mode", ctypes.c_int32),
-                ("confirmed", ctypes.c_int32)]
+    _fields_ = [("guard", ctypes.c_double), ("up_factor", ctypes.c_double),
+                ("down_factor", ctypes.c_double), ("ext", ctypes.c_double),
+                ("mode", ctypes.c_double), ("ref", ctypes.c_double),
+                ("use_log", ctypes.c_int32), ("confirmed", ctypes.c_int32),
+                ("stall", ctypes.c_int64),
+                ("kind", ctypes.c_void_p), ("dir", ctypes.c_void_p),
+                ("idx", ctypes.c_void_p), ("xt", ctypes.c_void_p),
+                ("cap", ctypes.c_int64), ("m", ctypes.c_int64),
+                ("os_c", ctypes.c_double), ("dc_c", ctypes.c_double),
+                ("os_at", ctypes.c_double), ("dc_at", ctypes.c_double)]
 
 
-def _scan_c(scan, prices: np.ndarray, guard: float, up_factor: float,
-            down_factor: float, use_log: bool, mode: int):
-    """Scan the array; return the event columns, the tick the scan stopped
-    at and the overshoot reference there. When the kernel stops on a full
-    buffer, it is resumed from its state with one twice as large, never
-    from tick 1. It stops short of the end with room left only at a tick
-    whose overshoot step cannot move the reference price."""
-    state = _ScanState(prices[0], prices[0], 1, mode, 0)
-    parts = []
-    cap = 1024
-    while True:
-        kinds = np.empty(cap, dtype=np.int8)
-        dirs = np.empty(cap, dtype=np.int8)
-        idx = np.empty(cap, dtype=np.int64)
-        xt = np.empty(cap, dtype=np.float64)
-        # prices is a C-contiguous float64 array (TickSeries guarantees it)
-        m = scan(prices.ctypes.data, prices.size, guard, up_factor, down_factor,
-                 use_log, state, kinds.ctypes.data, dirs.ctypes.data,
-                 idx.ctypes.data, xt.ctypes.data, cap)
-        parts.append((kinds[:m], dirs[:m], idx[:m], xt[:m]))
-        if state.i == prices.size or m < cap:
-            columns = (np.concatenate(column) for column in zip(*parts))
-            return (*columns, state.i, state.ref)
-        cap *= 2
+_FIRST_CAP = 1024  # event slots of a runner's first block; each next one doubles
+
+
+def _event_block(cap: int) -> tuple[np.ndarray, int, int, int, int]:
+    """A block of ``cap`` event slots and the addresses of its kind, dir,
+    idx and xt columns: one allocation, 8-byte columns first."""
+    block = np.empty(18 * cap, np.uint8)
+    base = block.ctypes.data
+    return block, base + 16 * cap, base + 17 * cap, base, base + 8 * cap
+
+
+def _block_columns(block: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """The first ``m`` events of a block as kinds, dirs, idx and xt."""
+    cap = block.size // 18
+    return (block[16 * cap:16 * cap + m].view(np.int8),
+            block[17 * cap:17 * cap + m].view(np.int8),
+            block[:8 * m].view(np.int64), block[8 * cap:8 * (cap + m)].view(np.float64))
+
+
+def _scan_c(scan, prices: np.ndarray, configs: list[ThresholdConfig], mode: int):
+    """Scan the array at every threshold in one pass; per threshold, return
+    the event columns, the tick its scan stopped at and the overshoot
+    reference there. When the kernel stops on a full block, that runner
+    gets one twice as large and every runner resumes from its state at
+    that tick, never from tick 1. A runner stops short of the end only at
+    a tick whose overshoot step cannot move the reference price."""
+    runners = (_Runner * len(configs))()
+    blocks = []  # per runner, its full blocks and then the one it writes to
+    first = float(prices[0])
+    for j, config in enumerate(configs):
+        guard, up_factor, down_factor, use_log = _scan_args(config)
+        block, *columns = _event_block(_FIRST_CAP)
+        runners[j] = _Runner(guard, up_factor, down_factor, first, mode, first, use_log,
+                             0, -1, *columns, _FIRST_CAP, 0)
+        blocks.append([block])
+    at = ctypes.c_int64(1)
+    # prices is a C-contiguous float64 array (TickSeries guarantees it)
+    while (full := scan(prices.ctypes.data, prices.size, at, runners, len(configs))) >= 0:
+        r = runners[full]
+        block, r.kind, r.dir, r.idx, r.xt = _event_block(2 * r.cap)
+        r.cap, r.m = 2 * r.cap, 0
+        blocks[full].append(block)
+    scans = []
+    for r, own in zip(runners, blocks):
+        parts = [_block_columns(block, block.size // 18) for block in own[:-1]]
+        parts.append(_block_columns(own[-1], r.m))
+        own.clear()
+        # a lone block is the first one, of _FIRST_CAP slots: its views can stay
+        columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
+        del parts  # free this runner's blocks before the next one is copied out
+        scans.append((*columns, prices.size if r.stall < 0 else r.stall, r.ref))
+    return scans
 
 
 def _scan_python(px: list, i: int, ext: float, ref: float, mode: int,
@@ -603,28 +639,55 @@ class EventArrays:
         return int(np.count_nonzero(self.kinds == 1))
 
 
-def process_arrays(ticks: TickInput, config: ThresholdConfig,
-                   initial_mode: Mode = Mode.UP) -> EventArrays:
-    """Run the event scan and return events as arrays (no object churn)."""
-    series = as_tick_series(ticks)
+def _process_grid(series: TickSeries, configs: list[ThresholdConfig],
+                  initial_mode: Mode = Mode.UP) -> list[EventArrays]:
+    """The grid driver: the event arrays of one scan per config, in order,
+    all from one pass over the ticks, in which the C kernel reads each tick
+    once for every threshold. Element j is exactly what ``process_arrays``
+    returns for ``configs[j]``. Without the kernel, ``_scan_python`` scans
+    the ticks once per threshold.
+
+    Raises EmptyInputError on an empty series, and DomainError for the
+    first config in order whose overshoot step cannot move its reference
+    price, where its scan would never end.
+    """
     if len(series) == 0:
         raise EmptyInputError("cannot process an empty tick sequence")
     kernel = _load_kernel()
-    args = _scan_args(config)
     if kernel is None:
         px = series.prices.tolist()
-        found, _, ref, _, _, stop = _scan_python(px, 1, px[0], px[0], initial_mode.value,
-                                                 False, *args)
-        # float64 holds these kinds, directions and tick indices exactly
-        kinds, dirs, idx, xt = np.array(found, dtype=np.float64).reshape(-1, 4).T.copy()
-        kinds, dirs, idx = kinds.astype(np.int8), dirs.astype(np.int8), idx.astype(np.int64)
+        scans = (_scan_columns(px, config, initial_mode.value) for config in configs)
     else:
-        kinds, dirs, idx, xt, stop, ref = _scan_c(kernel.scan, series.prices, *args,
-                                                  initial_mode.value)
-    if stop < len(series):
-        raise _endless_scan(config, int(series.timestamps[stop]),
-                            float(series.prices[stop]), ref)
-    return EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx], xt, config)
+        scans = _scan_c(kernel.scan, series.prices, configs, initial_mode.value)
+    grid = []
+    for config, (kinds, dirs, idx, xt, stop, ref) in zip(configs, scans):
+        if stop < len(series):
+            raise _endless_scan(config, int(series.timestamps[stop]),
+                                float(series.prices[stop]), ref)
+        grid.append(EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx],
+                                xt, config))
+    return grid
+
+
+def _scan_columns(px: list, config: ThresholdConfig, mode: int):
+    """``_scan_python`` over the whole of ``px`` as the columns, stop and
+    reference that ``_scan_c`` gives for one threshold."""
+    found, _, ref, _, _, stop = _scan_python(px, 1, px[0], px[0], mode, False,
+                                             *_scan_args(config))
+    # float64 holds these kinds, directions and tick indices exactly
+    kinds, dirs, idx, xt = np.array(found, dtype=np.float64).reshape(-1, 4).T.copy()
+    return kinds.astype(np.int8), dirs.astype(np.int8), idx.astype(np.int64), xt, stop, ref
+
+
+def process_arrays(ticks: TickInput, config: ThresholdConfig,
+                   initial_mode: Mode = Mode.UP) -> EventArrays:
+    """Run the event scan and return events as arrays (no object churn).
+
+    The one-threshold case of the grid driver ``_process_grid``, which
+    ``run_grid``, ``decompose`` and the CLI commands call once for a whole
+    grid, so that they read the ticks once.
+    """
+    return _process_grid(as_tick_series(ticks), [config], initial_mode)[0]
 
 
 _KINDS = (EventKind.DIRECTIONAL_CHANGE, EventKind.OVERSHOOT)  # by kind code

@@ -77,11 +77,13 @@ class ThresholdSummary:
 
 def _scan_grid(series: TickSeries, grid: GridInput,
                convention: MoveConvention) -> list[EventArrays]:
-    """``run_grid`` before event materialisation: one scan per threshold, in
-    grid order, each carrying its threshold in ``config.delta``."""
-    # through the module, so that a patched ``engine.process_arrays`` sees every scan
-    return [engine.process_arrays(series, ThresholdConfig(d, convention))
-            for d in as_threshold_grid(grid)]
+    """``run_grid`` before event materialisation: the event arrays of every
+    threshold, in grid order, each carrying its threshold in
+    ``config.delta``, from one call of the grid driver, which reads each
+    tick once for the whole grid."""
+    # through the module, so that a patched ``engine._process_grid`` sees every pass
+    return engine._process_grid(series, [ThresholdConfig(d, convention)
+                                         for d in as_threshold_grid(grid)])
 
 
 def run_grid(ticks: TickInput, grid: GridInput,
@@ -89,8 +91,9 @@ def run_grid(ticks: TickInput, grid: GridInput,
              ) -> list[tuple[float, list[IntrinsicEvent]]]:
     """Run one independent runner per threshold over the same ticks.
 
-    Every runner starts in ``Mode.UP``. The thresholds are scanned one
-    after another in the calling thread, and the output follows the grid
+    Every runner starts in ``Mode.UP``. One pass over the ticks in the
+    calling thread serves every threshold (with the C kernel; the Python
+    fallback scans once per threshold), and the output follows the grid
     order; element i is exactly what a single ``process`` call at that
     threshold returns.
     """

@@ -16,10 +16,16 @@ import numpy as np
 UP, DOWN = 1, -1
 
 
+class EndlessScan(ArithmeticError):
+    """An overshoot is due but one threshold step cannot move its reference."""
+
+
 def reference_events(timestamps, prices, delta, use_log=False, initial_mode=UP):
     """Return [(kind, direction, timestamp, price, tick_index), ...].
 
-    kind is "DC" or "OS"; direction is +1 (up) or -1 (down).
+    kind is "DC" or "OS"; direction is +1 (up) or -1 (down). Raises
+    EndlessScan at an overshoot whose step would leave the reference price
+    where it is (``ref * factor == ref``), where the loop would never end.
     """
     px = np.asarray(prices, dtype=np.float64)
     ts = list(timestamps)
@@ -29,6 +35,10 @@ def reference_events(timestamps, prices, delta, use_log=False, initial_mode=UP):
 
     def move(base, price):
         return math.log(price / base) if use_log else (price - base) / base
+
+    def stuck(ref, factor, i):
+        if ref * factor == ref:  # the step cannot move the reference: no end
+            raise EndlessScan(f"an overshoot step from {ref!r} rounds back to it at tick {i}")
 
     events = []
     mode = initial_mode
@@ -41,10 +51,12 @@ def reference_events(timestamps, prices, delta, use_log=False, initial_mode=UP):
         if confirm_price is not None:
             if mode == UP:
                 while move(os_ref, p) >= guard:
+                    stuck(os_ref, up_factor, i)
                     events.append(("OS", UP, ts[i], p, i))
                     os_ref = os_ref * up_factor
             else:
                 while move(os_ref, p) <= -guard:
+                    stuck(os_ref, down_factor, i)
                     events.append(("OS", DOWN, ts[i], p, i))
                     os_ref = os_ref * down_factor
         window = px[trend_start:i + 1]

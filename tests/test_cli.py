@@ -228,21 +228,21 @@ def test_each_command_scans_each_threshold_once(tmp_path, monkeypatch, capsys):
     ticks = tmp_path / "ticks.csv"
     run_cli("generate", "--model", "walk", "--step-size", "0.003", "--steps",
             "5000", "--seed", "9", "--out", str(ticks))
-    calls = []
-    process_arrays = it.engine.process_arrays
+    calls = []  # the thresholds of each grid-driver call
+    process_grid = it.engine._process_grid
 
     def counting(*args, **kwargs):
-        calls.append(args[1].delta)
-        return process_arrays(*args, **kwargs)
+        calls.append([config.delta for config in args[1]])
+        return process_grid(*args, **kwargs)
 
-    monkeypatch.setattr(it.engine, "process_arrays", counting)
+    monkeypatch.setattr(it.engine, "_process_grid", counting)
     common = ["--in", str(ticks), "--deltas", "0.002,0.004,0.008"]
     for command, extra in [("transform", ["--out-dir", str(tmp_path / "out")]),
                            ("scaling", []),
                            ("decompose", ["--dt-seconds", "10"])]:
         calls.clear()
         assert run_cli(command, *common, *extra) == 0
-        assert sorted(calls) == [0.002, 0.004, 0.008], command
+        assert calls == [[0.002, 0.004, 0.008]], command  # one pass for the grid
     capsys.readouterr()
 
 

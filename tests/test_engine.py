@@ -1,5 +1,6 @@
 """Unit and property tests for the event engine."""
 
+import ctypes
 import dataclasses
 import itertools
 import math
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import intrinsic_time as it
 from intrinsic_time import engine
-from oracle_reference import DOWN, UP, reference_events, reference_overshoots
+from oracle_reference import DOWN, UP, EndlessScan, reference_events, reference_overshoots
 
 REL = it.MoveConvention.RELATIVE
 LOG = it.MoveConvention.LOG_RETURN
@@ -684,11 +685,11 @@ def test_full_buffer_resumes_without_rescanning(monkeypatch, series, delta, mode
     spans = []  # (first tick, tick the call stopped at) of each kernel call
 
     def tracing(*args):
-        state = args[6]
-        first = state.i
-        written = kernel.scan(*args)
-        spans.append((first, state.i))
-        return written
+        at = args[2]  # in: the tick to start at; out: the tick the call stopped at
+        first = at.value
+        full = kernel.scan(*args)
+        spans.append((first, at.value))
+        return full
 
     monkeypatch.setattr(engine, "_kernel", kernel._replace(scan=tracing))
     arrays = it.process_arrays(series, it.ThresholdConfig(delta, LOG), mode)
@@ -793,12 +794,16 @@ def test_a_step_that_cannot_move_the_reference_stops_the_scan(monkeypatch, price
     error = r"rounds back to it at the tick at timestamp 30 \(price "
     if HAS_CC:  # the kernel first, capped, so that a scan without end cannot hang
         kernel = engine._load_kernel()
-        state = engine._ScanState(prices[0], prices[0], 1, 1, 0)
         cap = 100_000
         out = [np.empty(cap, dtype) for dtype in (np.int8, np.int8, np.int64, np.float64)]
-        written = kernel.scan(series.prices.ctypes.data, 4, *engine._scan_args(config),
-                              state, *(column.ctypes.data for column in out), cap)
-        assert (written, state.i) == (2, 3)  # the two DCs, then the stop at tick 3
+        guard, up_factor, down_factor, use_log = engine._scan_args(config)
+        runner = engine._Runner(guard, up_factor, down_factor, prices[0], 1.0, prices[0],
+                                use_log, 0, -1, *(column.ctypes.data for column in out),
+                                cap, 0)
+        at = ctypes.c_int64(1)
+        assert kernel.scan(series.prices.ctypes.data, 4, at, runner, 1) == -1
+        assert (runner.m, runner.stall) == (2, 3)  # the two DCs, then the stop at tick 3
+        assert at.value == 4 and runner.ref == prices[2]  # parked there; the scan ran on
         with pytest.raises(it.DomainError, match=error):
             it.process_arrays(series, config)
     monkeypatch.setattr(engine, "_kernel", None)
@@ -809,6 +814,101 @@ def test_a_step_that_cannot_move_the_reference_stops_the_scan(monkeypatch, price
     with pytest.raises(it.DomainError, match=error):
         within_lines(100_000, it.step, state, series[3], config)
     assert (state.last_timestamp, state.intrinsic_clock) == (20, 2)  # left as it was
+
+
+@pytest.mark.parametrize("prices, delta", ENDLESS)
+@pytest.mark.parametrize("use_log", [False, True])
+def test_the_oracle_stops_where_a_step_cannot_move_the_reference(prices, delta, use_log):
+    with pytest.raises(EndlessScan, match=r"rounds back to it at tick 3$"):
+        within_lines(100_000, reference_events, range(4), prices, delta, use_log)
+
+
+# Subnormal prices (multiples of the smallest one) on which the second
+# threshold of each grid stalls first in time, and the first one later
+STALLING_GRIDS = [(REL, [170, 150, 138, 143, 6, 2], (0.01, 0.05), (50, 40)),
+                  (LOG, [160, 50, 54, 3, 40, 173], (0.01, 0.1), (50, 30))]
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=pytest.mark.skipif(not HAS_CC,
+                                               reason="no C compiler (cc) on PATH")),
+    "python"])
+@pytest.mark.parametrize("convention, multiples, deltas, stall_ts", STALLING_GRIDS)
+def test_a_stalling_grid_raises_for_its_first_stalled_threshold(monkeypatch, backend,
+                                                                convention, multiples,
+                                                                deltas, stall_ts):
+    if backend == "python":
+        monkeypatch.setattr(engine, "_kernel", None)
+    assert it.kernel_backend() == backend
+    prices = np.array(multiples) * 5e-324
+    series = it.TickSeries(np.arange(prices.size) * 10, prices)
+    for delta, ts in zip(deltas, stall_ts):  # each alone: the second stalls first
+        with pytest.raises(it.DomainError, match=rf"^threshold {delta!r}: .* timestamp {ts} "):
+            it.process_arrays(series, it.ThresholdConfig(delta, convention))
+    with pytest.raises(it.DomainError, match=rf"^threshold {deltas[0]!r}: .* timestamp 50 "):
+        within_lines(100_000, it.run_grid, series, deltas, convention)
+
+
+def twin_grid(series, configs, mode):
+    """Each threshold scanned alone by the Python twin, the spec."""
+    kernel = engine._kernel
+    engine._kernel = None
+    try:
+        return [it.process_arrays(series, config, mode) for config in configs]
+    finally:
+        engine._kernel = kernel
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+@pytest.mark.parametrize("k", [1, 2, 7, 64])
+def test_one_pass_over_a_grid_equals_each_threshold_scanned_alone(monkeypatch, k):
+    # The kernel reads each tick once for k thresholds, and skips the ticks
+    # inside all their quiet intervals. The smallest threshold's interval is
+    # mostly inside the others', so the grids are rotated to put it first,
+    # in the middle or last. 3-slot first blocks make the kernel stop and
+    # resume often: inside a gap tick's overshoot loop, and where one
+    # threshold fills after the thresholds before it have read that tick
+    # and before those after it have.
+    kernel = engine._load_kernel()
+    stops = []  # the runner whose block filled, per stop
+
+    def tracing(*args):
+        full = kernel.scan(*args)
+        stops.append(full)
+        return full
+
+    monkeypatch.setattr(engine, "_kernel", kernel._replace(scan=tracing))
+    monkeypatch.setattr(engine, "_FIRST_CAP", 3)
+    rng = np.random.default_rng(40 + k)
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    # (threshold the walk is on, first price, bounds): ties and ticks within
+    # rounding of that threshold's triggers, band products that go
+    # subnormal or overflow, and the gap tick
+    walks = [(delta, 1.0 + float(rng.random()), 1e-30, 1e30) for delta in (1e-9, 1e-4, 0.01)]
+    walks += [(0.01, tiny, tiny * 2.0**-30, tiny * 1e6), (0.01, huge * 0.9999, huge * 1e-6, huge)]
+    shifts = itertools.cycle((0, k // 2, k - 1))  # where the smallest threshold goes
+    cases = []
+    for convention in (REL, LOG):
+        for delta, start, lo, hi in walks:
+            # the walk's threshold and k - 1 up to 16 times larger
+            deltas = delta * np.geomspace(1, 16, k) if k > 1 else [delta]
+            configs = [it.ThresholdConfig(d, convention) for d in np.roll(deltas, next(shifts))]
+            factors = engine._scan_args(it.ThresholdConfig(delta, convention))[1:3]
+            prices = grid_walk(rng, start, factors, 400, lo, hi)
+            series = it.TickSeries(np.arange(prices.size), prices)
+            cases += [(series, configs, mode) for mode in it.Mode]
+        gap = np.roll(np.geomspace(0.001, 0.03, k), next(shifts))
+        cases.append((GAP_SERIES, [it.ThresholdConfig(d, convention) for d in gap], it.Mode.UP))
+    for series, configs, mode in cases:
+        grid = engine._process_grid(series, configs, mode)
+        assert [arrays.config for arrays in grid] == configs
+        assert sum(map(len, grid)) > 20
+        for got, twin in zip(grid, twin_grid(series, configs, mode)):
+            for field in ARRAY_FIELDS:
+                a, b = getattr(got, field), getattr(twin, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (got.config, mode, field)
+    if k >= 7:
+        assert any(0 < full < k - 1 for full in stops)
 
 
 def reduceat_overshoots(prices, dc_events, use_log):
