@@ -66,12 +66,16 @@
  * int_field and real_field, in the JSON number grammar; both writers write
  * "%.17g" with put_g17. The event writer formats a JSON Lines price as
  * float.__repr__ does, exactly, for prices in [1e-3, 2^52); it leaves a
- * row with any other price to Python.
+ * row with any other price to Python. The parsers and writers switch the
+ * calling thread to the C locale and back around their loops, so strtod
+ * and "%.17g" use '.' whatever the process locale; that locale is made
+ * once, by it_init, which ``engine._bind_kernel`` calls when it loads this
+ * unit.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off -lm (no fused multiply-add,
  * no fast-math: the arithmetic must round exactly as Python's does).
  */
-#define _POSIX_C_SOURCE 200809L /* newlocale, uselocale */
+#define _POSIX_C_SOURCE 200809L /* locale_t, uselocale */
 #include <errno.h>
 #include <float.h>
 #include <locale.h>
@@ -82,6 +86,9 @@
 #include <string.h>
 
 #define BAND_MU 0x1p-30 /* mu, the price bands' margin */
+
+/* The C locale the parsers and writers run in, made once by it_init. */
+static locale_t c_locale;
 
 struct it_runner {
     double guard, up_factor, down_factor; /* the threshold (engine._scan_args) */
@@ -201,9 +208,8 @@ static const char *digits(const char *p, const char *end)
     return p;
 }
 
-/* The field readers and writers below are inlined into the parsers and
- * writers: as functions of their own, the compiler would place them before
- * it_scan and move it. */
+/* The field readers and writers below are forced inline. Left to gcc,
+ * real_field is called, not inlined, which slows it_parse_ticks by 8%. */
 #define FIELD static inline __attribute__((always_inline))
 
 /* The end of the text lit at p, or NULL when p does not start with it. */
@@ -300,9 +306,6 @@ int64_t it_parse_ticks(const char *buf, int64_t len, int64_t *pos,
 {
     const char *end = buf + len, *row = buf + *pos;
     int64_t m = 0;
-    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    if (c_locale == (locale_t)0)
-        return 0;
     locale_t caller = uselocale(c_locale);
 
     for (; m < cap && row < end; m++) {
@@ -312,20 +315,19 @@ int64_t it_parse_ticks(const char *buf, int64_t len, int64_t *pos,
         row = p;
     }
     uselocale(caller);
-    freelocale(c_locale);
     *pos = row - buf;
     return m;
 }
 
 /* The text before each of the six fields of an event row and after the
- * last, as ``_write_event_rows`` writes them: CSV, then JSON Lines. */
+ * last, as ``io._event_rows`` writes them: CSV, then JSON Lines. */
 static const char *const EVENT_SEP[2][7] = {
     {"", ",", ",", ",", ",", ",", "\n"},
     {"{\"kind\":\"", "\",\"direction\":\"", "\",\"timestamp_ns\":", ",\"price\":",
      ",\"delta\":", ",\"clock_index\":", "}\n"},
 };
 
-/* Event rows from buf[*pos] on, in the exact layout ``_write_event_rows``
+/* Event rows from buf[*pos] on, in the exact layout ``io._event_rows``
  * writes (CSV when jsonl is 0, JSON Lines otherwise), into kind (0 = DC,
  * 1 = OS), dir (+1 up, -1 down), ts, px, delta and clock. The fields are
  * ``DC|OS``, ``up|down``, a timestamp and a price as in a tick row, a delta
@@ -344,9 +346,6 @@ int64_t it_parse_events(const char *buf, int64_t len, int64_t *pos, int jsonl,
     const char *const *sep = EVENT_SEP[jsonl != 0];
     const char *end = buf + len, *row = buf + *pos;
     int64_t m = 0;
-    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    if (c_locale == (locale_t)0)
-        return 0;
     locale_t caller = uselocale(c_locale);
 
     for (; m < cap && row < end; m++) {
@@ -366,14 +365,9 @@ int64_t it_parse_events(const char *buf, int64_t len, int64_t *pos, int jsonl,
         row = p;
     }
     uselocale(caller);
-    freelocale(c_locale);
     *pos = row - buf;
     return m;
 }
-
-/* Left to itself, gcc turns the writers' copy loops into calls to memcpy
- * and strlen, whose two new entries in the PLT would move it_scan. */
-#define WRITER __attribute__((optimize("no-tree-loop-distribute-patterns")))
 
 /* 10^0 .. 10^11: 10^q for q <= 22 is the product of two of them. */
 static const uint64_t POW10[12] = {
@@ -501,23 +495,18 @@ FIELD char *put_repr(char *out, double x)
 
 /* Tick rows ts[*i], px[*i], ... as "%lld,%.17g\n" into buf, while a
  * longest row still fits in its cap bytes, in the C locale. Returns the
- * bytes written and leaves *i at the next row; -1 when no C locale could
- * be made.
+ * bytes written and leaves *i at the next row.
  */
-WRITER int64_t it_format_ticks(const int64_t *ts, const double *px, int64_t n,
-                               int64_t *i, char *buf, int64_t cap)
+int64_t it_format_ticks(const int64_t *ts, const double *px, int64_t n,
+                        int64_t *i, char *buf, int64_t cap)
 {
     int64_t k = *i, size = 0;
-    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    if (c_locale == (locale_t)0)
-        return -1;
     locale_t caller = uselocale(c_locale);
 
     for (; k < n && cap - size >= TICK_ROW_MAX; k++)
         size = put_text(put_g17(put_text(put_int(buf + size, ts[k]), ","), px[k]),
                         "\n") - buf;
     uselocale(caller);
-    freelocale(c_locale);
     *i = k;
     return size;
 }
@@ -527,7 +516,7 @@ WRITER int64_t it_format_ticks(const int64_t *ts, const double *px, int64_t n,
 #define EVENT_ROW_MAX 160
 
 /* Event rows *i, *i + 1, ... of n into buf, in the exact layout
- * ``_write_event_rows`` writes (CSV when jsonl is 0, JSON Lines otherwise),
+ * ``io._event_rows`` writes (CSV when jsonl is 0, JSON Lines otherwise),
  * while a longest row still fits in its cap bytes. The fields are kind
  * (0 = DC, else OS), dir (+1 up, else down), ts, px, the threshold as the
  * text delta, which is the same on every row, and the row number as the
@@ -535,21 +524,17 @@ WRITER int64_t it_format_ticks(const int64_t *ts, const double *px, int64_t n,
  * Lines price as float.__repr__ writes it (put_repr). The writer stops
  * before a row whose price is not in (0, inf), or, in JSON Lines, is not
  * in [1e-3, 2^52): a call that writes nothing leaves row *i to the caller.
- * Returns the bytes written and leaves *i at the next row; -1 when no C
- * locale could be made.
+ * Returns the bytes written and leaves *i at the next row.
  */
-WRITER int64_t it_format_events(const int8_t *kind, const int8_t *dir,
-                                const int64_t *ts, const double *px, int64_t n,
-                                const char *delta, int jsonl, int64_t *i,
-                                char *buf, int64_t cap)
+int64_t it_format_events(const int8_t *kind, const int8_t *dir,
+                         const int64_t *ts, const double *px, int64_t n,
+                         const char *delta, int jsonl, int64_t *i,
+                         char *buf, int64_t cap)
 {
     const char *const *sep = EVENT_SEP[jsonl != 0];
     int64_t k = *i, size = 0, row_max = EVENT_ROW_MAX;
     for (const char *c = delta; *c; c++)
         row_max++;
-    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    if (c_locale == (locale_t)0)
-        return -1;
     locale_t caller = uselocale(c_locale);
 
     for (; k < n && cap - size >= row_max; k++) {
@@ -567,7 +552,16 @@ WRITER int64_t it_format_events(const int8_t *kind, const int8_t *dir,
         size = put_text(put_int(out, k), sep[6]) - buf;
     }
     uselocale(caller);
-    freelocale(c_locale);
     *i = k;
     return size;
+}
+
+/* Makes the C locale the parsers and writers switch to, once: a later call
+ * keeps it. Returns 1, or 0 when none can be made; the parsers and writers
+ * must not run before a call that returned 1. */
+int it_init(void)
+{
+    if (c_locale == (locale_t)0)
+        c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    return c_locale != (locale_t)0;
 }

@@ -117,7 +117,7 @@ def _write_report(path, kind: str, comment: str | None, header: str,
     """A report CSV: schema line, optional ``#`` comment, header, then rows."""
     lines = [f"# intrinsic-time {kind}-csv v1", *([f"# {comment}"] if comment else []),
              header, *(",".join(map(str, row)) for row in rows)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def _read_input(args) -> TickSeries:

@@ -460,6 +460,9 @@ def _bind_kernel(path: Path):
         lib = ctypes.CDLL(str(path))
         kernel = _Kernel(lib.it_scan, lib.it_parse_ticks, lib.it_format_ticks,
                          lib.it_parse_events, lib.it_format_events)
+        lib.it_init.argtypes, lib.it_init.restype = [], ctypes.c_int
+        if not lib.it_init():  # once per process: a second bind keeps the locale
+            raise OSError("cannot make a C locale for its parsers and writers")
     except OSError as exc:
         warnings.warn(f"cannot load the C scan kernel {path}: {exc}; "
                       "using the slower Python scan and file I/O", RuntimeWarning)

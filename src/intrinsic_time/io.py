@@ -4,19 +4,19 @@ File formats are deliberately plain: tick files are two-column CSV
 (``timestamp,price``), event files are CSV or JSON Lines with a fixed
 field order. Every CSV written here starts with a ``#``-prefixed schema
 version comment. One reader, ``_text_rows``, numbers the lines of every
-file read here and skips blank lines, CSV comments and the header;
-one set of row templates, ``_event_lines``, formats every event row in
-Python. When ``_scan.c`` is compiled, nanosecond tick files are parsed
-and written in C, event files are parsed in C into columns from which
-the events are built, and CLI ``transform`` writes its event files from
-the scan's columns in C. Tick and event files share one number grammar
-in C, JSON's. Each C parser reads a strict subset of what its Python row
-loop reads, through one driver, ``_parse_c``, and hands any other file
-whole to that loop, which stays the spec: the result and every error
-never depend on the path taken. The C writers write the bytes of the
-Python ones, through one driver, ``_c_blocks``; the event writer leaves
-to the templates each row whose price it does not format, which in JSON
-Lines is any price outside [1e-3, 2**52), subnormals included. CSV
+file read here and skips blank lines, CSV comments and the header. When
+``_scan.c`` is compiled, nanosecond tick files and event files are parsed
+in C into columns, from which the events are built. Tick and event files
+share one number grammar in C, JSON's. Each C parser reads a strict subset
+of what its Python row loop reads, through one function, ``_parse_c``, and
+hands any other file whole to that loop, which stays the spec: the result
+and every error never depend on the path taken. Every tick and event file
+is written through one block writer, ``_c_blocks``: a head, then the rows
+from a C writer when one is compiled, else from a Python template that
+formats a range of rows and is the C writer's spec (``write_ticks``' own,
+and ``_event_rows`` after ``_event_head`` for event files). The C event
+writer leaves to the template each row whose price it does not format,
+which in JSON Lines is any price outside [1e-3, 2**52), subnormal too. CSV
 prices are serialized with 17 significant digits and JSON Lines prices
 as ``repr`` writes them, so numeric round-trips are lossless. Writers go
 through a temp-file-then-rename step, so a failed run never leaves a
@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import (_KINDS, EventArrays, EventKind, IntrinsicEvent, TickSeries,
+from .engine import (_KINDS, EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries,
                      _build_events, _in_int64, _load_kernel, _whole)
 from .errors import ConfigurationError, DomainError, IngestionError, WriteError
 
@@ -283,16 +283,15 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
     return TickSeries(ts_arr, px_arr)
 
 
-def _atomic_write(path: str | Path,
-                  content: str | Iterable[bytes | memoryview]) -> None:
-    """Write ``content`` (text, or blocks of UTF-8 bytes) to a fresh temp
-    file beside ``path``, then rename it.
+def _atomic_write(path: str | Path, blocks: Iterable[bytes | memoryview]) -> None:
+    """Write ``blocks`` of UTF-8 bytes to a fresh temp file beside ``path``,
+    then rename it.
 
     The temp file is created with mode 0o666 less the umask, as ``open``
-    creates files. On failure it is removed and WriteError is raised.
+    creates files. On failure, also one raised while the blocks are made,
+    it is removed; an OSError is raised as WriteError.
     """
     path = Path(path)
-    blocks = [content.encode("utf-8")] if isinstance(content, str) else content
     try:
         tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -321,52 +320,46 @@ _BLOCK_BYTES = 1 << 18
 
 
 def _c_blocks(head: str, n: int, format_rows,
-              python_row) -> Iterator[bytes | memoryview]:
-    """A file of ``head`` and ``n`` rows in blocks of at most ``_BLOCK_BYTES``.
+              python_rows) -> Iterator[bytes | memoryview]:
+    """A file of ``head`` and ``n`` rows in blocks, as every writer here writes.
 
-    ``format_rows(row, buf, cap)``, a C writer, formats the rows from
-    ``row.value`` on into the ``cap`` bytes at ``buf`` and moves ``row``
-    past them; a row it leaves (a call that writes nothing) is formatted by
-    the template ``python_row(k)``. Each C block is a view of one reused
-    buffer, valid until the next.
+    ``format_rows(row, buf, cap)``, a C writer or None, formats the rows
+    from ``row.value`` on into the ``cap`` bytes at ``buf`` and moves
+    ``row`` past them. The template ``python_rows(start, stop)`` formats
+    rows ``start`` to ``stop``: all ``n`` at once without a C writer, else
+    each row the C writer leaves (a call that writes nothing). Each C block
+    is a view of one reused buffer, valid until the next.
     """
     yield head.encode("utf-8")
+    if format_rows is None:
+        yield python_rows(0, n).encode("utf-8")
+        return
     buf = np.empty(_BLOCK_BYTES, dtype=np.uint8)
     row = ctypes.c_int64(0)
     while row.value < n:
         size = format_rows(row, buf.ctypes.data, buf.size)
-        if size < 0:
-            raise MemoryError("cannot make a C locale to write rows in")
         if size > 0:
             yield memoryview(buf)[:size]
         else:
-            yield python_row(row.value).encode("utf-8")
+            yield python_rows(row.value, row.value + 1).encode("utf-8")
             row.value += 1
-
-
-def _tick_line(ts: int, price: float) -> str:
-    """The row of a tick file: the spec of ``it_format_ticks``."""
-    return f"{ts},{_fmt(price)}\n"
 
 
 def write_ticks(series: TickSeries, path: str | Path) -> None:
     """Write a tick CSV (nanosecond timestamps, versioned header).
 
     Rows are ``timestamp,price`` with the price in ``.17g``; the C writer,
-    when compiled, writes the same bytes as the Python one.
+    when compiled, writes the same bytes as the Python template.
     """
-    head = f"{TICK_SCHEMA_COMMENT}\ntimestamp,price\n"
     kernel = _load_kernel()
-    if kernel is None:
-        _atomic_write(path, head + "".join(map(
-            _tick_line, series.timestamps.tolist(), series.prices.tolist())))
-        return
-    ts = np.ascontiguousarray(series.timestamps, dtype=np.int64)
-    px = series.prices  # C-contiguous float64 (TickSeries guarantees it)
+    ts, px = series.timestamps, series.prices  # C-contiguous (TickSeries guarantees it)
     _atomic_write(path, _c_blocks(
-        head, len(series),
-        functools.partial(kernel.format_ticks, ts.ctypes.data, px.ctypes.data, len(series)),
-        lambda k: _tick_line(int(ts[k]), float(px[k]))))
+        f"{TICK_SCHEMA_COMMENT}\ntimestamp,price\n", len(series),
+        kernel and functools.partial(kernel.format_ticks, ts.ctypes.data, px.ctypes.data,
+                                     len(series)),
+        # the rows of a tick file: the spec of it_format_ticks
+        lambda start, stop: "".join([f"{t},{p:.17g}\n" for t, p in zip(
+            ts[start:stop].tolist(), px[start:stop].tolist())])))
 
 
 def _event_values(ts, price: float, delta: float, clock) -> tuple[int, float, float, int]:
@@ -386,24 +379,31 @@ def _event_values(ts, price: float, delta: float, clock) -> tuple[int, float, fl
     return whole_ts, price, delta, whole_clock
 
 
-def _event_lines(rows: Iterable[tuple], format: EventFileFormat) -> list[str]:
-    """The lines of an event file that holds ``rows``, header included: the
-    spec of ``it_format_events``."""
+# The text of each event kind and direction in an event file.
+_TEXT = {EventKind.DIRECTIONAL_CHANGE: "DC", EventKind.OVERSHOOT: "OS",
+         Mode.UP: "up", Mode.DOWN: "down"}
+
+
+def _member_text(field: str, value, enum: type[Enum]) -> str:
+    """The ``_TEXT`` of ``value``; ValueError when it is not a member of ``enum``."""
+    if type(value) is not enum:
+        raise ValueError(f"{field} {value!r} is not a member of {enum.__name__}")
+    return _TEXT[value]
+
+
+def _event_head(format: EventFileFormat) -> str:
+    """The lines of an event file before its rows."""
+    return f"{EVENT_SCHEMA_COMMENT}\n{EVENT_HEADER}\n" if format is EventFileFormat.CSV else ""
+
+
+def _event_rows(rows: Iterable[tuple], format: EventFileFormat) -> str:
+    """The lines of the event rows ``rows``: the spec of ``it_format_events``."""
     # float.__repr__ writes what json.dumps does, also for numpy float64s.
     if format is EventFileFormat.CSV:
-        lines = [EVENT_SCHEMA_COMMENT, EVENT_HEADER]
-        lines += [f"{k},{d},{t},{p:.17g},{dl:.17g},{c}" for k, d, t, p, dl, c in rows]
-    else:
-        lines = [f'{{"kind":"{k}","direction":"{d}","timestamp_ns":{t},'
-                 f'"price":{float.__repr__(float(p))},"delta":{float.__repr__(float(dl))},'
-                 f'"clock_index":{c}}}' for k, d, t, p, dl, c in rows]
-    return lines
-
-
-def _write_event_rows(rows: Iterable[tuple], path: str | Path,
-                      format: EventFileFormat) -> None:
-    lines = _event_lines(rows, format)
-    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+        return "".join([f"{k},{d},{t},{p:.17g},{dl:.17g},{c}\n" for k, d, t, p, dl, c in rows])
+    return "".join([f'{{"kind":"{k}","direction":"{d}","timestamp_ns":{t},'
+                    f'"price":{float.__repr__(float(p))},"delta":{float.__repr__(float(dl))},'
+                    f'"clock_index":{c}}}\n' for k, d, t, p, dl, c in rows])
 
 
 def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
@@ -413,7 +413,8 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     CSV carries a version comment plus header even when empty; JSONL is
     one object per line and empty for an empty list. Field order is
     fixed: kind, direction, timestamp_ns, price, delta, clock_index.
-    A price that is not positive and finite (``nan``, ``inf``), a delta
+    A kind that is not an EventKind, a direction that is not a Mode, a
+    price that is not positive and finite (``nan``, ``inf``), a delta
     outside (0, 1), a timestamp that is not a whole number inside int64
     or a clock index that is not a whole number >= 0 raises DomainError
     naming the event's position, and no file is written. Timestamps and
@@ -425,18 +426,20 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     rows = []
     for i, ev in enumerate(events):
         try:
-            ts, price, delta, clock = _event_values(ev.timestamp, ev.price, ev.delta,
-                                                    ev.clock_index)
+            rows.append((_member_text("kind", ev.kind, EventKind),
+                         _member_text("direction", ev.direction, Mode),
+                         *_event_values(ev.timestamp, ev.price, ev.delta, ev.clock_index)))
         except ValueError as exc:
             raise DomainError(f"event {i}: {exc}") from None
-        rows.append((ev.kind.value, ev.direction.name.lower(), ts, price, delta, clock))
-    _write_event_rows(rows, path, format)
+    _atomic_write(path, _c_blocks(_event_head(format), len(rows), None,
+                                  lambda start, stop: _event_rows(rows[start:stop], format)))
 
 
 def _array_rows(arrays: EventArrays, rows: slice = slice(None)) -> Iterator[tuple]:
-    """The ``_event_lines`` rows of the events ``arrays[rows]``."""
-    return zip(np.where(arrays.kinds[rows] == 0, "DC", "OS").tolist(),
-               np.where(arrays.directions[rows] == 1, "up", "down").tolist(),
+    """The ``_event_rows`` rows of the events ``arrays[rows]``."""
+    return zip(np.where(arrays.kinds[rows] == 0, _TEXT[_KINDS[0]], _TEXT[_KINDS[1]]).tolist(),
+               np.where(arrays.directions[rows] == 1, _TEXT[Mode.UP],
+                        _TEXT[Mode.DOWN]).tolist(),
                arrays.timestamps[rows].tolist(), arrays.prices[rows].tolist(),
                itertools.repeat(arrays.config.delta), range(len(arrays))[rows])
 
@@ -445,32 +448,31 @@ def _write_event_arrays(arrays: EventArrays, path: str | Path,
                         format: EventFileFormat) -> None:
     """Write the events of a scan: the bytes ``write_events`` writes for
     ``events_from_arrays(arrays)``, formatted in C when it is compiled,
-    except each row that ``it_format_events`` leaves to the ``_event_lines``
+    except each row that ``it_format_events`` leaves to the ``_event_rows``
     template."""
     kernel = _load_kernel()
-    if kernel is None:
-        _write_event_rows(_array_rows(arrays), path, format)
-        return
     jsonl = format is EventFileFormat.JSONL
-    delta = float(arrays.config.delta)
-    delta_text = (float.__repr__(delta) if jsonl else _fmt(delta)).encode("ascii")
+    delta_text = (float.__repr__ if jsonl else _fmt)(float(arrays.config.delta)).encode("ascii")
     columns = [np.ascontiguousarray(column, dtype=dtype) for column, dtype in (
         (arrays.kinds, np.int8), (arrays.directions, np.int8),
         (arrays.timestamps, np.int64), (arrays.prices, np.float64))]
     _atomic_write(path, _c_blocks(
-        "".join(line + "\n" for line in _event_lines((), format)), len(arrays),
+        _event_head(format), len(arrays),
         # columns keeps the arrays behind these pointers alive
-        functools.partial(kernel.format_events, *[c.ctypes.data for c in columns],
-                          len(arrays), delta_text, jsonl),
-        lambda k: _event_lines(_array_rows(arrays, slice(k, k + 1)), format)[-1] + "\n"))
+        kernel and functools.partial(kernel.format_events, *[c.ctypes.data for c in columns],
+                                     len(arrays), delta_text, jsonl),
+        lambda start, stop: _event_rows(_array_rows(arrays, slice(start, stop)), format)))
 
 
 def _event_row(kind: str, direction: str, ts, price, delta, clock) -> tuple:
     """The row ``_build_events`` takes, from the six raw fields of a file row."""
-    if direction not in ("up", "down"):
+    if direction not in (_TEXT[Mode.UP], _TEXT[Mode.DOWN]):
         raise ValueError(f"direction {direction!r} is not 'up' or 'down'")
     values = _event_values(int(ts), float(price), float(delta), int(clock))
-    return (_KINDS.index(EventKind(kind)), 1 if direction == "up" else -1, *values)
+    kinds = [_TEXT[k] for k in _KINDS]  # by code
+    if kind not in kinds:
+        raise ValueError(f"kind {kind!r} is not 'DC' or 'OS'")
+    return (kinds.index(kind), 1 if direction == _TEXT[Mode.UP] else -1, *values)
 
 
 def _jsonl_fields(line: str) -> list:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import types
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -1003,6 +1004,33 @@ def test_every_static_function_of_the_kernel_is_used():
     assert {"move", "band", "digits", "real_field", "put_g17"} <= set(defined)
     unused = [name for name in defined if len(re.findall(rf"\b{name}\b", source)) < 2]
     assert unused == []
+
+
+def test_the_kernel_makes_its_c_locale_once():
+    # one locale, made by it_init when the kernel is bound, serves every
+    # parser and writer: none makes or frees one per call
+    source = engine._KERNEL_SOURCE.read_text()
+    init = re.search(r"^int it_init\(void\)\n\{\n.*?^\}", source, re.MULTILINE | re.DOTALL)
+    assert init is not None and "newlocale(" in init[0]
+    assert len(re.findall(r"\bnewlocale\b", source)) == 1
+    assert "freelocale" not in source
+    assert source.count("uselocale(c_locale)") == source.count("uselocale(caller)") == 4
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+def test_a_kernel_without_a_c_locale_warns_and_falls_back(monkeypatch):
+    assert engine._load_kernel() is not None  # built, so the call below only binds it
+    library = ctypes.CDLL
+
+    def without_locale(path):
+        lib = library(path)
+        return types.SimpleNamespace(**{name: getattr(lib, name) for name in (
+            "it_scan", "it_parse_ticks", "it_format_ticks", "it_parse_events",
+            "it_format_events")}, it_init=lambda: 0)
+
+    monkeypatch.setattr(engine.ctypes, "CDLL", without_locale)
+    with pytest.warns(RuntimeWarning, match="cannot make a C locale"):
+        assert engine._compile_kernel(engine._kernel_cache_dirs()) is None
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")

@@ -632,6 +632,25 @@ def test_write_to_unwritable_path_raises():
         it.write_events(ev, "/no/such/dir/out.csv", CSV)
 
 
+@pytest.mark.parametrize("error, raised", [(RuntimeError, RuntimeError),
+                                           (OSError, it.WriteError)])
+def test_a_failed_streamed_write_keeps_the_old_file(tmp_path, error, raised):
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"old bytes\n")
+    while_writing = []
+
+    def blocks():
+        yield b"new bytes\n"
+        while_writing.extend(p.name for p in tmp_path.iterdir())
+        raise error("the second block failed")
+
+    with pytest.raises(raised, match="the second block failed"):
+        io._atomic_write(path, blocks())
+    assert len(while_writing) == 2 and while_writing.count(path.name) == 1
+    assert path.read_bytes() == b"old bytes\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("fmt", [CSV, JSONL])
 def test_write_events_refuses_nan_price_before_writing(tmp_path, fmt):
     good = it.IntrinsicEvent(it.EventKind.DIRECTIONAL_CHANGE, it.Mode.UP, 1, 1.5, 0.01, 0)
@@ -641,7 +660,10 @@ def test_write_events_refuses_nan_price_before_writing(tmp_path, fmt):
                 dataclasses.replace(good, timestamp=float("nan"), clock_index=1),
                 dataclasses.replace(good, timestamp="2", clock_index=1),
                 dataclasses.replace(good, clock_index=1.5),
-                dataclasses.replace(good, clock_index=-1)):
+                dataclasses.replace(good, clock_index=-1),
+                dataclasses.replace(good, kind="DC", clock_index=1),
+                dataclasses.replace(good, direction="up", clock_index=1),
+                dataclasses.replace(good, direction=None, clock_index=1)):
         with pytest.raises(it.DomainError, match="event 1"):
             it.write_events([good, bad], tmp_path / f"events.{fmt.value}", fmt)
         assert list(tmp_path.iterdir()) == []
@@ -946,10 +968,10 @@ def test_read_events_without_the_kernel_reads_the_same_events(tmp_path, monkeypa
 # ---------------------------------------------------------------------------
 
 def write_arrays_both_ways(arrays, path, fmt):
-    """The bytes ``_write_event_arrays`` writes in C, the bytes
-    ``_write_event_rows`` writes for the same rows (which it writes without
-    the kernel too), and one ``(first row, next row, bytes)`` per call of
-    the C writer."""
+    """The bytes ``_write_event_arrays`` writes in C, the bytes the
+    ``_event_rows`` template writes for the same rows (which it writes
+    without the kernel too), and one ``(first row, next row, bytes)`` per
+    call of the C writer."""
     kernel = engine._load_kernel()
     assert kernel is not None
     calls = []
@@ -973,7 +995,7 @@ def write_arrays_both_ways(arrays, path, fmt):
             for i, (k, d, t, p) in enumerate(zip(
                 arrays.kinds.tolist(), arrays.directions.tolist(),
                 arrays.timestamps.tolist(), arrays.prices.tolist()))]
-    io._write_event_rows(rows, path, fmt)
+    io._atomic_write(path, [(io._event_head(fmt) + io._event_rows(rows, fmt)).encode()])
     assert path.read_bytes() == without_kernel
     return compiled, without_kernel, calls
 
