@@ -231,13 +231,18 @@ class ThresholdConfig:
             raise ConfigurationError(f"unknown move convention {self.move_convention!r}")
 
 
-@dataclass(frozen=True)
-class IntrinsicEvent:
+class IntrinsicEvent(NamedTuple):
     """One tick of intrinsic time.
 
     ``price`` and ``timestamp`` come from the tick that triggered the
     event; ``clock_index`` is the event's position in the runner's
     output, starting at 0.
+
+    An event is an immutable named tuple, like ``Tick``: it unpacks into
+    its six fields, compares and hashes as the tuple of them (so it is
+    ``==`` to a plain tuple of the same values), and setting a field
+    raises AttributeError. ``ev._replace(price=...)`` makes a changed
+    copy and ``ev._asdict()`` a dict of the fields.
     """
 
     kind: EventKind
@@ -697,36 +702,29 @@ _KINDS = (EventKind.DIRECTIONAL_CHANGE, EventKind.OVERSHOOT)  # by kind code
 _DIRECTIONS = {1: Mode.UP, -1: Mode.DOWN}
 
 
-def _build_events(rows: Iterable[tuple]) -> list[IntrinsicEvent]:
-    """IntrinsicEvent objects from ``(kind, direction, timestamp, price,
-    delta, clock_index)`` rows of Python values, with the kind as a code
-    (0 = DC, 1 = OS) and the direction as +1 (up) or -1 (down).
-
-    The fields are set as the frozen dataclass's ``__init__`` sets them,
-    in the same order, with the lookups hoisted out of the loop: about a
-    quarter faster, and each object keeps CPython's compact attribute
-    storage. (Assigning a whole ``__dict__`` is faster still, but gives
-    every object a dict of its own: 336 bytes an event instead of 136.)
-    """
-    new, set_field = object.__new__, object.__setattr__
-    events = []
-    for k, d, t, p, delta, clock in rows:
-        event = new(IntrinsicEvent)
-        set_field(event, "kind", _KINDS[k])
-        set_field(event, "direction", _DIRECTIONS[d])
-        set_field(event, "timestamp", t)
-        set_field(event, "price", p)
-        set_field(event, "delta", delta)
-        set_field(event, "clock_index", clock)
-        events.append(event)
-    return events
+def _build_events(kinds: Iterable[int], directions: Iterable[int], timestamps: Iterable,
+                  prices: Iterable, deltas: Iterable, clocks: Iterable) -> list[IntrinsicEvent]:
+    """IntrinsicEvent objects from six columns of Python values, with the
+    kind as a code (0 = DC, 1 = OS) and the direction as +1 (up) or -1
+    (down). The loop runs in C: ``map`` calls ``tuple.__new__`` on each
+    zipped row."""
+    return list(map(tuple.__new__, itertools.repeat(IntrinsicEvent),
+                    zip(map(_KINDS.__getitem__, kinds),
+                        map(_DIRECTIONS.__getitem__, directions),
+                        timestamps, prices, deltas, clocks)))
 
 
 def events_from_arrays(arrays: EventArrays) -> list[IntrinsicEvent]:
-    """Materialize IntrinsicEvent objects from an array buffer."""
-    return _build_events(zip(arrays.kinds.tolist(), arrays.directions.tolist(),
-                             arrays.timestamps.tolist(), arrays.prices.tolist(),
-                             itertools.repeat(arrays.config.delta), range(len(arrays))))
+    """Materialize IntrinsicEvent objects from an array buffer.
+
+    The events are named tuples (see ``IntrinsicEvent``): change one with
+    ``ev._replace(...)``, read it as a dict with ``ev._asdict()``; the
+    dataclass helpers do not apply. Every field holds an enum member, an
+    ``int`` or a ``float``, never a numpy scalar.
+    """
+    return _build_events(arrays.kinds.tolist(), arrays.directions.tolist(),
+                         arrays.timestamps.tolist(), arrays.prices.tolist(),
+                         itertools.repeat(arrays.config.delta), range(len(arrays)))
 
 
 def process(ticks: TickInput, config: ThresholdConfig,

@@ -372,11 +372,20 @@ def _event_values(ts, price: float, delta: float, clock) -> tuple[int, float, fl
         raise ValueError(f"timestamp_ns {whole_ts!r} is outside the int64 range")
     if whole_clock is None or whole_clock < 0:
         raise ValueError(f"clock_index {clock!r} is not a whole number >= 0")
-    if not 0.0 < price < math.inf:
+    if not _inside(price, 0.0, math.inf):
         raise ValueError(f"price {price!r} is not positive and finite")
-    if not 0.0 < delta < 1.0:
+    if not _inside(delta, 0.0, 1.0):
         raise ValueError(f"delta {delta!r} is not in (0, 1)")
     return whole_ts, price, delta, whole_clock
+
+
+def _inside(value, low: float, high: float) -> bool:
+    """``low < value < high``; False for a value that does not compare
+    with floats, such as the string ``"1.5"`` or None."""
+    try:
+        return low < value < high
+    except TypeError:
+        return False
 
 
 # The text of each event kind and direction in an event file.
@@ -414,10 +423,11 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     one object per line and empty for an empty list. Field order is
     fixed: kind, direction, timestamp_ns, price, delta, clock_index.
     A kind that is not an EventKind, a direction that is not a Mode, a
-    price that is not positive and finite (``nan``, ``inf``), a delta
-    outside (0, 1), a timestamp that is not a whole number inside int64
-    or a clock index that is not a whole number >= 0 raises DomainError
-    naming the event's position, and no file is written. Timestamps and
+    price that is not a positive finite number (``nan``, ``inf``,
+    ``"1.5"``, None), a delta that is not a number in (0, 1), a
+    timestamp that is not a whole number inside int64 or a clock index
+    that is not a whole number >= 0 raises DomainError naming the
+    event's position, and no file is written. Timestamps and
     clock indices are written as ``int(value)``, so ``2.0`` becomes ``2``.
     ``format`` is an EventFileFormat or its value (``"csv"``,
     ``"jsonl"``); any other value raises ConfigurationError.
@@ -465,7 +475,7 @@ def _write_event_arrays(arrays: EventArrays, path: str | Path,
 
 
 def _event_row(kind: str, direction: str, ts, price, delta, clock) -> tuple:
-    """The row ``_build_events`` takes, from the six raw fields of a file row."""
+    """One row of the ``_build_events`` columns, from the six raw fields of a file row."""
     if direction not in (_TEXT[Mode.UP], _TEXT[Mode.DOWN]):
         raise ValueError(f"direction {direction!r} is not 'up' or 'down'")
     values = _event_values(int(ts), float(price), float(delta), int(clock))
@@ -502,7 +512,7 @@ def _read_event_rows(path: Path, data: bytes, csv: bool) -> list[IntrinsicEvent]
             rows.append(_event_row(*fields))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise IngestionError(f"row {row_no}: {exc}", row=row_no) from exc
-    return _build_events(rows)
+    return _build_events(*zip(*rows)) if rows else []
 
 
 # it_parse_events' columns: kind and direction codes, timestamp, price, delta, clock
@@ -537,5 +547,5 @@ def read_events(path: str | Path,
                            kernel.parse_events(buf, size, pos, not csv, *rest),
                            data, csv, EVENT_HEADER if csv else False, _EVENT_DTYPES)
         if columns is not None:
-            return _build_events(zip(*(c.tolist() for c in columns)))
+            return _build_events(*(c.tolist() for c in columns))
     return _read_event_rows(path, data, csv)

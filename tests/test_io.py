@@ -1,6 +1,5 @@
 """Tests for tick ingestion and event serialization."""
 
-import dataclasses
 import json
 import locale
 import os
@@ -521,7 +520,7 @@ event_lists = st.lists(
 
 
 numpy_float_event_lists = event_lists.map(lambda events: [
-    dataclasses.replace(ev, price=np.float64(ev.price), delta=np.float64(ev.delta))
+    ev._replace(price=np.float64(ev.price), delta=np.float64(ev.delta))
     for ev in events])
 
 
@@ -616,10 +615,10 @@ def test_read_events_rejects_malformed_rows(tmp_path, fmt, content, bad_row):
 @pytest.mark.parametrize("fmt", [CSV, JSONL])
 def test_write_events_writes_whole_numbers_as_ints(tmp_path, fmt):
     good = it.IntrinsicEvent(it.EventKind.DIRECTIONAL_CHANGE, it.Mode.UP, 2, 1.5, 0.01, 0)
-    events = [dataclasses.replace(good, timestamp=2.0, clock_index=np.int64(0)),
-              dataclasses.replace(good, timestamp=np.int64(2), clock_index=1.0),
-              dataclasses.replace(good, timestamp=np.float64(2.0), clock_index=True)]
-    ints = [dataclasses.replace(good, clock_index=c) for c in (0, 1, 1)]
+    events = [good._replace(timestamp=2.0, clock_index=np.int64(0)),
+              good._replace(timestamp=np.int64(2), clock_index=1.0),
+              good._replace(timestamp=np.float64(2.0), clock_index=True)]
+    ints = [good._replace(clock_index=c) for c in (0, 1, 1)]
     it.write_events(events, tmp_path / "events", fmt)
     it.write_events(ints, tmp_path / "ints", fmt)
     assert (tmp_path / "events").read_bytes() == (tmp_path / "ints").read_bytes()
@@ -654,19 +653,34 @@ def test_a_failed_streamed_write_keeps_the_old_file(tmp_path, error, raised):
 @pytest.mark.parametrize("fmt", [CSV, JSONL])
 def test_write_events_refuses_nan_price_before_writing(tmp_path, fmt):
     good = it.IntrinsicEvent(it.EventKind.DIRECTIONAL_CHANGE, it.Mode.UP, 1, 1.5, 0.01, 0)
-    for bad in (dataclasses.replace(good, price=float("nan"), clock_index=1),
-                dataclasses.replace(good, timestamp=10**23, clock_index=1),
-                dataclasses.replace(good, timestamp=1.5, clock_index=1),
-                dataclasses.replace(good, timestamp=float("nan"), clock_index=1),
-                dataclasses.replace(good, timestamp="2", clock_index=1),
-                dataclasses.replace(good, clock_index=1.5),
-                dataclasses.replace(good, clock_index=-1),
-                dataclasses.replace(good, kind="DC", clock_index=1),
-                dataclasses.replace(good, direction="up", clock_index=1),
-                dataclasses.replace(good, direction=None, clock_index=1)):
+    for bad in (good._replace(price=float("nan"), clock_index=1),
+                good._replace(timestamp=10**23, clock_index=1),
+                good._replace(timestamp=1.5, clock_index=1),
+                good._replace(timestamp=float("nan"), clock_index=1),
+                good._replace(timestamp="2", clock_index=1),
+                good._replace(clock_index=1.5),
+                good._replace(clock_index=-1),
+                good._replace(kind="DC", clock_index=1),
+                good._replace(direction="up", clock_index=1),
+                good._replace(direction=None, clock_index=1)):
         with pytest.raises(it.DomainError, match="event 1"):
             it.write_events([good, bad], tmp_path / f"events.{fmt.value}", fmt)
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+@pytest.mark.parametrize("field, value, message", [
+    ("price", "1.5", "price '1.5' is not positive and finite"),
+    ("price", None, "price None is not positive and finite"),
+    ("delta", "0.01", "delta '0.01' is not in (0, 1)"),
+    ("delta", None, "delta None is not in (0, 1)")])
+def test_write_events_refuses_a_price_or_delta_that_is_not_a_number(tmp_path, fmt, field,
+                                                                     value, message):
+    good = it.IntrinsicEvent(it.EventKind.DIRECTIONAL_CHANGE, it.Mode.UP, 1, 1.5, 0.01, 0)
+    bad = good._replace(clock_index=1, **{field: value})
+    with pytest.raises(it.DomainError, match=re.escape(f"event 1: {message}")):
+        it.write_events([good, bad], tmp_path / f"events.{fmt.value}", fmt)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -961,6 +975,49 @@ def test_read_events_without_the_kernel_reads_the_same_events(tmp_path, monkeypa
     monkeypatch.setattr(engine, "_kernel", None)
     assert it.kernel_backend() == "python"
     assert it.read_events(path, fmt) == loaded == events
+
+
+# Every field of every event is this type: a tuple compares an np.int64 or an
+# np.float64 equal to the int or float, so == alone would not show one.
+EVENT_FIELD_TYPES = [it.EventKind, it.Mode, int, float, float, int]
+
+
+@needs_cc
+@pytest.mark.parametrize("convention", [it.MoveConvention.RELATIVE,
+                                        it.MoveConvention.LOG_RETURN])
+def test_every_edge_builds_the_same_events_of_python_values(tmp_path, monkeypatch,
+                                                            convention):
+    walk = it.generate_random_walk(1.0, 0.01, 3000, seed=8)
+    config = it.ThresholdConfig(0.002, convention)
+    ticks = [it.Tick(t, p) for t, p in zip(walk.timestamps.tolist(), walk.prices.tolist())]
+    state = it.new_runner(config, ticks[0])
+    folded = []
+    for tick in ticks[1:]:
+        state, events = it.step(state, tick, config)
+        folded.extend(events)
+    edges = {"process": it.process(walk, config),
+             "run_grid": it.run_grid(walk, [0.001, 0.002], convention)[1][1],
+             "events_from_arrays": it.events_from_arrays(it.process_arrays(walk, config)),
+             "step": folded}
+    loop_calls = []
+    row_loop = io._read_event_rows
+    monkeypatch.setattr(io, "_read_event_rows",
+                        lambda *args: loop_calls.append(args) or row_loop(*args))
+    for fmt in (CSV, JSONL):
+        path = tmp_path / f"events.{fmt.value}"
+        it.write_events(folded, path, fmt)
+        edges[f"read_events {fmt.value}, C"] = it.read_events(path, fmt)
+        assert not loop_calls
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        edges[f"read_events {fmt.value}, row loop"] = it.read_events(path, fmt)
+        assert len(loop_calls) == 1
+        loop_calls.clear()
+    assert len(folded) > 1000
+    for edge, events in edges.items():
+        assert events == folded, edge
+        for event in events:
+            assert type(event) is it.IntrinsicEvent, edge
+            assert [type(value) for value in event] == EVENT_FIELD_TYPES, (edge, event)
 
 
 # ---------------------------------------------------------------------------
