@@ -512,24 +512,21 @@ int64_t it_format_ticks(const int64_t *ts, const double *px, int64_t n,
 }
 
 /* Longer than any event row less its delta: 76 characters of field names
- * and separators, then kind, direction, timestamp, price and clock index. */
+ * and separators, kind 2, direction 4, timestamp 20, price 24, clock 20. */
 #define EVENT_ROW_MAX 160
 
 /* Event rows *i, *i + 1, ... of n into buf, in the exact layout
  * ``io._event_rows`` writes (CSV when jsonl is 0, JSON Lines otherwise),
  * while a longest row still fits in its cap bytes. The fields are kind
- * (0 = DC, else OS), dir (+1 up, else down), ts, px, the threshold as the
- * text delta, which is the same on every row, and the row number as the
- * clock index. A CSV price is written as a tick row's is (put_g17), a JSON
- * Lines price as float.__repr__ writes it (put_repr). The writer stops
- * before a row whose price is not in (0, inf), or, in JSON Lines, is not
- * in [1e-3, 2^52): a call that writes nothing leaves row *i to the caller.
- * Returns the bytes written and leaves *i at the next row.
- */
-int64_t it_format_events(const int8_t *kind, const int8_t *dir,
-                         const int64_t *ts, const double *px, int64_t n,
-                         const char *delta, int jsonl, int64_t *i,
-                         char *buf, int64_t cap)
+ * (0 = DC, else OS), dir (+1 up, else down), ts, px, the text delta, the
+ * same on rows *i to n, and clock. A CSV price is written as a tick row's
+ * is (put_g17), a JSON Lines price as float.__repr__ writes it (put_repr).
+ * The writer stops before a row whose price is not in (0, inf), or, in
+ * JSON Lines, is not in [1e-3, 2^52): a call that writes nothing leaves
+ * row *i to the caller. Returns the bytes written; *i is the next row. */
+int64_t it_format_events(const int8_t *kind, const int8_t *dir, const int64_t *ts,
+                         const double *px, const int64_t *clock, int64_t n,
+                         const char *delta, int jsonl, int64_t *i, char *buf, int64_t cap)
 {
     const char *const *sep = EVENT_SEP[jsonl != 0];
     int64_t k = *i, size = 0, row_max = EVENT_ROW_MAX;
@@ -549,7 +546,7 @@ int64_t it_format_events(const int8_t *kind, const int8_t *dir,
         if (out == NULL)
             break;
         out = put_text(put_text(put_text(out, sep[4]), delta), sep[5]);
-        size = put_text(put_int(out, k), sep[6]) - buf;
+        size = put_text(put_int(out, clock[k]), sep[6]) - buf;
     }
     uselocale(caller);
     *i = k;

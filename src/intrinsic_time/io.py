@@ -14,23 +14,25 @@ and every error never depend on the path taken. Every tick and event file
 is written through one block writer, ``_c_blocks``: a head, then the rows
 from a C writer when one is compiled, else from a Python template that
 formats a range of rows and is the C writer's spec (``write_ticks``' own,
-and ``_event_rows`` after ``_event_head`` for event files). The C event
-writer leaves to the template each row whose price it does not format,
-which in JSON Lines is any price outside [1e-3, 2**52), subnormal too. CSV
-prices are serialized with 17 significant digits and JSON Lines prices
-as ``repr`` writes them, so numeric round-trips are lossless. Writers go
-through a temp-file-then-rename step, so a failed run never leaves a
-partial output behind, and the files they create take their permissions
-from the umask.
+and ``_event_rows`` after ``_event_head`` for event files). Event lists
+and scan arrays share one event writer, ``_write_event_columns``. The C
+event writer leaves to the template each row whose price it does not
+format, which in JSON Lines is any price outside [1e-3, 2**52), subnormal
+too. CSV prices are serialized with 17 significant digits and JSON Lines
+prices as ``repr`` writes them, so numeric round-trips are lossless.
+Writers go through a temp-file-then-rename step, so a failed run never
+leaves a partial output behind, and the files they create take their
+permissions from the umask.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
-import itertools
 import json
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -129,8 +131,7 @@ def _text_rows(path: Path, data: bytes, comments: bool,
     Rows count from 1 over every line of the file. Blank lines, ``#``
     lines when ``comments`` is set, and the first remaining line when
     ``header`` is set are skipped; a ``header`` string must equal that
-    line (``_header_matches``). Bytes that are not UTF-8 raise
-    IngestionError.
+    line. Bytes that are not UTF-8 raise IngestionError.
     """
     try:
         text = data.decode("utf-8")
@@ -145,17 +146,11 @@ def _text_rows(path: Path, data: bytes, comments: bool,
             continue
         if header_pending:
             header_pending = False
-            if not _header_matches(line, header):
+            if header is not True and line != header:
                 raise IngestionError(
                     f"row {row_no}: expected header {header!r}, got {line!r}", row=row_no)
             continue
         yield row_no, line
-
-
-def _header_matches(line: str, header: bool | str) -> bool:
-    """Whether the stripped ``line`` passes as the header ``header`` asks for:
-    any line for True, that exact line for a string."""
-    return header is True or line == header
 
 
 def _first_row_offset(data: bytes, comments: bool, header: bool | str) -> int | None:
@@ -179,7 +174,7 @@ def _first_row_offset(data: bytes, comments: bool, header: bool | str) -> int | 
         if line and not (comments and line[0] == "#"):
             if not header_pending:
                 return start
-            if not _header_matches(line, header):
+            if header is not True and line != header:
                 return None
             header_pending = False
         start = end + 1
@@ -335,9 +330,9 @@ def _c_blocks(head: str, n: int, format_rows,
         yield python_rows(0, n).encode("utf-8")
         return
     buf = np.empty(_BLOCK_BYTES, dtype=np.uint8)
-    row = ctypes.c_int64(0)
+    row, address = ctypes.c_int64(0), buf.ctypes.data
     while row.value < n:
-        size = format_rows(row, buf.ctypes.data, buf.size)
+        size = format_rows(row, address, buf.size)
         if size > 0:
             yield memoryview(buf)[:size]
         else:
@@ -362,8 +357,8 @@ def write_ticks(series: TickSeries, path: str | Path) -> None:
             ts[start:stop].tolist(), px[start:stop].tolist())])))
 
 
-def _event_values(ts, price: float, delta: float, clock) -> tuple[int, float, float, int]:
-    """The checked values of an event row, with ``ts`` and ``clock`` as ints;
+def _event_values(ts, price, delta, clock) -> tuple[int, float, float, int]:
+    """The checked values of an event row as ``(int, float, float, int)``;
     ValueError names the first value that an event file cannot hold."""
     whole_ts, whole_clock = _whole(ts), _whole(clock)
     if whole_ts is None:
@@ -372,32 +367,33 @@ def _event_values(ts, price: float, delta: float, clock) -> tuple[int, float, fl
         raise ValueError(f"timestamp_ns {whole_ts!r} is outside the int64 range")
     if whole_clock is None or whole_clock < 0:
         raise ValueError(f"clock_index {clock!r} is not a whole number >= 0")
-    if not _inside(price, 0.0, math.inf):
+    if not 0.0 < (real_price := _real(price)) < math.inf:
         raise ValueError(f"price {price!r} is not positive and finite")
-    if not _inside(delta, 0.0, 1.0):
+    if not 0.0 < (real_delta := _real(delta)) < 1.0:
         raise ValueError(f"delta {delta!r} is not in (0, 1)")
-    return whole_ts, price, delta, whole_clock
+    return whole_ts, real_price, real_delta, whole_clock
 
 
-def _inside(value, low: float, high: float) -> bool:
-    """``low < value < high``; False for a value that does not compare
-    with floats, such as the string ``"1.5"`` or None."""
+def _real(value) -> float:
+    """``value`` as a float; nan for a bool, an array, ``"1.5"``, None or ``10**400``."""
+    if type(value) is float:  # the common case, at a fraction of the cost
+        return value
     try:
-        return low < value < high
-    except TypeError:
-        return False
+        real = not isinstance(value, (bool, np.bool_, np.ndarray)) and value < math.inf
+        return float(value) if real else math.nan
+    except (TypeError, ValueError, ArithmeticError):
+        return math.nan
 
 
-# The text of each event kind and direction in an event file.
-_TEXT = {EventKind.DIRECTIONAL_CHANGE: "DC", EventKind.OVERSHOOT: "OS",
-         Mode.UP: "up", Mode.DOWN: "down"}
-
-
-def _member_text(field: str, value, enum: type[Enum]) -> str:
-    """The ``_TEXT`` of ``value``; ValueError when it is not a member of ``enum``."""
+def _member_code(field: str, value, enum: type[Enum]) -> int:
+    """The column code of ``value``; ValueError when it is not an ``enum`` member."""
     if type(value) is not enum:
         raise ValueError(f"{field} {value!r} is not a member of {enum.__name__}")
-    return _TEXT[value]
+    return _KINDS.index(value) if enum is EventKind else value.value
+
+
+# the event-file text of each kind code (0, 1) and direction code (+1, -1)
+_KIND_TEXT, _DIRECTION_TEXT = ("DC", "OS"), {1: "up", -1: "down"}
 
 
 def _event_head(format: EventFileFormat) -> str:
@@ -415,6 +411,36 @@ def _event_rows(rows: Iterable[tuple], format: EventFileFormat) -> str:
                     f'"clock_index":{c}}}\n' for k, d, t, p, dl, c in rows])
 
 
+def _write_event_columns(path: str | Path, format: EventFileFormat, kinds, directions,
+                         timestamps, prices, deltas, clocks) -> None:
+    """The one event writer, from six checked columns: ``it_format_events``
+    writes each run of equal deltas, the ``_event_rows`` template each row it
+    leaves, or every row without the kernel or with a clock past int64."""
+    kernel, jsonl = _load_kernel(), format is EventFileFormat.JSONL
+    columns = [np.ascontiguousarray(column, dtype=dtype) for column, dtype in (
+        (kinds, np.int8), (directions, np.int8), (timestamps, np.int64), (prices, np.float64))]
+    deltas = np.asarray(deltas, dtype=np.float64)
+    try:
+        clocks = np.ascontiguousarray(clocks, dtype=np.int64)
+    except OverflowError:
+        clocks, kernel = np.array(clocks, dtype=object), None
+    run_ends = [*(np.flatnonzero(deltas[1:] != deltas[:-1]) + 1).tolist(), len(deltas)]
+    pointers = [c.ctypes.data for c in (*columns, clocks)]  # kept alive by columns and clocks
+
+    def format_rows(row, buf, cap):
+        delta = (float.__repr__ if jsonl else _fmt)(float(deltas[row.value]))
+        end = run_ends[bisect.bisect_right(run_ends, row.value)]
+        return kernel.format_events(*pointers, end, delta.encode("ascii"), jsonl, row, buf, cap)
+
+    def python_rows(start, stop):
+        kind, direction, *rest = (c[start:stop].tolist() for c in (*columns, deltas, clocks))
+        return _event_rows(zip(map(_KIND_TEXT.__getitem__, kind),
+                               map(_DIRECTION_TEXT.__getitem__, direction), *rest), format)
+
+    _atomic_write(path, _c_blocks(_event_head(format), len(deltas), kernel and format_rows,
+                                  python_rows))
+
+
 def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
                  format: EventFileFormat | str = EventFileFormat.CSV) -> None:
     """Serialize events losslessly to CSV or JSON Lines.
@@ -423,66 +449,43 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     one object per line and empty for an empty list. Field order is
     fixed: kind, direction, timestamp_ns, price, delta, clock_index.
     A kind that is not an EventKind, a direction that is not a Mode, a
-    price that is not a positive finite number (``nan``, ``inf``,
-    ``"1.5"``, None), a delta that is not a number in (0, 1), a
-    timestamp that is not a whole number inside int64 or a clock index
-    that is not a whole number >= 0 raises DomainError naming the
-    event's position, and no file is written. Timestamps and
-    clock indices are written as ``int(value)``, so ``2.0`` becomes ``2``.
-    ``format`` is an EventFileFormat or its value (``"csv"``,
-    ``"jsonl"``); any other value raises ConfigurationError.
+    price that is not a positive finite number (``nan``, ``"1.5"``, None,
+    ``True``, an array, ``10**400``), a delta that is not a number in
+    (0, 1), a timestamp that is not a whole number inside int64 or a clock
+    index that is not a whole number >= 0 raises DomainError naming the
+    event's position, and no file is written. Timestamps and clock indices
+    are written as ``int(value)``, so ``2.0`` becomes ``2``, prices and
+    deltas as ``float(value)``. ``format`` is an EventFileFormat or its
+    value (``"csv"``, ``"jsonl"``); any other value raises ConfigurationError.
     """
     format = _event_format(format)
     rows = []
     for i, ev in enumerate(events):
         try:
-            rows.append((_member_text("kind", ev.kind, EventKind),
-                         _member_text("direction", ev.direction, Mode),
+            rows.append((_member_code("kind", ev.kind, EventKind),
+                         _member_code("direction", ev.direction, Mode),
                          *_event_values(ev.timestamp, ev.price, ev.delta, ev.clock_index)))
         except ValueError as exc:
             raise DomainError(f"event {i}: {exc}") from None
-    _atomic_write(path, _c_blocks(_event_head(format), len(rows), None,
-                                  lambda start, stop: _event_rows(rows[start:stop], format)))
+    _write_event_columns(path, format, *(list(map(operator.itemgetter(j), rows))
+                                         for j in range(len(EVENT_FIELDS))))
 
 
-def _array_rows(arrays: EventArrays, rows: slice = slice(None)) -> Iterator[tuple]:
-    """The ``_event_rows`` rows of the events ``arrays[rows]``."""
-    return zip(np.where(arrays.kinds[rows] == 0, _TEXT[_KINDS[0]], _TEXT[_KINDS[1]]).tolist(),
-               np.where(arrays.directions[rows] == 1, _TEXT[Mode.UP],
-                        _TEXT[Mode.DOWN]).tolist(),
-               arrays.timestamps[rows].tolist(), arrays.prices[rows].tolist(),
-               itertools.repeat(arrays.config.delta), range(len(arrays))[rows])
-
-
-def _write_event_arrays(arrays: EventArrays, path: str | Path,
-                        format: EventFileFormat) -> None:
-    """Write the events of a scan: the bytes ``write_events`` writes for
-    ``events_from_arrays(arrays)``, formatted in C when it is compiled,
-    except each row that ``it_format_events`` leaves to the ``_event_rows``
-    template."""
-    kernel = _load_kernel()
-    jsonl = format is EventFileFormat.JSONL
-    delta_text = (float.__repr__ if jsonl else _fmt)(float(arrays.config.delta)).encode("ascii")
-    columns = [np.ascontiguousarray(column, dtype=dtype) for column, dtype in (
-        (arrays.kinds, np.int8), (arrays.directions, np.int8),
-        (arrays.timestamps, np.int64), (arrays.prices, np.float64))]
-    _atomic_write(path, _c_blocks(
-        _event_head(format), len(arrays),
-        # columns keeps the arrays behind these pointers alive
-        kernel and functools.partial(kernel.format_events, *[c.ctypes.data for c in columns],
-                                     len(arrays), delta_text, jsonl),
-        lambda start, stop: _event_rows(_array_rows(arrays, slice(start, stop)), format)))
+def _write_event_arrays(arrays: EventArrays, path: str | Path, format: EventFileFormat) -> None:
+    """What ``write_events`` writes for ``events_from_arrays(arrays)``."""
+    _write_event_columns(path, format, arrays.kinds, arrays.directions, arrays.timestamps,
+                         arrays.prices, np.broadcast_to(arrays.config.delta, len(arrays)),
+                         np.arange(len(arrays), dtype=np.int64))
 
 
 def _event_row(kind: str, direction: str, ts, price, delta, clock) -> tuple:
     """One row of the ``_build_events`` columns, from the six raw fields of a file row."""
-    if direction not in (_TEXT[Mode.UP], _TEXT[Mode.DOWN]):
+    if direction not in _DIRECTION_TEXT.values():
         raise ValueError(f"direction {direction!r} is not 'up' or 'down'")
     values = _event_values(int(ts), float(price), float(delta), int(clock))
-    kinds = [_TEXT[k] for k in _KINDS]  # by code
-    if kind not in kinds:
+    if kind not in _KIND_TEXT:
         raise ValueError(f"kind {kind!r} is not 'DC' or 'OS'")
-    return (kinds.index(kind), 1 if direction == _TEXT[Mode.UP] else -1, *values)
+    return (_KIND_TEXT.index(kind), 1 if direction == _DIRECTION_TEXT[1] else -1, *values)
 
 
 def _jsonl_fields(line: str) -> list:

@@ -1,5 +1,6 @@
 """Tests for tick ingestion and event serialization."""
 
+import ctypes
 import json
 import locale
 import os
@@ -673,7 +674,14 @@ def test_write_events_refuses_nan_price_before_writing(tmp_path, fmt):
     ("price", "1.5", "price '1.5' is not positive and finite"),
     ("price", None, "price None is not positive and finite"),
     ("delta", "0.01", "delta '0.01' is not in (0, 1)"),
-    ("delta", None, "delta None is not in (0, 1)")])
+    ("delta", None, "delta None is not in (0, 1)"),
+    ("price", True, "price True is not positive and finite"),
+    pytest.param("price", np.True_, f"price {np.True_!r} is not positive and finite",
+                 id="price-numpy-bool"),
+    pytest.param("price", np.array([1.0, 2.0]),
+                 "price array([1., 2.]) is not positive and finite", id="price-array"),
+    pytest.param("price", 10**400, f"price {10**400} is not positive and finite",
+                 id="price-int-past-float")])
 def test_write_events_refuses_a_price_or_delta_that_is_not_a_number(tmp_path, fmt, field,
                                                                      value, message):
     good = it.IntrinsicEvent(it.EventKind.DIRECTIONAL_CHANGE, it.Mode.UP, 1, 1.5, 0.01, 0)
@@ -1034,7 +1042,7 @@ def write_arrays_both_ways(arrays, path, fmt):
     calls = []
 
     def counting(*args):
-        row = args[7]
+        row = next(arg for arg in args if isinstance(arg, ctypes.c_int64))
         first = row.value
         size = kernel.format_events(*args)
         calls.append((first, row.value, size))
@@ -1150,6 +1158,78 @@ def test_c_event_writer_ignores_a_comma_decimal_locale(tmp_path, comma_decimal_l
         compiled, python, calls = write_arrays_both_ways(
             arrays, tmp_path / f"events.{fmt.value}", fmt)
         assert compiled == python and b"1.0000000000000002," in compiled
+
+
+def write_events_both_ways(events, path, fmt):
+    """The bytes ``write_events`` writes with the C writer and without the
+    kernel, and one ``(first row, next row, bytes, end of the rows)`` per
+    call of the C writer."""
+    kernel = engine._load_kernel()
+    assert kernel is not None
+    calls = []
+
+    def counting(*args):
+        row = next(arg for arg in args if isinstance(arg, ctypes.c_int64))
+        first = row.value
+        size = kernel.format_events(*args)
+        calls.append((first, row.value, size, args[5]))
+        return size
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_kernel", kernel._replace(format_events=counting))
+        it.write_events(events, path, fmt)
+        compiled = path.read_bytes()
+        mp.setattr(engine, "_kernel", None)
+        it.write_events(events, path, fmt)
+    return compiled, path.read_bytes(), calls
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+def test_listed_events_take_the_c_event_writer(tmp_path, fmt):
+    E, dc, os_ = it.IntrinsicEvent, it.EventKind.DIRECTIONAL_CHANGE, it.EventKind.OVERSHOOT
+    up, down = it.Mode.UP, it.Mode.DOWN
+    events = [E(dc, up, -5, 1.5, 0.01, 0), E(os_, down, 3, 2.5, 0.01, 4),
+              # a run of delta 0.0005 with repeated clock indices, and JSON
+              # Lines prices below 1e-3 and past 2**52 between C rows
+              E(os_, down, 7, 1e-5, 0.0005, 4), E(dc, up, 8, 3.25, 0.0005, 4),
+              E(os_, up, 9, 2.0**60, 0.0005, 9), E(dc, down, 10, 1.75, 0.0005, 2**63 - 1),
+              E(dc, up, 11, 1.25, 0.25, 2**63 - 1)]
+    path = tmp_path / f"events.{fmt.value}"
+    compiled, python, calls = write_events_both_ways(events, path, fmt)
+    assert compiled == python
+    assert it.read_events(path, fmt) == events
+    rows = [(first, after, end) for first, after, size, end in calls]
+    if fmt is CSV:
+        assert rows == [(0, 2, 2), (2, 6, 6), (6, 7, 7)]
+    else:
+        assert rows == [(0, 2, 2), (2, 2, 6), (3, 4, 6), (4, 4, 6), (5, 6, 6), (6, 7, 7)]
+        assert b'"delta":0.0005,' in compiled
+    assert [first for first, _, size, _ in calls if size == 0] == ([] if fmt is CSV else [2, 4])
+    # a clock index past int64 leaves the whole file to the template
+    wide = [*events, events[0]._replace(clock_index=2**64)]
+    compiled, python, calls = write_events_both_ways(wide, path, fmt)
+    assert compiled == python and calls == [] and it.read_events(path, fmt) == wide
+    compiled, python, calls = write_events_both_ways([], path, fmt)
+    assert compiled == python == io._event_head(fmt).encode() and calls == []
+
+
+@needs_cc
+def test_c_event_writer_fits_the_longest_row(tmp_path, monkeypatch):
+    # %.17g of a positive number takes at most 23 characters; put_g17's
+    # bound of 24 counts a minus sign
+    price, delta = 9.8765432109876543e+300, 1.2345678901234567e-100
+    delta_text = format(delta, ".17g")
+    assert len(format(price, ".17g")) == len(delta_text) == 23
+    event = it.IntrinsicEvent(it.EventKind.OVERSHOOT, it.Mode.DOWN, -2**63, price, delta,
+                              2**63 - 1)
+    # the smallest buffer it_format_events writes any row into: EVENT_ROW_MAX
+    # and the delta
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 160 + len(delta_text))
+    compiled, python, calls = write_events_both_ways([event], tmp_path / "events.csv", CSV)
+    row = f"OS,down,{-2**63},{price:.17g},{delta_text},{2**63 - 1}\n".encode()
+    assert compiled == python == io._event_head(CSV).encode() + row
+    assert [(first, after, size) for first, after, size, _ in calls] == [(0, 1, len(row))]
 
 
 @pytest.mark.parametrize("name", ["csv", "jsonl"])
