@@ -1,5 +1,5 @@
-/* Resumable directional-change / overshoot scan of one price array at a
- * grid of thresholds, each tick read once for all of them.
+/* Resumable directional-change / overshoot scan of a tick stream, block by
+ * block, at a grid of thresholds, each tick read once for all of them.
  *
  * Each runner (struct it_runner) is the C twin of ``engine._scan_python``
  * at one threshold: it makes the same decisions, with the same exact tests
@@ -41,21 +41,22 @@
  * that every runner reads its first tick, which may be one whose
  * overshoot loop a full buffer cut short.
  *
- * Events go to each runner's own kind (0 = DC, 1 = OS), dir (+1 / -1), idx
- * (triggering tick) and xt columns, m of its cap slots written. The scan
- * stops at the end of the prices, returning -1, or when an event is due
- * and its runner's cap slots are full, returning that runner's index; then
- * ``*at`` is that event's tick, and a call with a larger buffer for that
- * runner resumes every runner there. The stop may fall inside a gap tick's
- * overshoot loop; the trend test is ``>=`` so that the resumed tick,
- * already the extremum, re-enters the loop. The runners before the full
- * one have read that tick already, and reading it again is a no-op: a tie
- * as above, or a tick that failed the DC test and fails it again. A runner
- * whose overshoot step cannot move ref (ref * factor == ref, for a
- * threshold below the price's rounding or a subnormal ref) would loop
- * forever: it records the tick in ``stall`` and parks, with ext and dc_at
- * at infinities that no tick reaches, so it fires nothing more and narrows
- * no intersection; the other runners scan on.
+ * Events go to each runner's own kind (0 = DC, 1 = OS), dir (+1 / -1), ts,
+ * px (the triggering tick's) and xt columns, m of its cap slots written.
+ * Each block of ticks is scanned from its tick 0, from the runners' state
+ * after the last block. The scan stops at the end of the block, returning
+ * -1, or when an event is due and its runner's cap slots are full, returning
+ * that runner's index; then ``*at`` is that event's tick, and a call with a
+ * larger buffer for that runner resumes every runner there. The stop may
+ * fall inside a gap tick's overshoot loop; the trend test is ``>=`` so that
+ * the resumed tick, already the extremum, re-enters the loop. The runners
+ * before the full one have read that tick already, and reading it again is a
+ * no-op: a tie as above, or a tick that failed the DC test and fails it
+ * again. A runner whose overshoot step cannot move ref (ref * factor == ref,
+ * for a threshold below the price's rounding or a subnormal ref) would loop
+ * forever: it records the tick in ``stall`` and parks, with ext and dc_at at
+ * infinities that no tick reaches, so it fires nothing more and narrows no
+ * intersection; the other runners scan on.
  *
  * xt gets the trend extremum: a DC writes it before resetting ``ext``, so
  * it is that of the trend the DC ends; an OS writes its own price.
@@ -92,17 +93,17 @@ static locale_t c_locale;
 
 struct it_runner {
     double guard, up_factor, down_factor; /* the threshold (engine._scan_args) */
+    int32_t use_log;    /* log moves, else relative */
+    int32_t confirmed;  /* a DC has fired, so overshoots may */
     double ext;         /* trend extremum */
     double mode;        /* +1.0 up, -1.0 down */
     double ref;         /* overshoot reference; kept apart from ext, which gcc
                            would otherwise store with it as one (p, p) vector,
                            built on every tick the loop reads */
-    int32_t use_log;    /* log moves, else relative */
-    int32_t confirmed;  /* a DC has fired, so overshoots may */
     int64_t stall;      /* -1, or the tick where an overshoot step cannot move ref */
     int8_t *kind, *dir; /* the event columns */
-    int64_t *idx;
-    double *xt;
+    int64_t *ts;
+    double *px, *xt;
     int64_t cap, m;     /* their slots, and the events written */
     double os_c, dc_c, os_at, dc_at; /* it_scan's own: band factors, bands */
 };
@@ -120,8 +121,8 @@ static inline double band(double price, double c, double side)
     return b >= DBL_MIN && b <= DBL_MAX ? b : -side * HUGE_VAL;
 }
 
-int64_t it_scan(const double *px, int64_t n, int64_t *at, struct it_runner *run,
-                int64_t k)
+int64_t it_scan(const int64_t *ts, const double *px, int64_t n, int64_t *at,
+                struct it_runner *run, int64_t k)
 {
     struct it_runner *const end = run + k, *r;
     int64_t i = *at;
@@ -145,8 +146,9 @@ int64_t it_scan(const double *px, int64_t n, int64_t *at, struct it_runner *run,
             goto full;                                                     \
         r->kind[r->m] = (code);                                            \
         r->dir[r->m] = (int8_t)(d);                                        \
-        r->xt[r->m] = r->ext;                                              \
-        r->idx[r->m++] = i;                                                \
+        r->ts[r->m] = ts[i];                                               \
+        r->px[r->m] = p;                                                   \
+        r->xt[r->m++] = r->ext;                                            \
     } while (0)
 
     for (; i < n; i++) {

@@ -372,14 +372,14 @@ def step(state: RunnerState, tick: Tick,
     return state, events
 
 
-# The batch scan (one pass over the ticks for a whole threshold grid) and
+# The grid scan (one pass over a block of ticks for a threshold grid) and
 # the tick-file and event-file parsers and writers run in C (``_scan.c``;
 # the parsers share one number reader, the writers one "%.17g" formatter),
 # compiled with the system ``cc`` on first use and cached by a checksum of
 # source and flags: beside this module in ``__pycache__/``, else in the
 # user's cache directory. A new build there replaces the builds of earlier
 # sources. Without a working compiler, ``_scan_python`` runs the same loop
-# once per threshold, without the C price bands and quiet intervals
+# per threshold and block, without the C price bands and quiet intervals
 # (``step`` runs it too), and ``io`` its Python row loops and writers.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -474,7 +474,7 @@ def _bind_kernel(path: Path):
         return None
     ptr, i64, f64, c_int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
     i64_ptr = ctypes.POINTER(i64)
-    kernel.scan.argtypes = [ptr, i64, i64_ptr, ctypes.POINTER(_Runner), i64]
+    kernel.scan.argtypes = [ptr, ptr, i64, i64_ptr, ctypes.POINTER(_Runner), i64]
     kernel.parse_ticks.argtypes = [ctypes.c_char_p, i64, i64_ptr, ptr, ptr, i64]
     kernel.format_ticks.argtypes = [ptr, ptr, i64, i64_ptr, ptr, i64]
     kernel.parse_events.argtypes = [ctypes.c_char_p, i64, i64_ptr, c_int,
@@ -508,15 +508,14 @@ def kernel_backend() -> str:
 
 class _Runner(ctypes.Structure):
     """``struct it_runner`` of ``_scan.c``: one threshold's scan arguments,
-    runner state and event columns; the last four fields are the kernel's."""
+    state and event columns, for either backend; the last four are C's."""
 
     _fields_ = [("guard", ctypes.c_double), ("up_factor", ctypes.c_double),
-                ("down_factor", ctypes.c_double), ("ext", ctypes.c_double),
-                ("mode", ctypes.c_double), ("ref", ctypes.c_double),
-                ("use_log", ctypes.c_int32), ("confirmed", ctypes.c_int32),
-                ("stall", ctypes.c_int64),
+                ("down_factor", ctypes.c_double), ("use_log", ctypes.c_int32),
+                ("confirmed", ctypes.c_int32), ("ext", ctypes.c_double),
+                ("mode", ctypes.c_double), ("ref", ctypes.c_double), ("stall", ctypes.c_int64),
                 ("kind", ctypes.c_void_p), ("dir", ctypes.c_void_p),
-                ("idx", ctypes.c_void_p), ("xt", ctypes.c_void_p),
+                ("ts", ctypes.c_void_p), ("px", ctypes.c_void_p), ("xt", ctypes.c_void_p),
                 ("cap", ctypes.c_int64), ("m", ctypes.c_int64),
                 ("os_c", ctypes.c_double), ("dc_c", ctypes.c_double),
                 ("os_at", ctypes.c_double), ("dc_at", ctypes.c_double)]
@@ -525,55 +524,13 @@ class _Runner(ctypes.Structure):
 _FIRST_CAP = 1024  # event slots of a runner's first block; each next one doubles
 
 
-def _event_block(cap: int) -> tuple[np.ndarray, int, int, int, int]:
-    """A block of ``cap`` event slots and the addresses of its kind, dir,
-    idx and xt columns: one allocation, 8-byte columns first."""
-    block = np.empty(18 * cap, np.uint8)
-    base = block.ctypes.data
-    return block, base + 16 * cap, base + 17 * cap, base, base + 8 * cap
-
-
-def _block_columns(block: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
-    """The first ``m`` events of a block as kinds, dirs, idx and xt."""
-    cap = block.size // 18
-    return (block[16 * cap:16 * cap + m].view(np.int8),
-            block[17 * cap:17 * cap + m].view(np.int8),
-            block[:8 * m].view(np.int64), block[8 * cap:8 * (cap + m)].view(np.float64))
-
-
-def _scan_c(scan, prices: np.ndarray, configs: list[ThresholdConfig], mode: int):
-    """Scan the array at every threshold in one pass; per threshold, return
-    the event columns, the tick its scan stopped at and the overshoot
-    reference there. When the kernel stops on a full block, that runner
-    gets one twice as large and every runner resumes from its state at
-    that tick, never from tick 1. A runner stops short of the end only at
-    a tick whose overshoot step cannot move the reference price."""
-    runners = (_Runner * len(configs))()
-    blocks = []  # per runner, its full blocks and then the one it writes to
-    first = float(prices[0])
-    for j, config in enumerate(configs):
-        guard, up_factor, down_factor, use_log = _scan_args(config)
-        block, *columns = _event_block(_FIRST_CAP)
-        runners[j] = _Runner(guard, up_factor, down_factor, first, mode, first, use_log,
-                             0, -1, *columns, _FIRST_CAP, 0)
-        blocks.append([block])
-    at = ctypes.c_int64(1)
-    # prices is a C-contiguous float64 array (TickSeries guarantees it)
-    while (full := scan(prices.ctypes.data, prices.size, at, runners, len(configs))) >= 0:
-        r = runners[full]
-        block, r.kind, r.dir, r.idx, r.xt = _event_block(2 * r.cap)
-        r.cap, r.m = 2 * r.cap, 0
-        blocks[full].append(block)
-    scans = []
-    for r, own in zip(runners, blocks):
-        parts = [_block_columns(block, block.size // 18) for block in own[:-1]]
-        parts.append(_block_columns(own[-1], r.m))
-        own.clear()
-        # a lone block is the first one, of _FIRST_CAP slots: its views can stay
-        columns = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
-        del parts  # free this runner's blocks before the next one is copied out
-        scans.append((*columns, prices.size if r.stall < 0 else r.stall, r.ref))
-    return scans
+def _columns(block: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """The first ``m`` events of a block of 26-byte slots: kinds, directions,
+    timestamps, prices and extrema, laid out 8-byte columns first."""
+    cap = block.size // 26
+    return (block[24 * cap:24 * cap + m].view(np.int8), block[25 * cap:25 * cap + m].view(np.int8),
+            block[:8 * m].view(np.int64), block[8 * cap:8 * (cap + m)].view(np.float64),
+            block[16 * cap:8 * (2 * cap + m)].view(np.float64))
 
 
 def _scan_python(px: list, i: int, ext: float, ref: float, mode: int,
@@ -647,44 +604,98 @@ class EventArrays:
         return int(np.count_nonzero(self.kinds == 1))
 
 
+class _GridScan:
+    """A threshold grid's scan of ticks that come in blocks, split anywhere:
+    ``feed`` goes on from each threshold's ``_Runner`` as the last block
+    left it, in the C kernel, which reads each tick once for the grid, or
+    else in ``_scan_python``. Each runner's events go to one block, copied
+    to one twice as large when it fills."""
+
+    def __init__(self, configs: list[ThresholdConfig], first_price: float, mode: int):
+        self.configs = configs
+        self.kernel = _load_kernel()
+        self.runners = (_Runner * len(configs))(
+            *((*_scan_args(config), 0, first_price, mode, first_price, -1) for config in configs))
+        self.blocks = [self._grow(j, 1) for j in range(len(configs))]
+        self.stalls = [None] * len(configs)  # per runner: timestamp, price and ref of its stall
+
+    def feed(self, timestamps: np.ndarray, prices: np.ndarray) -> None:
+        """Scan the next ticks: C-contiguous int64 timestamps, float64 prices."""
+        if self.kernel is None:
+            px = prices.tolist()
+            for j, r in enumerate(self.runners):
+                if r.stall < 0:
+                    found, r.ext, r.ref, r.mode, r.confirmed, stop = _scan_python(
+                        px, 0, r.ext, r.ref, r.mode, r.confirmed, r.guard, r.up_factor,
+                        r.down_factor, r.use_log)
+                    r.stall = stop if stop < len(px) else -1
+                    # float64 holds these kinds, directions and tick indices exactly
+                    kinds, dirs, idx, xt = np.array(found, np.float64).reshape(-1, 4).T
+                    idx, m = idx.astype(np.int64), r.m + len(found)
+                    self.blocks[j] = self._grow(j, m)
+                    for column, new in zip(_columns(self.blocks[j], m),
+                                           (kinds, dirs, timestamps[idx], prices[idx], xt)):
+                        column[r.m:] = new
+                    r.m = m
+        else:
+            at = ctypes.c_int64(0)
+            while (j := self.kernel.scan(timestamps.ctypes.data, prices.ctypes.data,
+                                         prices.size, at, self.runners, len(self.runners))) >= 0:
+                r, p = self.runners[j], float(prices[at.value])
+                factor = r.up_factor if r.mode > 0 else r.down_factor
+                # the overshoots still due at the tick, in closed form
+                due = (r.mode * (math.log(p) - math.log(r.ref)) / abs(math.log(factor))
+                       if r.mode * (p - r.ref) > 0 and factor != 1.0 else 0.0)
+                try:
+                    if due > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 26:
+                        raise MemoryError  # no block that holds them can be allocated
+                    self.blocks[j] = self._grow(j, r.cap + 1)
+                except MemoryError:
+                    raise DomainError(
+                        f"threshold {self.configs[j].delta!r}: its events do not fit "
+                        f"in memory at the tick at timestamp {int(timestamps[at.value])} (price "
+                        f"{p!r}), where about {due:.3g} more overshoots are due") from None
+        for j, r in enumerate(self.runners):
+            if r.stall >= 0 and self.stalls[j] is None:
+                self.stalls[j] = (int(timestamps[r.stall]), float(prices[r.stall]), r.ref)
+
+    def _grow(self, j: int, need: int) -> np.ndarray:
+        """Runner j's block if it has ``need`` event slots, else a new one
+        for the caller to keep, at least twice as large, with its events."""
+        r = self.runners[j]
+        if need <= r.cap:
+            return self.blocks[j]
+        cap = max(2 * r.cap, _FIRST_CAP, need)
+        block = np.empty(26 * cap, np.uint8)
+        if r.m:  # a new runner has no block to copy
+            for new, old in zip(_columns(block, r.m), _columns(self.blocks[j], r.m)):
+                new[:] = old
+        base = block.ctypes.data
+        r.kind, r.dir, r.ts, r.px, r.xt = (base + 24 * cap, base + 25 * cap, base,
+                                           base + 8 * cap, base + 16 * cap)
+        r.cap = cap
+        return block
+
+    def finish(self) -> list[EventArrays]:
+        """Every config's event arrays, in order; DomainError for the first
+        config whose overshoot step could not move its reference price."""
+        for config, stall in zip(self.configs, self.stalls):
+            if stall is not None:
+                raise _endless_scan(config, *stall)
+        return [EventArrays(*_columns(block, r.m), config)
+                for block, r, config in zip(self.blocks, self.runners, self.configs)]
+
+
 def _process_grid(series: TickSeries, configs: list[ThresholdConfig],
                   initial_mode: Mode = Mode.UP) -> list[EventArrays]:
-    """The grid driver: the event arrays of one scan per config, in order,
-    all from one pass over the ticks, in which the C kernel reads each tick
-    once for every threshold. Element j is exactly what ``process_arrays``
-    returns for ``configs[j]``. Without the kernel, ``_scan_python`` scans
-    the ticks once per threshold.
-
-    Raises EmptyInputError on an empty series, and DomainError for the
-    first config in order whose overshoot step cannot move its reference
-    price, where its scan would never end.
-    """
+    """The grid driver: one ``_GridScan`` fed the whole series, so element j
+    is exactly what ``process_arrays`` returns for ``configs[j]``. Raises
+    EmptyInputError on an empty series, and DomainError as ``finish`` does."""
     if len(series) == 0:
         raise EmptyInputError("cannot process an empty tick sequence")
-    kernel = _load_kernel()
-    if kernel is None:
-        px = series.prices.tolist()
-        scans = (_scan_columns(px, config, initial_mode.value) for config in configs)
-    else:
-        scans = _scan_c(kernel.scan, series.prices, configs, initial_mode.value)
-    grid = []
-    for config, (kinds, dirs, idx, xt, stop, ref) in zip(configs, scans):
-        if stop < len(series):
-            raise _endless_scan(config, int(series.timestamps[stop]),
-                                float(series.prices[stop]), ref)
-        grid.append(EventArrays(kinds, dirs, series.timestamps[idx], series.prices[idx],
-                                xt, config))
-    return grid
-
-
-def _scan_columns(px: list, config: ThresholdConfig, mode: int):
-    """``_scan_python`` over the whole of ``px`` as the columns, stop and
-    reference that ``_scan_c`` gives for one threshold."""
-    found, _, ref, _, _, stop = _scan_python(px, 1, px[0], px[0], mode, False,
-                                             *_scan_args(config))
-    # float64 holds these kinds, directions and tick indices exactly
-    kinds, dirs, idx, xt = np.array(found, dtype=np.float64).reshape(-1, 4).T.copy()
-    return kinds.astype(np.int8), dirs.astype(np.int8), idx.astype(np.int64), xt, stop, ref
+    scan = _GridScan(configs, float(series.prices[0]), initial_mode.value)
+    scan.feed(series.timestamps, series.prices)
+    return scan.finish()
 
 
 def process_arrays(ticks: TickInput, config: ThresholdConfig,
@@ -734,10 +745,10 @@ def process(ticks: TickInput, config: ThresholdConfig,
     Equivalent to folding ``step`` over the sequence after ``new_runner``
     on the first tick, but runs as one pass with constant state: in C
     where a compiler is available (see ``kernel_backend``), else in the
-    Python loop that ``step`` runs tick by tick. The C scan hands its
-    state back when its event buffer fills and resumes from it, so every
-    tick is scanned once however many events there are. Raises
-    EmptyInputError on an empty sequence; a single tick yields no events.
+    Python loop that ``step`` runs tick by tick. The C scan resumes where
+    it stopped on a full event buffer, so every tick is scanned once
+    however many events there are. Raises EmptyInputError on an empty
+    sequence; a single tick yields no events.
     """
     return events_from_arrays(process_arrays(ticks, config, initial_mode))
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import intrinsic_time as it
@@ -689,7 +689,7 @@ def test_full_buffer_resumes_without_rescanning(monkeypatch, series, delta, mode
     spans = []  # (first tick, tick the call stopped at) of each kernel call
 
     def tracing(*args):
-        at = args[2]  # in: the tick to start at; out: the tick the call stopped at
+        at = args[3]  # in: the tick to start at; out: the tick the call stopped at
         first = at.value
         full = kernel.scan(*args)
         spans.append((first, at.value))
@@ -699,10 +699,10 @@ def test_full_buffer_resumes_without_rescanning(monkeypatch, series, delta, mode
     arrays = it.process_arrays(series, it.ThresholdConfig(delta, LOG), mode)
     assert len(arrays) > 1024 and len(spans) > 1
     # each call starts where the previous one stopped, so no tick is rescanned
-    assert spans[0][0] == 1 and spans[-1][1] == len(series)
+    assert spans[0][0] == 0 and spans[-1][1] == len(series)
     assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
     if series is GAP_SERIES:
-        assert spans[0] == (1, 2)  # the first stop falls inside the gap tick
+        assert spans[0] == (0, 2)  # the first stop falls inside the gap tick
 
 
 def grid_walk(rng, start, factors, n, lo, hi):
@@ -799,13 +799,13 @@ def test_a_step_that_cannot_move_the_reference_stops_the_scan(monkeypatch, price
     if HAS_CC:  # the kernel first, capped, so that a scan without end cannot hang
         kernel = engine._load_kernel()
         cap = 100_000
-        out = [np.empty(cap, dtype) for dtype in (np.int8, np.int8, np.int64, np.float64)]
-        guard, up_factor, down_factor, use_log = engine._scan_args(config)
-        runner = engine._Runner(guard, up_factor, down_factor, prices[0], 1.0, prices[0],
-                                use_log, 0, -1, *(column.ctypes.data for column in out),
-                                cap, 0)
+        out = [np.empty(cap, dtype)
+               for dtype in (np.int8, np.int8, np.int64, np.float64, np.float64)]
+        runner = engine._Runner(*engine._scan_args(config), 0, prices[0], 1.0, prices[0], -1,
+                                *(column.ctypes.data for column in out), cap, 0)
         at = ctypes.c_int64(1)
-        assert kernel.scan(series.prices.ctypes.data, 4, at, runner, 1) == -1
+        assert kernel.scan(series.timestamps.ctypes.data, series.prices.ctypes.data, 4, at,
+                           runner, 1) == -1
         assert (runner.m, runner.stall) == (2, 3)  # the two DCs, then the stop at tick 3
         assert at.value == 4 and runner.ref == prices[2]  # parked there; the scan ran on
         with pytest.raises(it.DomainError, match=error):
@@ -913,6 +913,122 @@ def test_one_pass_over_a_grid_equals_each_threshold_scanned_alone(monkeypatch, k
                 assert a.dtype == b.dtype and np.array_equal(a, b), (got.config, mode, field)
     if k >= 7:
         assert any(0 < full < k - 1 for full in stops)
+
+
+def scan_in_blocks(series, configs, mode, cuts):
+    """The grid's event arrays from one ``_GridScan`` fed the ticks split at
+    ``cuts`` (sorted; equal cuts make empty blocks), or the text of the
+    DomainError it raises."""
+    scan = engine._GridScan(configs, float(series.prices[0]), mode.value)
+    for lo, hi in zip([0, *cuts], [*cuts, len(series)]):
+        scan.feed(series.timestamps[lo:hi], series.prices[lo:hi])
+    try:
+        return scan.finish()
+    except it.DomainError as exc:
+        return str(exc)
+
+
+# The gap tick, whose overshoot loop fills 3-slot blocks part way through,
+# and the grids that stall, each fed as one grid
+SPLIT_GRIDS = [(GAP_SERIES, [it.ThresholdConfig(d, c) for d in (0.03, 0.001, 0.003)], it.Mode.UP)
+               for c in (REL, LOG)]
+SPLIT_GRIDS += [(it.TickSeries(np.arange(len(multiples)) * 10, np.array(multiples) * 5e-324),
+                 [it.ThresholdConfig(d, c) for d in deltas], it.Mode.UP)
+                for c, multiples, deltas, _ in STALLING_GRIDS]
+
+
+@st.composite
+def block_splits(draw):
+    """A grid, a start mode and where to split its ticks into blocks: into
+    single ticks, or at up to 8 cuts anywhere."""
+    walks = tick_walks().map(lambda walk: (
+        it.TickSeries(walk[0], walk[1]),
+        [it.ThresholdConfig(walk[2] * k, LOG if walk[3] else REL) for k in (1, 2.5)], walk[4]))
+    series, configs, mode = draw(st.one_of(st.sampled_from(SPLIT_GRIDS), walks))
+    n = len(series)
+    cuts = draw(st.one_of(st.just(list(range(1, n))),
+                          st.lists(st.integers(0, n), max_size=8).map(sorted)))
+    return series, configs, mode, cuts
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=pytest.mark.skipif(not HAS_CC,
+                                               reason="no C compiler (cc) on PATH")),
+    "python"])
+@given(block_splits(), st.sampled_from([3, 1024]))
+@example((*SPLIT_GRIDS[1], [3]), 3)  # a block that starts right after the gap tick
+@settings(max_examples=150)
+def test_any_split_of_the_ticks_gives_the_events_of_one_feed(backend, split, first_cap):
+    series, configs, mode, cuts = split
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_FIRST_CAP", first_cap)  # 3: blocks fill and resume often
+        if backend == "python":
+            patch.setattr(engine, "_kernel", None)
+        assert it.kernel_backend() == backend
+        whole = scan_in_blocks(series, configs, mode, [])
+        assert scan_in_blocks(series, configs, mode, cuts) == whole
+    if isinstance(whole, str):  # a stall: every split raises it, for the same threshold
+        assert re.match(r"^threshold .* so the scan would never end$", whole)
+        return
+    for arrays in whole:
+        expected = reference_events(series.timestamps.tolist(), series.prices,
+                                    arrays.config.delta, arrays.config.move_convention is LOG,
+                                    mode.value)
+        got = zip(arrays.kinds.tolist(), arrays.directions.tolist(),
+                  arrays.timestamps.tolist(), arrays.prices.tolist())
+        assert [("OS" if k else "DC", d, t, p) for k, d, t, p in got] == \
+               [event[:4] for event in expected]
+
+
+# At 1e-12 the tick 2.0 asks for about 6.9e11 overshoots, each a step that
+# moves the reference price, so the scan ends, but not in memory
+FLOOD = it.TickSeries(np.arange(4), np.array([1.0, 0.5, 1.0, 2.0]))
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+def test_an_overshoot_flood_raises_before_it_runs_out_of_memory():
+    # In a fresh interpreter, with its address space limited to 2 GiB: a
+    # scan that doubles its event block until no more can be allocated
+    # takes over a second there, and fails with a bare MemoryError
+    script = textwrap.dedent("""
+        import resource, time
+        import numpy as np
+        import intrinsic_time as it
+
+        assert it.kernel_backend() == "c"
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
+        series = it.TickSeries(np.arange(4), np.array([1.0, 0.5, 1.0, 2.0]))
+        start = time.perf_counter()
+        try:
+            it.process_arrays(series, it.ThresholdConfig(1e-12))
+        except Exception as exc:
+            print(time.perf_counter() - start, type(exc).__name__, exc)
+    """)
+    package_root = str(Path(it.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, timeout=300, env={**os.environ, "PYTHONPATH": path}).stdout
+    seconds, kind, message = out.split(" ", 2)
+    assert kind == "DomainError" and float(seconds) < 1.0
+    assert re.match(r"threshold 1e-12: its events do not fit in memory at the tick at "
+                    r"timestamp 3 \(price 2\.0\), where about 6\.93e\+11 more", message)
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+def test_an_event_block_that_cannot_be_allocated_raises_the_same_error(monkeypatch):
+    empty = np.empty
+
+    def failing(shape, dtype=float):  # no block past 4096 event slots
+        if dtype is np.uint8 and shape > 26 * 4096:
+            raise MemoryError
+        return empty(shape, dtype)
+
+    monkeypatch.setattr(np, "empty", failing)
+    # about 6.9e6 overshoots: few enough for the machine, not for the blocks
+    with pytest.raises(it.DomainError, match=r"^threshold 1e-07: its events do not fit in "
+                                             r"memory at the tick at timestamp 3 \(price 2\.0\)"):
+        it.process_arrays(FLOOD, it.ThresholdConfig(1e-7))
 
 
 def reduceat_overshoots(prices, dc_events, use_log):
