@@ -310,6 +310,26 @@ def _endless_scan(config: ThresholdConfig, timestamp: int, price: float,
         "so the scan would never end")
 
 
+def _overshoots_due(price: float, ref: float, mode: float, factor: float) -> tuple[float, bool]:
+    """About how many overshoots of ``factor`` are due at ``price`` from the
+    reference ``ref`` in trend ``mode`` (+1 or -1), in closed form, and
+    whether that is a flood: more than physical memory holds at 26 bytes
+    an event (``_columns``), where the scans stop and raise ``_flood``."""
+    due = (mode * (math.log(price) - math.log(ref)) / abs(math.log(factor))
+           if mode * (price - ref) > 0 and factor != 1.0 else 0.0)
+    return due, due > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 26
+
+
+def _flood(config: ThresholdConfig, timestamp: int, price: float, ref: float, mode: float,
+           factor: float) -> DomainError:
+    """The error for a tick whose overshoots cannot all be held, from the
+    state where the scan stopped."""
+    due = _overshoots_due(price, ref, mode, factor)[0]
+    return DomainError(
+        f"threshold {config.delta!r}: its events do not fit in memory at the tick at "
+        f"timestamp {timestamp} (price {price!r}), where about {due:.3g} more overshoots are due")
+
+
 def _tick_values(tick) -> tuple[int, float]:
     """``(timestamp, price)`` of a streamed tick; DomainError as in TickSeries."""
     ts = _whole(tick[0])
@@ -353,11 +373,14 @@ def step(state: RunnerState, tick: Tick,
 
     mode = state.mode
     sign = mode.value
+    args = _scan_args(config)
     found, ext, ref, new_sign, _, stop = _scan_python(
-        [price], 0, state.extremum_price, state.os_reference_price, sign,
-        state.dc_confirm_price is not None, *_scan_args(config))
+        [price], state.extremum_price, state.os_reference_price, sign,
+        state.dc_confirm_price is not None, *args)
     if stop == 0:
-        raise _endless_scan(config, ts, price, ref)
+        factor = args[1] if sign == 1 else args[2]
+        raise (_endless_scan(config, ts, price, ref) if ref * factor == ref
+               else _flood(config, ts, price, ref, sign, factor))
     state.extremum_price, state.os_reference_price, state.last_timestamp = ext, ref, ts
     if new_sign != sign:  # a DC fired, and it is this tick's only event
         mode = state.mode = mode.flipped
@@ -520,6 +543,11 @@ class _Runner(ctypes.Structure):
                 ("os_c", ctypes.c_double), ("dc_c", ctypes.c_double),
                 ("os_at", ctypes.c_double), ("dc_at", ctypes.c_double)]
 
+    @property
+    def factor(self) -> float:
+        """The overshoot step of the current trend."""
+        return self.up_factor if self.mode > 0 else self.down_factor
+
 
 _FIRST_CAP = 1024  # event slots of a runner's first block; each next one doubles
 
@@ -533,32 +561,35 @@ def _columns(block: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
             block[16 * cap:8 * (2 * cap + m)].view(np.float64))
 
 
-def _scan_python(px: list, i: int, ext: float, ref: float, mode: int,
-                 confirmed: bool, guard: float, up_factor: float,
-                 down_factor: float, use_log: bool):
+def _scan_python(px: list, ext: float, ref: float, mode: int, confirmed: bool,
+                 guard: float, up_factor: float, down_factor: float, use_log: bool):
     """Pure-Python twin of ``it_scan`` in ``_scan.c``: the same events from
     the same tests, without the C scan's price bands, so it is the spec
     the compiled scan is tested against.
 
-    Scans ``px[i:]`` from the given runner state; returns the events as
+    Scans ``px`` from the given runner state; returns the events as
     ``(kind, direction, tick index, trend extremum)`` tuples (a DC's is
     the extremum of the trend it ends), the state after the last tick
-    read and the index of the next tick to read: ``len(px)``, unless an
-    overshoot step cannot move the reference price (``ref * factor ==
-    ref``), where the scan stops at that tick instead of looping forever.
+    read and the index of the next tick to read: ``len(px)``, unless the
+    scan stops at a tick where an overshoot step cannot move the reference
+    price (``ref * factor == ref``), so that it would loop forever, or at
+    one that floods (``_overshoots_due``), checked once the tick has fired
+    ``_FIRST_CAP`` overshoots, so that a tick that fires fewer pays nothing.
     ``mode`` is +1 or -1; ``mode * x >= guard`` reads ``x >= guard`` up
     and ``x <= -guard`` down, exactly, since negation does not round.
     """
     log = math.log
     events = []
-    for i in range(i, len(px)):
-        p = px[i]
+    for i, p in enumerate(px):
         if mode * p >= mode * ext:
             ext = p
             if confirmed:
                 factor = up_factor if mode == 1 else down_factor
+                fired = 0  # this tick's overshoots
                 while mode * (log(p / ref) if use_log else (p - ref) / ref) >= guard:
-                    if ref * factor == ref:
+                    fired += 1
+                    if ref * factor == ref or fired == _FIRST_CAP and _overshoots_due(
+                            p, ref, mode, factor)[1]:
                         return events, ext, ref, mode, confirmed, i
                     events.append((1, mode, i, ext))
                     ref = ref * factor
@@ -620,15 +651,19 @@ class _GridScan:
         self.stalls = [None] * len(configs)  # per runner: timestamp, price and ref of its stall
 
     def feed(self, timestamps: np.ndarray, prices: np.ndarray) -> None:
-        """Scan the next ticks: C-contiguous int64 timestamps, float64 prices."""
+        """Scan the next ticks: C-contiguous int64 timestamps, float64 prices.
+        DomainError for the first tick, then threshold, that floods."""
+        floods = []  # (tick, runner) where a runner's events do not fit in memory
         if self.kernel is None:
             px = prices.tolist()
             for j, r in enumerate(self.runners):
                 if r.stall < 0:
                     found, r.ext, r.ref, r.mode, r.confirmed, stop = _scan_python(
-                        px, 0, r.ext, r.ref, r.mode, r.confirmed, r.guard, r.up_factor,
+                        px, r.ext, r.ref, r.mode, r.confirmed, r.guard, r.up_factor,
                         r.down_factor, r.use_log)
                     r.stall = stop if stop < len(px) else -1
+                    if r.stall >= 0 and r.ref * r.factor != r.ref:  # not a stall
+                        floods.append((stop, j))
                     # float64 holds these kinds, directions and tick indices exactly
                     kinds, dirs, idx, xt = np.array(found, np.float64).reshape(-1, 4).T
                     idx, m = idx.astype(np.int64), r.m + len(found)
@@ -641,20 +676,19 @@ class _GridScan:
             at = ctypes.c_int64(0)
             while (j := self.kernel.scan(timestamps.ctypes.data, prices.ctypes.data,
                                          prices.size, at, self.runners, len(self.runners))) >= 0:
-                r, p = self.runners[j], float(prices[at.value])
-                factor = r.up_factor if r.mode > 0 else r.down_factor
-                # the overshoots still due at the tick, in closed form
-                due = (r.mode * (math.log(p) - math.log(r.ref)) / abs(math.log(factor))
-                       if r.mode * (p - r.ref) > 0 and factor != 1.0 else 0.0)
+                r = self.runners[j]
                 try:
-                    if due > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 26:
+                    if _overshoots_due(float(prices[at.value]), r.ref, r.mode, r.factor)[1]:
                         raise MemoryError  # no block that holds them can be allocated
                     self.blocks[j] = self._grow(j, r.cap + 1)
                 except MemoryError:
-                    raise DomainError(
-                        f"threshold {self.configs[j].delta!r}: its events do not fit "
-                        f"in memory at the tick at timestamp {int(timestamps[at.value])} (price "
-                        f"{p!r}), where about {due:.3g} more overshoots are due") from None
+                    floods.append((at.value, j))
+                    break
+        if floods:
+            i, j = min(floods)
+            r = self.runners[j]
+            raise _flood(self.configs[j], int(timestamps[i]), float(prices[i]), r.ref, r.mode,
+                         r.factor)
         for j, r in enumerate(self.runners):
             if r.stall >= 0 and self.stalls[j] is None:
                 self.stalls[j] = (int(timestamps[r.stall]), float(prices[r.stall]), r.ref)

@@ -985,8 +985,28 @@ def test_any_split_of_the_ticks_gives_the_events_of_one_feed(backend, split, fir
 FLOOD = it.TickSeries(np.arange(4), np.array([1.0, 0.5, 1.0, 2.0]))
 
 
-@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
-def test_an_overshoot_flood_raises_before_it_runs_out_of_memory():
+# How each backend meets the flood: step never uses the kernel, and leaves
+# the runner as it was
+FLOOD_CALLS = {
+    "c": 'assert it.kernel_backend() == "c"\nit.process_arrays(series, config)',
+    "python": "engine._kernel = None\nit.process_arrays(series, config)",
+    "step": textwrap.dedent("""\
+        state = it.new_runner(config, series[0])
+        for k in (1, 2):
+            it.step(state, series[k], config)
+        try:
+            it.step(state, series[3], config)
+        finally:
+            assert (state.last_timestamp, state.intrinsic_clock, state.os_reference_price) == (
+                2, 2, 1.0)"""),
+}
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=pytest.mark.skipif(not HAS_CC,
+                                               reason="no C compiler (cc) on PATH")),
+    "python", "step"])
+def test_an_overshoot_flood_raises_before_it_runs_out_of_memory(backend):
     # In a fresh interpreter, with its address space limited to 2 GiB: a
     # scan that doubles its event block until no more can be allocated
     # takes over a second there, and fails with a bare MemoryError
@@ -994,17 +1014,19 @@ def test_an_overshoot_flood_raises_before_it_runs_out_of_memory():
         import resource, time
         import numpy as np
         import intrinsic_time as it
+        from intrinsic_time import engine
 
-        assert it.kernel_backend() == "c"
+        it.kernel_backend()  # loads, or compiles, the kernel before the limit
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
         series = it.TickSeries(np.arange(4), np.array([1.0, 0.5, 1.0, 2.0]))
+        config = it.ThresholdConfig(1e-12)
         start = time.perf_counter()
         try:
-            it.process_arrays(series, it.ThresholdConfig(1e-12))
+            exec(CALL)
         except Exception as exc:
             print(time.perf_counter() - start, type(exc).__name__, exc)
-    """)
+    """).replace("CALL", repr(FLOOD_CALLS[backend]))
     package_root = str(Path(it.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -1013,6 +1035,24 @@ def test_an_overshoot_flood_raises_before_it_runs_out_of_memory():
     assert kind == "DomainError" and float(seconds) < 1.0
     assert re.match(r"threshold 1e-12: its events do not fit in memory at the tick at "
                     r"timestamp 3 \(price 2\.0\), where about 6\.93e\+11 more", message)
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("c", marks=pytest.mark.skipif(not HAS_CC,
+                                               reason="no C compiler (cc) on PATH")),
+    "python"])
+def test_a_flooding_grid_raises_for_its_first_flooding_tick(monkeypatch, backend):
+    # With memory for 1e5 events, 1e-5 holds its 6.9e4 overshoots at tick 3
+    # and floods at tick 4, after 1e-6, which floods at tick 3
+    sizes = {"SC_PHYS_PAGES": 100_000, "SC_PAGE_SIZE": 26}
+    monkeypatch.setattr(engine.os, "sysconf", sizes.__getitem__)
+    if backend == "python":
+        monkeypatch.setattr(engine, "_kernel", None)
+    assert it.kernel_backend() == backend
+    series = it.TickSeries(np.arange(5), np.array([1.0, 0.5, 1.0, 2.0, 1e6]))
+    with pytest.raises(it.DomainError, match=r"^threshold 1e-06: .* at timestamp 3 \(price "
+                                             r"2\.0\), where about 6\.92e\+05 more"):
+        engine._process_grid(series, [it.ThresholdConfig(1e-5), it.ThresholdConfig(1e-6)])
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")

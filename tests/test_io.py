@@ -286,6 +286,8 @@ MUTATIONS = {
         " 1.5", "1,5", "", "1.5\r", "1.5\x0c", "１", "1.5\udcff", "1" * 400 + "e-399"]},
     "blank line after the row": lambda prefix, rows, k: rows.insert(k + 1, []),
     "comment after the row": lambda prefix, rows, k: rows.insert(k + 1, ["# mid"]),
+    "blank line before the rows": lambda prefix, rows, k: rows.insert(0, []),
+    "comment before the rows": lambda prefix, rows, k: rows.insert(0, ["# first"]),
     "three fields": lambda prefix, rows, k: rows[k].append("1"),
     "backwards row": swap_with_next,
     "invalid UTF-8 in the prefix": lambda prefix, rows, k: prefix.insert(0, "# \udcff"),
@@ -344,6 +346,10 @@ def test_fast_parser_equals_row_loop_on_mutated_files(
     (b"", b"1,1.0\n0,2.0\n", True, True),
     (b"", b"0,1.0\r\n", False, False),
     (b"", b"0, 1.0\n", False, False),
+    (b"", b"\n0,1.0\n", False, True),
+    (b"", b"0,1.0\n\n1,2.0\n", False, False),
+    (b"", b"0,1.0\n# mid\n1,2.0\n", False, False),
+    (b"", b"0,1.0\n# end", False, False),
 ] + [(f"# a{b}b\n".encode(), b"0,1.0\n", False, False) for b in OTHER_BREAKS])
 def test_fast_parser_takes_exactly_its_grammar(tmp_path, has_header, prefix, body,
                                                allow_unordered, taken):
@@ -352,6 +358,16 @@ def test_fast_parser_takes_exactly_its_grammar(tmp_path, has_header, prefix, bod
     fast, slow, took_fast_path = parse_both_ways(path, has_header, allow_unordered)
     assert fast == slow
     assert took_fast_path == taken
+
+
+@needs_cc
+def test_fast_parser_never_reads_the_header_as_a_row(tmp_path):
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(b"0,1.0\n5,2.0\n")  # a header inside the row grammar
+    fast, slow, took_fast_path = parse_both_ways(path, has_header=True)
+    assert took_fast_path
+    assert fast == slow == ("ok", np.dtype(np.int64), np.array([5], np.int64).tobytes(),
+                            np.dtype(np.float64), np.array([2.0]).tobytes())
 
 
 def write_both_ways(series, path):
@@ -861,6 +877,7 @@ EVENT_MUTATIONS = {
     "CRLF": lambda fmt, lines, k: lines.__setitem__(k, lines[k] + "\r"),
     "blank line after the row": lambda fmt, lines, k: lines.insert(k + 1, ""),
     "comment after the row": lambda fmt, lines, k: lines.insert(k + 1, "# mid"),
+    "blank line before the rows": lambda fmt, lines, k: lines.insert(2 if fmt is CSV else 0, ""),
     "comment with a break before the rows":
         lambda fmt, lines, k: lines.insert(0, "# a\x85b"),
     "keys reordered": reorder_keys,
@@ -926,6 +943,26 @@ def event_file(fmt, *rows):
 def test_fast_event_reader_takes_exactly_its_grammar(tmp_path, fmt, row, taken):
     path = tmp_path / f"events.{fmt.value}"
     path.write_text(event_file(fmt, ("OS", 0, 1.25, 0.01, 0), row))
+    fast, slow, took_fast_path = read_both_ways(path, fmt)
+    assert fast == slow
+    assert took_fast_path == taken
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+@pytest.mark.parametrize("before, between, after, taken", [
+    ("\n", "", "", True),  # a blank line between the header and the first row
+    ("", "\n", "", False),
+    ("", "# mid\n", "", False),
+    ("", "", "# end", False),
+])
+def test_fast_event_reader_skips_lines_only_before_its_rows(tmp_path, fmt, before, between,
+                                                            after, taken):
+    path = tmp_path / f"events.{fmt.value}"
+    head = EVENT_CSV_HEAD if fmt is CSV else ""
+    first, second = (event_file(fmt, row)[len(head):]
+                     for row in (("OS", 0, 1.25, 0.01, 0), ("DC", 1, 1.5, 0.01, 1)))
+    path.write_text(head + before + first + between + second + after)
     fast, slow, took_fast_path = read_both_ways(path, fmt)
     assert fast == slow
     assert took_fast_path == taken
