@@ -6,124 +6,39 @@ coastlines, and estimates the power-law and decomposition regularities
 those event series exhibit. Includes seeded synthetic generators and
 plain CSV/JSONL serialization; see the ``cli`` module or the
 ``intrinsic-time`` entry point for the command-line pipeline.
+
+``import intrinsic_time`` loads no submodule, nor numpy, until one is used (PEP 562).
 """
 
-from .engine import (
-    BOUNDARY_TOLERANCE,
-    EventArrays,
-    EventKind,
-    IntrinsicEvent,
-    Mode,
-    MoveConvention,
-    RunnerState,
-    ThresholdConfig,
-    Tick,
-    TickSeries,
-    as_tick_series,
-    events_from_arrays,
-    kernel_backend,
-    new_runner,
-    overshoot_lengths,
-    process,
-    process_arrays,
-    relative_move,
-    step,
-)
-from .errors import (
-    ConfigurationError,
-    ConsistencyError,
-    DomainError,
-    EmptyInputError,
-    FitError,
-    IngestionError,
-    InsufficientDataError,
-    IntrinsicTimeError,
-    OrderingError,
-    WriteError,
-)
-from .io import (
-    EventFileFormat,
-    TickFileSpec,
-    TimestampUnit,
-    parse_ticks,
-    read_events,
-    write_events,
-    write_ticks,
-)
-from .multiscale import (
-    ThresholdGrid,
-    ThresholdSummary,
-    as_threshold_grid,
-    run_grid,
-    summarize,
-)
-from .scaling import (
-    DecompositionReport,
-    DecompositionRow,
-    ReturnSeries,
-    ScalingFit,
-    decompose,
-    fit_power_law,
-    mean_overshoot_ratio,
-    physical_returns,
-    squared_mean,
-)
-from .synthetic import GbmParams, generate_gbm, generate_random_walk
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDARY_TOLERANCE",
-    "ConfigurationError",
-    "ConsistencyError",
-    "DecompositionReport",
-    "DecompositionRow",
-    "DomainError",
-    "EmptyInputError",
-    "EventArrays",
-    "EventFileFormat",
-    "EventKind",
-    "FitError",
-    "GbmParams",
-    "IngestionError",
-    "InsufficientDataError",
-    "IntrinsicEvent",
-    "IntrinsicTimeError",
-    "Mode",
-    "MoveConvention",
-    "OrderingError",
-    "ReturnSeries",
-    "RunnerState",
-    "ScalingFit",
-    "ThresholdConfig",
-    "ThresholdGrid",
-    "ThresholdSummary",
-    "Tick",
-    "TickFileSpec",
-    "TickSeries",
-    "TimestampUnit",
-    "WriteError",
-    "as_threshold_grid",
-    "as_tick_series",
-    "decompose",
-    "events_from_arrays",
-    "fit_power_law",
-    "generate_gbm",
-    "generate_random_walk",
-    "kernel_backend",
-    "mean_overshoot_ratio",
-    "new_runner",
-    "overshoot_lengths",
-    "parse_ticks",
-    "physical_returns",
-    "process",
-    "process_arrays",
-    "read_events",
-    "relative_move",
-    "run_grid",
-    "squared_mean",
-    "step",
-    "summarize",
-    "write_events",
-    "write_ticks",
-]
+_EXPORTS = {
+    "engine": "BOUNDARY_TOLERANCE EventArrays EventKind IntrinsicEvent Mode MoveConvention"
+              " RunnerState ThresholdConfig Tick TickSeries as_tick_series events_from_arrays"
+              " kernel_backend new_runner overshoot_lengths process process_arrays"
+              " relative_move step",
+    "errors": "ConfigurationError ConsistencyError DomainError EmptyInputError FitError"
+              " IngestionError InsufficientDataError IntrinsicTimeError OrderingError WriteError",
+    "io": "EventFileFormat TickFileSpec TimestampUnit parse_ticks read_events write_events"
+          " write_ticks",
+    "multiscale": "ThresholdGrid ThresholdSummary as_threshold_grid run_grid summarize",
+    "scaling": "DecompositionReport DecompositionRow ReturnSeries ScalingFit decompose"
+               " fit_power_law mean_overshoot_ratio physical_returns squared_mean",
+    "synthetic": "GbmParams generate_gbm generate_random_walk",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME and name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOME.get(name, name)}")
+    globals()[name] = value = getattr(module, name) if name in _HOME else module
+    return value  # stored above, so that later lookups do not come here
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -104,8 +104,8 @@ class TickSeries:
     Validates on construction: equal lengths, whole-number timestamps
     inside int64 (integral floats are accepted), prices that read as
     float64 and are strictly positive and finite, non-decreasing
-    timestamps. Iterating yields ``Tick`` tuples. Two series are equal
-    when their columns are.
+    timestamps. An integer index or iteration yields ``Tick`` tuples, a
+    slice a validated TickSeries; two series are equal when their columns are.
     """
 
     timestamps: np.ndarray
@@ -138,8 +138,12 @@ class TickSeries:
         for t, p in zip(self.timestamps.tolist(), self.prices.tolist()):
             yield Tick(t, p)
 
-    def __getitem__(self, i: int) -> Tick:
-        return Tick(int(self.timestamps[i]), float(self.prices[i]))
+    def __getitem__(self, i: int | slice) -> Tick | TickSeries:
+        if isinstance(i, slice):
+            return TickSeries(self.timestamps[i], self.prices[i])
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):  # numpy: bool = mask
+            raise TypeError(f"TickSeries indices are integers or slices, not {type(i).__name__}")
+        return Tick(self.timestamps.item(i), self.prices.item(i))
 
     @property
     def span_ns(self) -> int:

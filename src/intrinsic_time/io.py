@@ -66,6 +66,7 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 # A well-formed number with an exponent, which Decimal refuses when the
 # exponent is past its limit.
 _EXPONENT_FORM = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE]([+-]?)[0-9]+")
+_FIRST_ROWS = 1 << 16  # the most rows of the first columns ``_parse_c`` fills
 
 
 class EventFileFormat(Enum):
@@ -167,7 +168,7 @@ def _parse_c(parse, data: bytes, comments: bool, header: bool | str,
     LF is parsed once more with one. Any other line gives None, as does one
     that is not UTF-8 or holds a break other than LF.
     """
-    cap = data.count(b"\n") + 1
+    cap = min(len(data) // 4 + 1, _FIRST_ROWS)  # a row takes at least 4 bytes
     columns = [np.empty(cap, dtype=dtype) for dtype in dtypes]
     pos, n, header_pending = ctypes.c_int64(0), 0, bool(header)
     while True:
@@ -175,6 +176,12 @@ def _parse_c(parse, data: bytes, comments: bool, header: bool | str,
             n += parse(data, len(data), pos, *[c[n:].ctypes.data for c in columns], cap - n)
         if (start := pos.value) >= len(data):
             return [c[:n] for c in columns]
+        if n == cap:  # full: resume into columns sized by the mean row so far, at least double
+            cap = max(2 * cap, n * len(data) // start * 17 // 16)  # 1/16 spare
+            columns, full = [np.empty(cap, c.dtype) for c in columns], columns
+            for new, old in zip(columns, full):
+                new[:n] = old  # not np.pad, which would touch every page of the spare rows
+            continue
         end = data.find(b"\n", start) % (len(data) + 1)  # len(data) where no LF follows
         try:
             line = data[start:end].decode("utf-8")

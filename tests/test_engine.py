@@ -327,6 +327,43 @@ def test_tick_series_accepts_whole_timestamps_of_any_dtype():
     assert np.shares_memory(it.TickSeries(ts, np.ones(3)).timestamps, ts)
 
 
+TICKS = it.TickSeries(np.array([0, 5, 5, 9], dtype=np.int64), np.array([1.0, 2.0, 1.5, 3.0]))
+
+
+@pytest.mark.parametrize("index", [0, 2, -1, np.int64(1), np.int32(3)])
+def test_tick_series_integer_index_gives_a_tick(index):
+    tick = TICKS[index]
+    assert type(tick) is it.Tick and type(tick.timestamp) is int and type(tick.price) is float
+    assert tick == list(TICKS)[int(index)]
+    with pytest.raises(IndexError):
+        TICKS[index + 4 if index >= 0 else index - 4]
+
+
+@pytest.mark.parametrize("index", [slice(1, 3), slice(None, 3), slice(None, None, 2),
+                                   slice(2, 2), slice(-2, None), slice(10, 20)])
+def test_tick_series_slice_gives_the_series_of_its_ticks(index):
+    part = TICKS[index]
+    assert type(part) is it.TickSeries
+    assert list(part) == list(TICKS)[index]
+    assert part == it.TickSeries(TICKS.timestamps[index], TICKS.prices[index])
+    assert part.timestamps.flags.c_contiguous and part.prices.flags.c_contiguous
+    if len(part):
+        config = it.ThresholdConfig(0.1)
+        assert it.process(part, config) == it.process(list(part), config)
+
+
+def test_tick_series_slice_is_validated():
+    with pytest.raises(it.OrderingError, match="position 1$"):
+        TICKS[::-1]
+
+
+@pytest.mark.parametrize("index", [1.0, "1", None, (0, 1), [0, 1], np.array([0, 1]),
+                                   np.float64(1.0), True, np.True_])
+def test_tick_series_other_index_raises_type_error_naming_its_type(index):
+    with pytest.raises(TypeError, match=f"integers or slices, not {type(index).__name__}$"):
+        TICKS[index]
+
+
 def test_process_rejects_nan_price():
     config = it.ThresholdConfig(0.01)
     for bad in (float("nan"), math.inf, -math.inf):

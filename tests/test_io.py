@@ -431,6 +431,38 @@ def test_both_tick_parsers_read_a_written_walk_alike(tmp_path):
     assert fast[2] == GBM_WALK.timestamps.tobytes() and fast[4] == GBM_WALK.prices.tobytes()
 
 
+def counting_parser(monkeypatch, name):
+    """The row rooms that the kernel's parser ``name`` is called with, as it
+    runs from now on, with first columns of three rows."""
+    kernel, rooms = engine._load_kernel(), []
+
+    def counting(*args):
+        rooms.append(args[-1])
+        return getattr(kernel, name)(*args)
+
+    monkeypatch.setattr(engine, "_kernel", kernel._replace(**{name: counting}))
+    monkeypatch.setattr(io, "_FIRST_ROWS", 3)
+    return rooms
+
+
+@needs_cc
+@pytest.mark.parametrize("has_header", [False, True])
+@pytest.mark.parametrize("body, calls", [
+    (b"".join(b"%d,%r\n" % (t, p) for t, p in GBM_WALK[:200]), 2),  # sized once, at row 3
+    (b"0,1.0000000000000002\n" * 3 + b"1,2\n" * 200, 4),  # shorter rows later: grows 3 times
+    (b"0,1.0\n1,2.0\n2,3.0\n", 1),  # full at the end of the file: no growth
+    (b"0,1.0\n1,2.0\n2,3.0\n3,4.0", 3),  # a last row without LF after a full block
+], ids=["walk", "shorter-rows", "full-at-end", "no-final-lf"])
+def test_fast_parser_grows_its_columns_mid_file(tmp_path, monkeypatch, has_header, body,
+                                                calls):
+    rooms = counting_parser(monkeypatch, "parse_ticks")
+    path = tmp_path / "ticks.csv"
+    path.write_bytes((b"timestamp,price\n" if has_header else b"") + body)
+    fast, slow, took_fast_path = parse_both_ways(path, has_header)
+    assert took_fast_path and fast == slow and fast[0] == "ok"
+    assert rooms[0] == 3 and len(rooms) == calls
+
+
 COMMA_LOCALES = ["de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8", "fr_FR.utf8",
                  "fr_FR", "nl_NL.UTF-8", "ru_RU.UTF-8", "es_ES.UTF-8", "it_IT.UTF-8"]
 
@@ -813,6 +845,22 @@ def test_fast_event_reader_takes_written_files_and_equals_row_loop(
     fast, slow, took_fast_path = read_both_ways(path, fmt)
     assert took_fast_path
     assert fast == slow == ("ok", repr(expected))
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_fast_event_reader_grows_its_columns_mid_file(tmp_path, monkeypatch, fmt,
+                                                      final_newline):
+    events = it.process(GBM_WALK[:5000], it.ThresholdConfig(0.02))
+    path = tmp_path / f"events.{fmt.value}"
+    it.write_events(events, path, fmt)
+    if not final_newline:
+        path.write_bytes(path.read_bytes().removesuffix(b"\n"))
+    rooms = counting_parser(monkeypatch, "parse_events")
+    fast, slow, took_fast_path = read_both_ways(path, fmt)
+    assert took_fast_path and fast == slow == ("ok", repr(events))
+    assert rooms[0] == 3 and len(rooms) >= 2 and len(events) > 20
 
 
 def set_event_field(name, text):
