@@ -517,26 +517,41 @@ int64_t it_format_ticks(const int64_t *ts, const double *px, int64_t n,
  * and separators, kind 2, direction 4, timestamp 20, price 24, clock 20. */
 #define EVENT_ROW_MAX 160
 
-/* Event rows *i, *i + 1, ... of n into buf, in the exact layout
+/* Event rows *i, *i + 1, ... into buf, in the exact layout
  * ``io._event_rows`` writes (CSV when jsonl is 0, JSON Lines otherwise),
  * while a longest row still fits in its cap bytes. The fields are kind
- * (0 = DC, else OS), dir (+1 up, else down), ts, px, the text delta, the
- * same on rows *i to n, and clock. A CSV price is written as a tick row's
- * is (put_g17), a JSON Lines price as float.__repr__ writes it (put_repr).
- * The writer stops before a row whose price is not in (0, inf), or, in
- * JSON Lines, is not in [1e-3, 2^52): a call that writes nothing leaves
- * row *i to the caller. Returns the bytes written; *i is the next row. */
+ * (0 = DC, else OS), dir (+1 up, else down), ts, px, the delta and clock.
+ * The rows come in runs of one delta: run r ends before row run_end[r], the
+ * last of the runs at the last row, and its delta is text t = run_text[r],
+ * the bytes from text[text_at[t]] to text[text_at[t + 1]]. A CSV price is
+ * written as a tick row's is (put_g17), a JSON Lines price as
+ * float.__repr__ writes it (put_repr). The writer stops before a row whose
+ * price is not in (0, inf), or, in JSON Lines, is not in [1e-3, 2^52): a
+ * call that writes nothing leaves row *i to the caller. Returns the bytes
+ * written; *i is the next row. */
 int64_t it_format_events(const int8_t *kind, const int8_t *dir, const int64_t *ts,
-                         const double *px, const int64_t *clock, int64_t n,
-                         const char *delta, int jsonl, int64_t *i, char *buf, int64_t cap)
+                         const double *px, const int64_t *clock, int64_t runs,
+                         const int64_t *run_end, const int64_t *run_text,
+                         const char *text, const int64_t *text_at, int jsonl,
+                         int64_t *i, char *buf, int64_t cap)
 {
     const char *const *sep = EVENT_SEP[jsonl != 0];
-    int64_t k = *i, size = 0, row_max = EVENT_ROW_MAX;
-    for (const char *c = delta; *c; c++)
-        row_max++;
+    int64_t k = *i, size = 0, n = runs > 0 ? run_end[runs - 1] : 0, r = 0, hi = runs;
+    while (r < hi) {                          /* r: the run of row k */
+        int64_t mid = r + (hi - r) / 2;
+        if (run_end[mid] > k)
+            hi = mid;
+        else
+            r = mid + 1;
+    }
     locale_t caller = uselocale(c_locale);
 
-    for (; k < n && cap - size >= row_max; k++) {
+    for (; k < n; k++) {
+        r += k == run_end[r];
+        const char *delta = text + text_at[run_text[r]];
+        int64_t delta_len = text + text_at[run_text[r] + 1] - delta;
+        if (cap - size < EVENT_ROW_MAX + delta_len)
+            break;
         char *out = put_text(buf + size, sep[0]);
         out = put_text(put_text(out, kind[k] ? "OS" : "DC"), sep[1]);
         out = put_text(put_text(out, dir[k] == 1 ? "up" : "down"), sep[2]);
@@ -547,8 +562,8 @@ int64_t it_format_events(const int8_t *kind, const int8_t *dir, const int64_t *t
         out = jsonl ? put_repr(out, x) : put_g17(out, x);
         if (out == NULL)
             break;
-        out = put_text(put_text(put_text(out, sep[4]), delta), sep[5]);
-        size = put_text(put_int(out, clock[k]), sep[6]) - buf;
+        out = put_chars(put_text(out, sep[4]), delta, (int)delta_len);
+        size = put_text(put_int(put_text(out, sep[5]), clock[k]), sep[6]) - buf;
     }
     uselocale(caller);
     *i = k;

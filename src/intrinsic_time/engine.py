@@ -506,8 +506,8 @@ def _bind_kernel(path: Path):
     kernel.format_ticks.argtypes = [ptr, ptr, i64, i64_ptr, ptr, i64]
     kernel.parse_events.argtypes = [ctypes.c_char_p, i64, i64_ptr, c_int,
                                     ptr, ptr, ptr, ptr, ptr, ptr, i64]
-    kernel.format_events.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, ctypes.c_char_p, c_int,
-                                     i64_ptr, ptr, i64]
+    kernel.format_events.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ctypes.c_char_p,
+                                     ptr, c_int, i64_ptr, ptr, i64]
     for function in kernel:
         function.restype = i64
     return kernel

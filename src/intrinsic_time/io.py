@@ -8,10 +8,12 @@ file read here and skips blank lines, CSV comments and the header. When
 ``_scan.c`` is compiled, nanosecond tick files and event files are parsed
 in C into columns, from which the events are built. Tick and event files
 share one number grammar in C, JSON's. Each C parser reads a strict subset
-of what its Python row loop reads; one loop, ``_parse_c``, resumes it past
-the blank, comment and header lines before the first row and hands any
-other file whole to the row loop, which stays the spec: the result and
-every error never depend on the path taken. Every tick and event file is
+of what its Python row loop reads; one loop, ``_parse_c``, reads the file
+one block at a time, carries the row a block cuts into the next, resumes
+the parser past the blank, comment and header lines before the first row
+and hands any other file to the row loop, which reads it whole from its
+first byte and stays the spec: the result and every error never depend on
+the path taken or the block size. Every tick and event file is
 written through one block writer, ``_c_blocks``: a head, then the rows
 from a C writer when one is compiled, else from a Python template that
 formats a range of rows and is the C writer's spec (``write_ticks``' own,
@@ -28,9 +30,10 @@ permissions from the umask.
 
 from __future__ import annotations
 
-import bisect
+import contextlib
 import ctypes
 import functools
+import itertools
 import json
 import math
 import operator
@@ -39,14 +42,15 @@ import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, Overflow
 from enum import Enum
+from io import BytesIO
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .engine import (_KINDS, EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries,
                      _build_events, _in_int64, _load_kernel, _whole)
-from .errors import ConfigurationError, DomainError, IngestionError, WriteError
+from .errors import ConfigurationError, DomainError, IngestionError, OrderingError, WriteError
 
 TICK_SCHEMA_COMMENT = "# intrinsic-time tick-csv v1"
 EVENT_SCHEMA_COMMENT = "# intrinsic-time event-csv v1"
@@ -67,6 +71,9 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 # exponent is past its limit.
 _EXPONENT_FORM = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE]([+-]?)[0-9]+")
 _FIRST_ROWS = 1 << 16  # the most rows of the first columns ``_parse_c`` fills
+# The block size of every file read and written here: the bytes ``_parse_c``
+# reads at a time, and the buffer the C writers fill and hand on.
+_BLOCK_BYTES = 1 << 18
 
 
 class EventFileFormat(Enum):
@@ -119,9 +126,19 @@ def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
     return ts
 
 
-def _read_bytes(path: Path) -> bytes:
+@contextlib.contextmanager
+def _opened(path: Path) -> Iterator[tuple[BinaryIO, int]]:
+    """``path`` open for reading from byte 0, and its size (0 where the
+    system does not know it). A stream that cannot seek, such as a pipe, is
+    read whole first, so that a reader can still go back to byte 0. An
+    OSError while the file is opened or read raises IngestionError."""
     try:
-        return path.read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            if fh.seekable():
+                yield fh, os.fstat(fh.fileno()).st_size
+            else:
+                data = fh.read()
+                yield BytesIO(data), len(data)
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
 
@@ -155,34 +172,58 @@ def _text_rows(path: Path, data: bytes, comments: bool,
         yield row_no, line
 
 
-def _parse_c(parse, data: bytes, comments: bool, header: bool | str,
+def _read_on(fh: BinaryIO, rest: bytes) -> tuple[bytes, bool]:
+    """``rest`` and the next block of ``fh``, or the blocks up to the first
+    that holds a LF, and whether the file ended."""
+    blocks = [rest]
+    while block := fh.read(_BLOCK_BYTES):
+        blocks.append(block)
+        if b"\n" in block:
+            return b"".join(blocks), False
+    return b"".join(blocks), True
+
+
+def _parse_c(parse, fh: BinaryIO, size: int, comments: bool, header: bool | str,
              dtypes: Sequence[type]) -> list[np.ndarray] | None:
-    """The columns of the data rows of ``data``, read by a C row parser, or
-    None when the row loop must read it.
+    """The columns of the data rows of the file ``fh``, of ``size`` bytes
+    (0 if unknown), read by a C row parser one block at a time, or None
+    when the row loop must read the file.
 
     ``parse(buf, len, *pos, *columns, cap)`` reads rows from ``buf[*pos]``
     into one array per dtype, returns how many, and leaves ``*pos`` where
-    it stopped. The line there is read by ``_text_rows``' rules ``comments``
-    and ``header``: before the first row, a blank line, a comment or the
-    header is skipped and the parse resumes after it; a last row without
-    LF is parsed once more with one. Any other line gives None, as does one
-    that is not UTF-8 or holds a break other than LF.
+    it stopped. It stops before a row without LF, so the line that a block
+    cuts is carried into the next block, and a line longer than a block is
+    read on to its LF. A whole line where it stopped is read by
+    ``_text_rows``' rules ``comments`` and ``header``: before the first row,
+    a blank line, a comment or the header is skipped and the parse resumes
+    after it; a last row without LF is parsed once more with one. Any other
+    line gives None, as does one that is not UTF-8 or holds a break other
+    than LF. Only the blocks, the carried line and the columns are held.
     """
-    cap = min(len(data) // 4 + 1, _FIRST_ROWS)  # a row takes at least 4 bytes
+    # a row takes at least 4 bytes
+    cap = min(size // 4 + 1, _FIRST_ROWS) if size else _FIRST_ROWS
     columns = [np.empty(cap, dtype=dtype) for dtype in dtypes]
     pos, n, header_pending = ctypes.c_int64(0), 0, bool(header)
+    (data, eof), base = _read_on(fh, b""), 0  # base: the file offset of data[0]
     while True:
-        if not header_pending:  # a header in the grammar must not be read as a row
+        # a header in the grammar must not be read as a row
+        if not header_pending and n < cap and pos.value < len(data):
             n += parse(data, len(data), pos, *[c[n:].ctypes.data for c in columns], cap - n)
-        if (start := pos.value) >= len(data):
+        start = pos.value
+        end = data.find(b"\n", start)
+        if end < 0 and not eof:  # the block ends inside the line at start
+            data, eof = _read_on(fh, data[start:])
+            base, pos.value = base + start, 0
+            continue
+        if start >= len(data):
             return [c[:n] for c in columns]
         if n == cap:  # full: resume into columns sized by the mean row so far, at least double
-            cap = max(2 * cap, n * len(data) // start * 17 // 16)  # 1/16 spare
+            cap = max(2 * cap, n * size // (base + start) * 17 // 16)  # 1/16 spare
             columns, full = [np.empty(cap, c.dtype) for c in columns], columns
             for new, old in zip(columns, full):
                 new[:n] = old  # not np.pad, which would touch every page of the spare rows
             continue
-        end = data.find(b"\n", start) % (len(data) + 1)  # len(data) where no LF follows
+        end %= len(data) + 1  # len(data) where no LF follows
         try:
             line = data[start:end].decode("utf-8")
         except UnicodeDecodeError:
@@ -194,7 +235,8 @@ def _parse_c(parse, data: bytes, comments: bool, header: bool | str,
         if not (skipped or header_pending):  # a row the parser did not read
             if end < len(data):
                 return None
-            data, end = data[start:] + b"\n", -1  # the last row, now with its LF, from 0
+            # the last row, now with its LF, from 0
+            data, base, end = data[start:] + b"\n", base + start, -1
         elif n:
             # A blank or comment line after a row sends the file to the row
             # loop: a resume costs about 2.4 us in Python, more than the row
@@ -256,24 +298,31 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
     any, may name its columns freely. With ``allow_unordered`` the rows
     are stably sorted by timestamp instead.
 
-    Nanosecond files go through the C parser when it is compiled; a file
-    it does not read whole, or whose timestamps go backwards, is read
-    again by the Python row loop, which raises the row-numbered error.
+    Nanosecond files go through the C parser when it is compiled, which
+    reads the file one block at a time; a file it does not read whole, or
+    whose timestamps go backwards, is read again from its first byte by
+    the Python row loop, which raises the row-numbered error.
     """
-    data = _read_bytes(Path(spec.path))
     kernel = _load_kernel()
-    fast = None
-    if kernel is not None and spec.timestamp_unit is TimestampUnit.NANOS:
-        fast = _parse_c(kernel.parse_ticks, data, True, spec.has_header,
-                        (np.int64, np.float64))
-    if fast is not None and (allow_unordered or not (fast[0][1:] < fast[0][:-1]).any()):
-        ts_arr, px_arr = fast
-    else:
-        ts_arr, px_arr = _parse_tick_rows(spec, data, allow_unordered)
-    if allow_unordered and ts_arr.size > 1:
-        order = np.argsort(ts_arr, kind="stable")
-        ts_arr, px_arr = ts_arr[order], px_arr[order]
-    return TickSeries(ts_arr, px_arr)
+    with _opened(Path(spec.path)) as (fh, size):
+        if kernel is not None and spec.timestamp_unit is TimestampUnit.NANOS:
+            columns = _parse_c(kernel.parse_ticks, fh, size, True, spec.has_header,
+                               (np.int64, np.float64))
+            if columns is not None:
+                with contextlib.suppress(OrderingError):  # the row loop names the row
+                    return _tick_series(*columns, allow_unordered)
+        fh.seek(0)
+        return _tick_series(*_parse_tick_rows(spec, fh.read(), allow_unordered),
+                            allow_unordered)
+
+
+def _tick_series(ts: np.ndarray, px: np.ndarray, allow_unordered: bool) -> TickSeries:
+    """The TickSeries of parsed columns, stably sorted by timestamp first
+    with ``allow_unordered``."""
+    if allow_unordered and ts.size > 1:
+        order = np.argsort(ts, kind="stable")
+        ts, px = ts[order], px[order]
+    return TickSeries(ts, px)
 
 
 def _atomic_write(path: str | Path, blocks: Iterable[bytes | memoryview]) -> None:
@@ -306,10 +355,6 @@ def _atomic_write(path: str | Path, blocks: Iterable[bytes | memoryview]) -> Non
 def _fmt(x: float | None, spec: str = ".17g", blank: str = "") -> str:
     """``x`` formatted by ``spec`` (lossless by default), ``blank`` for None."""
     return blank if x is None else format(x, spec)
-
-
-# The size of the buffer the C writers fill and hand on, block by block.
-_BLOCK_BYTES = 1 << 18
 
 
 def _c_blocks(head: str, n: int, format_rows,
@@ -419,8 +464,9 @@ def _event_columns(rows: list[tuple]) -> list[list]:
 def _write_event_columns(path: str | Path, format: EventFileFormat, kinds, directions,
                          timestamps, prices, deltas, clocks) -> None:
     """The one event writer, from six checked columns: ``it_format_events``
-    writes each run of equal deltas, the ``_event_rows`` template each row it
-    leaves, or every row without the kernel or with a clock past int64."""
+    writes the rows, given every run of equal deltas and the text of each
+    distinct delta at once, the ``_event_rows`` template each row it leaves,
+    or every row without the kernel or with a clock past int64."""
     kernel, jsonl = _load_kernel(), format is EventFileFormat.JSONL
     columns = [np.ascontiguousarray(column, dtype=dtype) for column, dtype in (
         (kinds, np.int8), (directions, np.int8), (timestamps, np.int64), (prices, np.float64))]
@@ -429,21 +475,28 @@ def _write_event_columns(path: str | Path, format: EventFileFormat, kinds, direc
         clocks = np.ascontiguousarray(clocks, dtype=np.int64)
     except OverflowError:
         clocks, kernel = np.array(clocks, dtype=object), None
-    run_ends = [*(np.flatnonzero(deltas[1:] != deltas[:-1]) + 1).tolist(), len(deltas)]
-    pointers = [c.ctypes.data for c in (*columns, clocks)]  # kept alive by columns and clocks
-
-    def format_rows(row, buf, cap):
-        delta = (float.__repr__ if jsonl else _fmt)(float(deltas[row.value]))
-        end = run_ends[bisect.bisect_right(run_ends, row.value)]
-        return kernel.format_events(*pointers, end, delta.encode("ascii"), jsonl, row, buf, cap)
+    format_rows = None
+    if kernel is not None:
+        starts = np.flatnonzero(deltas[1:] != deltas[:-1]) + 1
+        run_ends = np.append(starts, len(deltas)).astype(np.int64)
+        # each run's delta as its index among the distinct deltas, formatted once
+        values, run_texts = np.unique(np.concatenate((deltas[:1], deltas[starts])),
+                                      return_inverse=True)
+        run_texts = run_texts.astype(np.int64)
+        texts = [(float.__repr__ if jsonl else _fmt)(delta) for delta in values.tolist()]
+        text_at = np.cumsum([0, *map(len, texts)], dtype=np.int64)
+        # the arrays behind the pointers are kept alive by these locals
+        format_rows = functools.partial(
+            kernel.format_events, *[c.ctypes.data for c in (*columns, clocks)],
+            len(run_ends), run_ends.ctypes.data, run_texts.ctypes.data,
+            "".join(texts).encode("ascii"), text_at.ctypes.data, jsonl)
 
     def python_rows(start, stop):
         kind, direction, *rest = (c[start:stop].tolist() for c in (*columns, deltas, clocks))
         return _event_rows(zip(map(_KIND_TEXT.__getitem__, kind),
                                map(_DIRECTION_TEXT.__getitem__, direction), *rest), format)
 
-    _atomic_write(path, _c_blocks(_event_head(format), len(deltas), kernel and format_rows,
-                                  python_rows))
+    _atomic_write(path, _c_blocks(_event_head(format), len(deltas), format_rows, python_rows))
 
 
 def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
@@ -541,18 +594,30 @@ def read_events(path: str | Path,
     a delta outside (0, 1). ``format`` is taken as by write_events.
 
     When the C kernel is loaded, ``it_parse_events`` reads the file into
-    columns and the events are built from them; a file it does not read
-    whole goes to the Python row loop, which raises the row-numbered
-    error. The result never depends on the path taken.
+    columns, one block at a time, and the events are built from them; a
+    file it does not read whole goes to the Python row loop, which reads
+    it again from its first byte and raises the row-numbered error. The
+    result never depends on the path taken.
     """
     csv = _event_format(format) is EventFileFormat.CSV
-    path = Path(path)
-    data = _read_bytes(path)
-    kernel = _load_kernel()
-    if kernel is not None:
-        columns = _parse_c(lambda buf, size, pos, *rest:
-                           kernel.parse_events(buf, size, pos, not csv, *rest),
-                           data, csv, EVENT_HEADER if csv else False, _EVENT_DTYPES)
-        if columns is not None:
-            return _build_events(*(c.tolist() for c in columns))
-    return _read_event_rows(path, data, csv)
+    path, kernel = Path(path), _load_kernel()
+    with _opened(path) as (fh, size):
+        if kernel is not None:
+            columns = _parse_c(lambda buf, length, pos, *rest:
+                               kernel.parse_events(buf, length, pos, not csv, *rest),
+                               fh, size, csv, EVENT_HEADER if csv else False, _EVENT_DTYPES)
+            if columns is not None:
+                return _column_events(columns)
+        fh.seek(0)
+        return _read_event_rows(path, fh.read(), csv)
+
+
+def _column_events(columns: list[np.ndarray]) -> list[IntrinsicEvent]:
+    """The events of ``it_parse_events``' columns. Each column becomes a list,
+    and its array is freed, before the next is converted; a file of one
+    delta passes one float for it, as ``events_from_arrays`` does."""
+    one_delta = columns[4].size and columns[4].min() == columns[4].max()
+    for j in range(len(columns)):
+        columns[j] = (itertools.repeat(columns[j].item(0)) if j == 4 and one_delta
+                      else columns[j].tolist())
+    return _build_events(*columns)

@@ -1,5 +1,6 @@
 """Tests for tick ingestion and event serialization."""
 
+import contextlib
 import ctypes
 import json
 import locale
@@ -8,6 +9,7 @@ import re
 import shutil
 import stat
 import subprocess
+import threading
 import time
 from pathlib import Path
 
@@ -1114,6 +1116,160 @@ def test_every_edge_builds_the_same_events_of_python_values(tmp_path, monkeypatc
 
 
 # ---------------------------------------------------------------------------
+# files read one block at a time: any block size gives the row loop's result
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def blocks_of(block, path):
+    """Files read ``block`` bytes at a time (``path``'s exact size for None),
+    into first columns of three rows, so that they grow mid-file."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK_BYTES", block or max(path.stat().st_size, 1))
+        mp.setattr(io, "_FIRST_ROWS", 3)
+        yield
+
+
+BLOCK_SIZES = [1, 7, 64, None]  # None: the file's exact size, which ends at a block end
+LONG_COMMENT = "# " + "a comment longer than a block, é " * 3
+LONG_PRICE = "1." + "0" * 80 + "1"  # a row longer than a block
+WALK_ROWS = "".join(f"{t},{p!r}\n" for t, p in GBM_WALK[:40])
+# (lines before the header, header, rows, whether the C parser reads the file)
+TICK_BLOCK_CASES = {
+    "comments longer than a block": (f"{LONG_COMMENT}\n\n#\n", True, WALK_ROWS, True),
+    "a row longer than a block": ("", False, f"0,1.5\n1,{LONG_PRICE}\n2,2\n", True),
+    "a walk": ("", True, WALK_ROWS, True),
+    "no final LF": ("", False, WALK_ROWS + f"{2**62},3.25", True),
+    "a comment without LF after the rows": ("", False, WALK_ROWS + "# end", False),
+    "a blank line after a row": ("", False, "0,1.5\n\n1,2.5\n", False),
+    "a comment between rows": ("", False, "0,1.5\n1,2.5\n# mid\n2,3.5\n", False),
+    "a backwards row": ("", False, WALK_ROWS + "0,1.5\n", False),
+    "a row with a space": ("# c\n", True, "0,1.5\n1, 2.5\n", False),
+    "CRLF": ("", True, WALK_ROWS.replace("\n", "\r\n"), False),
+    "invalid UTF-8 after the rows": ("", False, "0,1.5\n1,2.5\n# \udcff\n", False),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("case", sorted(TICK_BLOCK_CASES))
+def test_tick_files_read_in_blocks_equal_the_row_loop(tmp_path, case, block):
+    before, has_header, rows, taken = TICK_BLOCK_CASES[case]
+    path = tmp_path / "ticks.csv"
+    text = before + ("timestamp,price\n" if has_header else "") + rows
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with blocks_of(block, path):
+        fast, slow, took_fast_path = parse_both_ways(path, has_header)
+    assert fast == slow and took_fast_path == taken
+
+
+def event_block_cases(fmt):
+    """(file text, whether the C parser reads the file) by case name."""
+    events = it.process(GBM_WALK[:5000], it.ThresholdConfig(0.02))[:30]
+    rows = io._event_rows([(e.kind.value, e.direction.name.lower(), *e[2:]) for e in events],
+                          fmt)
+    head = EVENT_CSV_HEAD if fmt is CSV else ""
+    long_row = event_file(fmt, ("OS", 7, LONG_PRICE, 0.01, 3))[len(head):]
+    return {
+        "a head longer than a block": (
+            (f"{LONG_COMMENT}\n" + head if fmt is CSV else "\n" * 70) + rows, True),
+        "a row longer than a block": (head + rows + long_row, True),
+        "rows": (head + rows, True),
+        "no final LF": (head + rows[:-1], True),
+        "a blank line after a row": (head + rows + "\n" + long_row, False),
+        "a comment after the rows": (head + rows + "# end\n", False),
+        "a bad row": (head + rows + long_row.replace("OS", "XX"), False),
+        "CRLF": (head + rows.replace("\n", "\r\n"), False),
+    }
+
+
+@needs_cc
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+@pytest.mark.parametrize("case", sorted(event_block_cases(CSV)))
+def test_event_files_read_in_blocks_equal_the_row_loop(tmp_path, case, fmt, block):
+    text, taken = event_block_cases(fmt)[case]
+    path = tmp_path / f"events.{fmt.value}"
+    path.write_text(text)
+    with blocks_of(block, path):
+        fast, slow, took_fast_path = read_both_ways(path, fmt)
+    assert fast == slow and took_fast_path == taken
+
+
+@needs_cc
+@given(tick_texts(), st.one_of(st.none(), st.sampled_from(sorted(MUTATIONS))),
+       st.integers(1, 80), st.booleans(), st.data())
+@settings(max_examples=200)
+def test_any_block_size_reads_tick_files_as_the_row_loop(tmp_path_factory, text, mutation,
+                                                         block, allow_unordered, data):
+    prefix, has_header, rows, final_newline = text
+    if mutation and rows:
+        MUTATIONS[mutation](prefix, rows, data.draw(st.integers(0, len(rows) - 1)))
+    path = tmp_path_factory.mktemp("blocks") / "ticks.csv"
+    path.write_bytes(render(prefix, has_header, rows, final_newline))
+    with blocks_of(block, path):
+        fast, slow, took_fast_path = parse_both_ways(path, has_header, allow_unordered)
+    assert fast == slow
+    assert took_fast_path or mutation
+
+
+@needs_cc
+@given(event_writes, st.sampled_from([CSV, JSONL]),
+       st.one_of(st.none(), st.sampled_from(sorted(EVENT_MUTATIONS))), st.integers(1, 200),
+       st.data())
+@settings(max_examples=200)
+def test_any_block_size_reads_event_files_as_the_row_loop(tmp_path_factory, write, fmt,
+                                                          mutation, block, data):
+    writer, events, expected = write
+    path = tmp_path_factory.mktemp("blocks") / f"events.{fmt.value}"
+    writer(events, path, fmt)
+    lines = path.read_text().split("\n")
+    first = 2 if fmt is CSV else 0
+    if mutation and len(lines) - 2 >= first:
+        EVENT_MUTATIONS[mutation](fmt, lines, data.draw(st.integers(first, len(lines) - 2)))
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    with blocks_of(block, path):
+        fast, slow, took_fast_path = read_both_ways(path, fmt)
+    assert fast == slow
+    assert mutation or took_fast_path and fast == ("ok", repr(expected))
+
+
+@needs_cc
+def test_files_are_read_a_block_at_a_time(tmp_path, monkeypatch):
+    path = tmp_path / "ticks.csv"
+    it.write_ticks(GBM_WALK, path)
+    reads = []
+    read_on = io._read_on
+    monkeypatch.setattr(io, "_read_on", lambda fh, rest: reads.append(
+        read_on(fh, rest)) or reads[-1])
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 4096)
+    fast, slow, took_fast_path = parse_both_ways(path, has_header=True)
+    assert took_fast_path and fast == slow
+    assert len(reads) > path.stat().st_size // 4096
+    assert max(len(data) for data, _ in reads) < 4096 + 64  # a block and a cut row
+
+
+@needs_cc
+@pytest.mark.parametrize("ends", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+def test_a_pipe_is_read_whole_and_then_as_a_file(tmp_path, ends):
+    path, fifo = tmp_path / "ticks.csv", tmp_path / "ticks.fifo"
+    path.write_bytes(b"timestamp,price" + ends + b"0,1.5" + ends + b"1,2.5" + ends)
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:  # blocks until the reader opens the pipe
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        from_pipe = parse_outcome(fifo, True, False)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert from_pipe == parse_outcome(path, True, False) and from_pipe[0] == "ok"
+
+
+# ---------------------------------------------------------------------------
 # event files written in C: it_format_events against the row templates
 # ---------------------------------------------------------------------------
 
@@ -1247,8 +1403,8 @@ def test_c_event_writer_ignores_a_comma_decimal_locale(tmp_path, comma_decimal_l
 
 def write_events_both_ways(events, path, fmt):
     """The bytes ``write_events`` writes with the C writer and without the
-    kernel, and one ``(first row, next row, bytes, end of the rows)`` per
-    call of the C writer."""
+    kernel, and one ``(first row, next row, bytes, runs of equal deltas)``
+    per call of the C writer."""
     kernel = engine._load_kernel()
     assert kernel is not None
     calls = []
@@ -1284,11 +1440,12 @@ def test_listed_events_take_the_c_event_writer(tmp_path, fmt):
     compiled, python, calls = write_events_both_ways(events, path, fmt)
     assert compiled == python
     assert it.read_events(path, fmt) == events
-    rows = [(first, after, end) for first, after, size, end in calls]
+    # one call per block, given all three runs of equal deltas
+    rows = [(first, after, runs) for first, after, size, runs in calls]
     if fmt is CSV:
-        assert rows == [(0, 2, 2), (2, 6, 6), (6, 7, 7)]
+        assert rows == [(0, 7, 3)]
     else:
-        assert rows == [(0, 2, 2), (2, 2, 6), (3, 4, 6), (4, 4, 6), (5, 6, 6), (6, 7, 7)]
+        assert rows == [(0, 2, 3), (2, 2, 3), (3, 4, 3), (4, 4, 3), (5, 7, 3)]
         assert b'"delta":0.0005,' in compiled
     assert [first for first, _, size, _ in calls if size == 0] == ([] if fmt is CSV else [2, 4])
     # a clock index past int64 leaves the whole file to the template
@@ -1297,6 +1454,24 @@ def test_listed_events_take_the_c_event_writer(tmp_path, fmt):
     assert compiled == python and calls == [] and it.read_events(path, fmt) == wide
     compiled, python, calls = write_events_both_ways([], path, fmt)
     assert compiled == python == io._event_head(fmt).encode() and calls == []
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", [CSV, JSONL])
+@pytest.mark.parametrize("block", [300, 1 << 18], ids=["small-blocks", "one-block"])
+def test_c_event_writer_takes_a_new_delta_at_every_row(tmp_path, monkeypatch, fmt, block):
+    deltas = [0.01, 0.02, 0.0005, 0.01, 1e-300, 0.5, 0.02, 1 / 3] * 10
+    events = [it.IntrinsicEvent(it.EventKind("OS" if i % 2 else "DC"),
+                                it.Mode.UP if i % 3 else it.Mode.DOWN, i - 40, 1.5 + i, d, i)
+              for i, d in enumerate(deltas)]
+    monkeypatch.setattr(io, "_BLOCK_BYTES", block)
+    compiled, python, calls = write_events_both_ways(events, tmp_path / "events", fmt)
+    rows = [("OS" if i % 2 else "DC", "up" if i % 3 else "down", i - 40, 1.5 + i, d, i)
+            for i, d in enumerate(deltas)]
+    assert compiled == python == (io._event_head(fmt) + io._event_rows(rows, fmt)).encode()
+    assert all(size > 0 and runs == len(events) for _, _, size, runs in calls)
+    assert [first for first, _, _, _ in calls] == [0] + [after for _, after, _, _ in calls[:-1]]
+    assert calls[-1][1] == len(events) and (len(calls) == 1) == (block == 1 << 18)
 
 
 @needs_cc
