@@ -26,20 +26,47 @@
  * (1 - guard)(1 + mu), a delta near 1 would leave a margin of mu (1 - guard),
  * below the rounding of p - ref.
  *
- * Quiet intervals. A tick in [dc_at, ext] in up mode, or [ext, dc_at] in
- * down mode, changes nothing for that runner. Strictly inside, it neither
- * extends the trend nor reaches the DC band. At dc_at it would run the DC
- * test, which fails there: the band ends mu short of the trigger, as
- * above. At ext it ties: the trend test passes, but ext and dc_at are set
- * to what they were, and the overshoot loop emits nothing, because its
- * first test repeats the one that ended it, or is move(p, p) = 0 right
- * after a DC. The scan keeps the intersection of all runners' intervals,
- * [lo, hi] with lo the largest lower end and hi the smallest upper end; a
- * tick inside it costs two compares whatever the grid's size. Every other
- * tick runs each runner's step, and the intersection is rebuilt from all
- * runners as they stand after it. A call starts from an empty one, so
- * that every runner reads its first tick, which may be one whose
- * overshoot loop a full buffer cut short.
+ * Quiet ticks and lazy extremes. A tick that reaches neither band of a
+ * runner can change only its trend extremum: in up mode, a tick in
+ * [dc_at, os_at] (os_at is +inf before the first DC) fires nothing and sets
+ * ext to max(ext, p) and dc_at to the band there. At dc_at the DC
+ * test fails, and at os_at the overshoot test, as each band ends mu short
+ * of its trigger; a tie at ext sets ext and dc_at to what they were. Down
+ * mode is the mirror image. The scan puts those extensions off: top and
+ * bottom are the highest and lowest prices read since the last busy tick,
+ * and a tick is quiet for every runner when
+ *
+ *     lo = max(L, top * cu) <= p <= min(H, bottom * cd) = hi,
+ *
+ * with L the largest of the up runners' dc_at and the down runners' os_at,
+ * H the smallest of the down runners' dc_at and the up runners' os_at, all
+ * at the stored ext and ref, cu the largest dc_c of the up runners (0 for
+ * none) and cd the smallest of the down runners' (+inf for none). That is
+ * exact, as rounding is monotone: the band at an up runner's extremum
+ * max(ext, top) is max(ext * c, top * c), and the largest top * c over the
+ * up runners is top * cu; likewise down. L and H come from band(), so a
+ * band product that is not normal empties the interval. The products with
+ * top and bottom are left raw, which is exact where it matters: an up
+ * runner whose extremum moves to top has a normal ext * c (else L is
+ * +inf), so top * c is normal too, or overflows to +inf, which only raises
+ * lo. A down runner's bottom * c cannot overflow below its normal ext * c,
+ * but where it is subnormal it may round past the trigger, so a subnormal
+ * hi is taken as -inf. A quiet tick costs two compares for the test and
+ * two for top and bottom, and a product at a new high or low. After it
+ * the scan tries the next four ticks at once, against the bounds that
+ * their own high and low make with top and bottom, which are never looser
+ * than the bounds of each tick alone; in a dense stretch, with no quiet
+ * ticks, that test never runs.
+ *
+ * Any other tick is busy: each runner first moves ext to top (up) or
+ * bottom (down) where that extends its trend, with dc_at, then makes its
+ * exact tests as ``_scan_python`` does, and L, H, cu and cd are rebuilt
+ * from all runners as they stand after it; top and bottom start again at
+ * that tick. The extremes are also moved at the end of the call, and at a
+ * full-buffer stop for the runners after the full one, so that every
+ * runner the caller or the next call sees holds its own. A call starts with
+ * an empty interval, so that every runner reads its first tick, which may
+ * be one whose overshoot loop a full buffer cut short.
  *
  * Events go to each runner's own kind (0 = DC, 1 = OS), dir (+1 / -1), ts,
  * px (the triggering tick's) and xt columns, m of its cap slots written.
@@ -51,12 +78,14 @@
  * fall inside a gap tick's overshoot loop; the trend test is ``>=`` so that
  * the resumed tick, already the extremum, re-enters the loop. The runners
  * before the full one have read that tick already, and reading it again is a
- * no-op: a tie as above, or a tick that failed the DC test and fails it
- * again. A runner whose overshoot step cannot move ref (ref * factor == ref,
- * for a threshold below the price's rounding or a subnormal ref) would loop
- * forever: it records the tick in ``stall`` and parks, with ext and dc_at at
- * infinities that no tick reaches, so it fires nothing more and narrows no
- * intersection; the other runners scan on.
+ * no-op: a tie, whose overshoot loop emits nothing, because its first test
+ * repeats the one that ended it, or is move(p, p) = 0 right after a DC; or a
+ * tick that failed the DC test and fails it again. A runner whose overshoot
+ * step cannot move ref (ref * factor == ref, for a threshold below the
+ * price's rounding or a subnormal ref) would loop forever: it records the
+ * tick in ``stall`` and parks, with ext at an infinity that no catch-up
+ * passes; the busy ticks skip it, so it fires nothing more and narrows no
+ * interval, and the other runners scan on.
  *
  * xt gets the trend extremum: a DC writes it before resetting ``ext``, so
  * it is that of the trend the DC ends; an OS writes its own price.
@@ -105,7 +134,8 @@ struct it_runner {
     int64_t *ts;
     double *px, *xt;
     int64_t cap, m;     /* their slots, and the events written */
-    double os_c, dc_c, os_at, dc_at; /* it_scan's own: band factors, bands */
+    double os_c, dc_c, os_at, dc_at; /* it_scan's own: band factors, bands;
+                                        os_at is mode * inf before the first DC */
 };
 
 static double move(double from, double to, int use_log)
@@ -121,22 +151,40 @@ static inline double band(double price, double c, double side)
     return b >= DBL_MIN && b <= DBL_MAX ? b : -side * HUGE_VAL;
 }
 
+/* Runners [r, end) brought up to top, the highest price read since the last
+ * busy tick (up runners), and bottom, the lowest (down runners). */
+static inline void catch_up(struct it_runner *r, const struct it_runner *end, double top,
+                            double bottom)
+{
+    for (; r < end; r++) {
+        double mode = r->mode, x = mode > 0 ? top : bottom;
+        if (mode * x > mode * r->ext) {
+            r->ext = x;
+            r->dc_at = band(x, r->dc_c, -mode);
+        }
+    }
+}
+
+#define MAX(a, b) ((a) > (b) ? (a) : (b))
+#define MIN(a, b) ((a) < (b) ? (a) : (b))
+
 int64_t it_scan(const int64_t *ts, const double *px, int64_t n, int64_t *at,
                 struct it_runner *run, int64_t k)
 {
     struct it_runner *const end = run + k, *r;
     int64_t i = *at;
-    double lo = HUGE_VAL, hi = -HUGE_VAL; /* the quiet intersection, empty */
+    double lo = HUGE_VAL, hi = -HUGE_VAL;  /* the quiet interval, empty */
+    double top = -HUGE_VAL, bottom = HUGE_VAL, cu = 0, cd = HUGE_VAL; /* none */
 
     for (r = run; r < end; r++) {
         double g = r->guard, mode = r->mode;
         if (r->stall >= 0)
-            continue;                         /* parked: it keeps its bands */
+            continue;                         /* parked */
         double c_up = r->use_log ? exp(g) * (1 - BAND_MU) : 1 + g - BAND_MU;
         double c_dn = r->use_log ? exp(-g) * (1 + BAND_MU) : 1 - g + BAND_MU;
         r->os_c = mode > 0 ? c_up : c_dn;
         r->dc_c = mode > 0 ? c_dn : c_up;
-        r->os_at = band(r->ref, r->os_c, mode);
+        r->os_at = r->confirmed ? band(r->ref, r->os_c, mode) : mode * HUGE_VAL;
         r->dc_at = band(r->ext, r->dc_c, -mode);
     }
 
@@ -153,27 +201,55 @@ int64_t it_scan(const int64_t *ts, const double *px, int64_t n, int64_t *at,
 
     for (; i < n; i++) {
         const double p = px[i];
-        if (lo <= p && p <= hi)
-            continue;                         /* quiet for every runner */
-        lo = -HUGE_VAL;
+        if (lo <= p && p <= hi) {             /* quiet for every runner */
+            if (p > top) {                    /* up runners' extremes to move */
+                top = p;
+                lo = MAX(lo, p * cu);
+            }
+            if (p < bottom) {                 /* down runners' */
+                bottom = p;
+                hi = MIN(hi, p * cd);
+                hi = hi >= DBL_MIN ? hi : -HUGE_VAL; /* not subnormal */
+            }
+            while (i + 4 < n) {               /* the next four, while all are quiet */
+                const double a = px[i + 1], b = px[i + 2], c = px[i + 3], d = px[i + 4];
+                const double up = MAX(MAX(a, b), MAX(c, d)), dn = MIN(MIN(a, b), MIN(c, d));
+                const double lo4 = MAX(lo, up * cu), hi4 = MIN(hi, dn * cd);
+                if (!(lo4 <= dn && up <= hi4 && hi4 >= DBL_MIN))
+                    break;
+                lo = lo4;
+                hi = hi4;
+                top = MAX(top, up);
+                bottom = MIN(bottom, dn);
+                i += 4;
+            }
+            continue;
+        }
+        lo = -HUGE_VAL;                       /* busy: rebuilt from every runner */
         hi = HUGE_VAL;
+        cu = 0;
+        cd = HUGE_VAL;
         for (r = run; r < end; r++) {
+            if (r->stall >= 0)
+                continue;                     /* parked */
+            catch_up(r, r + 1, top, bottom);
             double mode = r->mode, ext = r->ext, dc_at = r->dc_at;
             if (mode * p >= mode * ext) {     /* the trend extends (or ties) */
                 r->ext = ext = p;
                 r->dc_at = dc_at = band(p, r->dc_c, -mode);
-                if (r->confirmed && mode * p >= mode * r->os_at) {
+                if (mode * p >= mode * r->os_at) {
                     double factor = mode > 0 ? r->up_factor : r->down_factor;
                     while (mode * move(r->ref, p, r->use_log) >= r->guard) {
                         if (r->ref * factor == r->ref) {
                             r->stall = i;     /* a step that cannot move ref: */
-                            r->ext = ext = mode * HUGE_VAL; /* park past every tick */
-                            r->dc_at = dc_at = -mode * HUGE_VAL;
+                            r->ext = mode * HUGE_VAL; /* park past every catch-up */
                             break;
                         }
                         EMIT(1, mode);
                         r->ref *= factor;
                     }
+                    if (r->stall >= 0)
+                        continue;             /* parked: it bounds no interval */
                     r->os_at = band(r->ref, r->os_c, mode);
                 }
             } else if (mode * p <= mode * dc_at
@@ -189,15 +265,25 @@ int64_t it_scan(const int64_t *ts, const double *px, int64_t n, int64_t *at,
                 r->os_at = band(p, r->os_c, mode);
                 r->dc_at = dc_at = band(p, r->dc_c, -mode);
             }
-            double q_lo = mode > 0 ? dc_at : ext, q_hi = mode > 0 ? ext : dc_at;
-            lo = q_lo > lo ? q_lo : lo;
-            hi = q_hi < hi ? q_hi : hi;
+            double os_at = r->os_at, dc_c = r->dc_c;
+            if (mode > 0) {
+                lo = MAX(lo, dc_at);
+                hi = MIN(hi, os_at);
+                cu = MAX(cu, dc_c);
+            } else {
+                lo = MAX(lo, os_at);
+                hi = MIN(hi, dc_at);
+                cd = MIN(cd, dc_c);
+            }
         }
+        top = bottom = p;
     }
 #undef EMIT
+    catch_up(run, end, top, bottom);
     *at = i;
     return -1;
 full:
+    catch_up(r + 1, end, top, bottom);
     *at = i;
     return r - run;
 }

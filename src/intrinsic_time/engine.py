@@ -406,8 +406,9 @@ def step(state: RunnerState, tick: Tick,
 # source and flags: beside this module in ``__pycache__/``, else in the
 # user's cache directory. A new build there replaces the builds of earlier
 # sources. Without a working compiler, ``_scan_python`` runs the same loop
-# per threshold and block, without the C price bands and quiet intervals
-# (``step`` runs it too), and ``io`` its Python row loops and writers.
+# per threshold and block, without the C price bands, quiet ticks and
+# put-off trend extensions (``step`` runs it too), and ``io`` its Python
+# row loops and writers.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNLOADED = object()
@@ -565,6 +566,13 @@ def _columns(block: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
             block[16 * cap:8 * (2 * cap + m)].view(np.float64))
 
 
+def _column_addresses(base: int, cap: int) -> tuple[int, ...]:
+    """The addresses of the kind, direction, timestamp, price and extremum
+    columns of a block of ``cap`` slots at ``base``, as ``_columns`` lays
+    them out."""
+    return base + 24 * cap, base + 25 * cap, base, base + 8 * cap, base + 16 * cap
+
+
 def _scan_python(px: list, ext: float, ref: float, mode: int, confirmed: bool,
                  guard: float, up_factor: float, down_factor: float, use_log: bool):
     """Pure-Python twin of ``it_scan`` in ``_scan.c``: the same events from
@@ -644,14 +652,20 @@ class _GridScan:
     ``feed`` goes on from each threshold's ``_Runner`` as the last block
     left it, in the C kernel, which reads each tick once for the grid, or
     else in ``_scan_python``. Each runner's events go to one block, copied
-    to one twice as large when it fills."""
+    to one twice as large when it fills; the first blocks are slices of one
+    allocation."""
 
     def __init__(self, configs: list[ThresholdConfig], first_price: float, mode: int):
         self.configs = configs
         self.kernel = _load_kernel()
-        self.runners = (_Runner * len(configs))(
-            *((*_scan_args(config), 0, first_price, mode, first_price, -1) for config in configs))
-        self.blocks = [self._grow(j, 1) for j in range(len(configs))]
+        cap, k = _FIRST_CAP, len(configs)
+        first = np.empty(26 * cap * k, np.uint8)  # every runner's first block, in one
+        base = first.ctypes.data
+        self.runners = (_Runner * k)(*(
+            (*_scan_args(config), 0, first_price, mode, first_price, -1,
+             *_column_addresses(base + 26 * cap * j, cap), cap)
+            for j, config in enumerate(configs)))
+        self.blocks = [first[26 * cap * j:26 * cap * (j + 1)] for j in range(k)]
         self.stalls = [None] * len(configs)  # per runner: timestamp, price and ref of its stall
 
     def feed(self, timestamps: np.ndarray, prices: np.ndarray) -> None:
@@ -703,14 +717,11 @@ class _GridScan:
         r = self.runners[j]
         if need <= r.cap:
             return self.blocks[j]
-        cap = max(2 * r.cap, _FIRST_CAP, need)
+        cap = max(2 * r.cap, need)
         block = np.empty(26 * cap, np.uint8)
-        if r.m:  # a new runner has no block to copy
-            for new, old in zip(_columns(block, r.m), _columns(self.blocks[j], r.m)):
-                new[:] = old
-        base = block.ctypes.data
-        r.kind, r.dir, r.ts, r.px, r.xt = (base + 24 * cap, base + 25 * cap, base,
-                                           base + 8 * cap, base + 16 * cap)
+        for new, old in zip(_columns(block, r.m), _columns(self.blocks[j], r.m)):
+            new[:] = old
+        r.kind, r.dir, r.ts, r.px, r.xt = _column_addresses(block.ctypes.data, cap)
         r.cap = cap
         return block
 

@@ -198,7 +198,8 @@ def _parse_c(parse, fh: BinaryIO, size: int, comments: bool, header: bool | str,
     a blank line, a comment or the header is skipped and the parse resumes
     after it; a last row without LF is parsed once more with one. Any other
     line gives None, as does one that is not UTF-8 or holds a break other
-    than LF. Only the blocks, the carried line and the columns are held.
+    than LF. Only the blocks, the carried line and the columns are held,
+    and the columns returned hold their rows and no more.
     """
     # a row takes at least 4 bytes
     cap = min(size // 4 + 1, _FIRST_ROWS) if size else _FIRST_ROWS
@@ -216,7 +217,9 @@ def _parse_c(parse, fh: BinaryIO, size: int, comments: bool, header: bool | str,
             base, pos.value = base + start, 0
             continue
         if start >= len(data):
-            return [c[:n] for c in columns]
+            for c in columns:  # no view of it is left: its spare rows are freed in place
+                c.resize(n, refcheck=False)
+            return columns
         if n == cap:  # full: resume into columns sized by the mean row so far, at least double
             cap = max(2 * cap, n * size // (base + start) * 17 // 16)  # 1/16 spare
             columns, full = [np.empty(cap, c.dtype) for c in columns], columns

@@ -1,9 +1,11 @@
-/* Runs the parsers and writers of ``_scan.c`` over cut buffers, for a
- * build with AddressSanitizer and UBSan (``test_sanitized_kernel.py``):
+/* Runs the parsers and writers of ``_scan.c`` over cut buffers, and its
+ * grid scan over cut tick walks, for a build with AddressSanitizer and
+ * UBSan (``test_sanitized_kernel.py``):
  *
  *     cc -g -O1 -fsanitize=address,undefined -fno-sanitize-recover=all \
  *        -ffp-contract=off -o sanitized_scan sanitized_scan.c _scan.c -lm
  *     ./sanitized_scan CORPUS
+ *     ./sanitized_scan --scan
  *
  * CORPUS holds files, each as an 8-byte little-endian length and its bytes.
  * Each file is cut at every byte offset, and the bytes before the cut and
@@ -11,11 +13,22 @@
  * size, so that a read at or past buf[len] is a heap-buffer-overflow. Each
  * parser reads every block from every line start it reaches, two rows a
  * call, into columns of exactly two rows. The writers format seeded random
- * doubles into blocks of every size up to a few rows. The first sanitizer
- * report ends the run with a non-zero status.
+ * doubles into blocks of every size up to a few rows.
+ *
+ * With --scan, it_scan reads seeded walks of 40 ticks cut at every tick,
+ * the ticks before the cut and those after it each in blocks of exactly
+ * their size, for grids of one to four thresholds (one grid with a
+ * threshold that stalls), in both conventions and from both modes. Each
+ * runner's event columns start with 1 to 3 slots, and a runner that fills
+ * them gets one more slot and the scan resumes; the events and the runners'
+ * state must be those of one scan of the whole walk. The first line out
+ * gives the size and field offsets of struct it_runner as declared here.
+ *
+ * The first sanitizer report ends the run with a non-zero status.
  */
 #include <float.h>
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -34,6 +47,21 @@ int64_t it_format_events(const int8_t *kind, const int8_t *dir, const int64_t *t
                          const int64_t *run_end, const int64_t *run_text, const char *text,
                          const int64_t *text_at, int jsonl, int64_t *i, char *buf,
                          int64_t cap);
+
+/* struct it_runner of _scan.c, laid out as engine._Runner lays it out */
+struct it_runner {
+    double guard, up_factor, down_factor;
+    int32_t use_log, confirmed;
+    double ext, mode, ref;
+    int64_t stall;
+    int8_t *kind, *dir;
+    int64_t *ts;
+    double *px, *xt;
+    int64_t cap, m;
+    double os_c, dc_c, os_at, dc_at;
+};
+int64_t it_scan(const int64_t *ts, const double *px, int64_t n, int64_t *at,
+                struct it_runner *run, int64_t k);
 
 #define ROWS 2      /* the rows of each parser column */
 #define WRITTEN 200 /* the rows of each writer column */
@@ -163,10 +191,171 @@ static int64_t write_rows(int64_t maxcap)
     return bytes;
 }
 
+#define WALK 40     /* the ticks of each scanned walk */
+#define GRIDS 4
+
+/* The thresholds of each grid, 0-terminated; 1e-17 stalls: a step of
+ * 1 + 1e-17 or exp(1e-17) cannot move a reference price near 1. */
+static const double GRID[GRIDS][5] = {
+    {0.01}, {0.02, 0.005}, {0.01, 1e-17, 0.03}, {0.004, 0.012, 0.02, 0.05}};
+
+/* Runner r's event columns replaced by blocks of exactly cap slots that
+ * hold its events. */
+static void grow(struct it_runner *r, int64_t cap)
+{
+    int8_t *kind = block((size_t)cap), *dir = block((size_t)cap);
+    int64_t *ts = block((size_t)cap * sizeof *ts);
+    double *px = block((size_t)cap * sizeof *px), *xt = block((size_t)cap * sizeof *xt);
+    if (r->m > 0) {
+        memcpy(kind, r->kind, (size_t)r->m);
+        memcpy(dir, r->dir, (size_t)r->m);
+        memcpy(ts, r->ts, (size_t)r->m * sizeof *ts);
+        memcpy(px, r->px, (size_t)r->m * sizeof *px);
+        memcpy(xt, r->xt, (size_t)r->m * sizeof *xt);
+    }
+    free(r->kind), free(r->dir), free(r->ts), free(r->px), free(r->xt);
+    r->kind = kind, r->dir = dir, r->ts = ts, r->px = px, r->xt = xt;
+    r->cap = cap;
+}
+
+/* The runners of grid g at the first tick's price p0, as engine._GridScan
+ * makes them, with cap event slots each; returns how many. */
+static int64_t runners(struct it_runner *run, int g, int use_log, double p0, double mode,
+                       int64_t cap)
+{
+    int64_t k = 0;
+    for (; k < 4 && GRID[g][k] > 0; k++) {
+        struct it_runner *r = &run[k];
+        double delta = GRID[g][k];
+        memset(r, 0, sizeof *r);
+        r->guard = delta * (1.0 - 1e-12);
+        r->up_factor = use_log ? exp(delta) : 1.0 + delta;
+        r->down_factor = use_log ? exp(-delta) : 1.0 - delta;
+        r->use_log = use_log;
+        r->ext = r->ref = p0;
+        r->mode = mode;
+        r->stall = -1;
+        grow(r, cap);
+    }
+    return k;
+}
+
+/* it_scan over ticks [from, to), copied into blocks of exactly their size,
+ * resumed after each full stop with one more slot for the full runner. A
+ * runner that stalls there gets the walk's index of its stall tick. */
+static void scan(const int64_t *ts, const double *px, int64_t from, int64_t to,
+                 struct it_runner *run, int64_t k)
+{
+    int64_t n = to - from, at = 0, full, stalled[4];
+    for (int64_t j = 0; j < k; j++)
+        stalled[j] = run[j].stall >= 0;
+    int64_t *t = block((size_t)n * sizeof *t);
+    double *p = block((size_t)n * sizeof *p);
+    if (n > 0) {
+        memcpy(t, ts + from, (size_t)n * sizeof *t);
+        memcpy(p, px + from, (size_t)n * sizeof *p);
+    }
+    while ((full = it_scan(t, p, n, &at, run, k)) >= 0)
+        grow(&run[full], run[full].cap + 1);
+    for (int64_t j = 0; j < k; j++)
+        run[j].stall += !stalled[j] && run[j].stall >= 0 ? from : 0;
+    free(t), free(p);
+}
+
+/* Whether runners a and b hold the same state and events. */
+static int same(const struct it_runner *a, const struct it_runner *b)
+{
+    size_t m = (size_t)a->m;
+    return a->m == b->m && a->ext == b->ext && a->ref == b->ref && a->mode == b->mode
+        && a->confirmed == b->confirmed && a->stall == b->stall
+        && !memcmp(a->kind, b->kind, m) && !memcmp(a->dir, b->dir, m)
+        && !memcmp(a->ts, b->ts, m * sizeof *a->ts) && !memcmp(a->px, b->px, m * sizeof *a->px)
+        && !memcmp(a->xt, b->xt, m * sizeof *a->xt);
+}
+
+static void free_runners(struct it_runner *run, int64_t k)
+{
+    for (int64_t j = 0; j < k; j++)
+        free(run[j].kind), free(run[j].dir), free(run[j].ts), free(run[j].px), free(run[j].xt);
+}
+
+/* A walk of WALK ticks from 1.0: ties, gaps of 6% and small steps. */
+static void walk(int64_t *ts, double *px)
+{
+    double p = 1.0;
+    for (int i = 0; i < WALK; i++) {
+        uint64_t r = next();
+        if (r % 8 == 1)
+            p *= exp(r % 16 == 1 ? 0.06 : -0.06);
+        else if (r % 8 > 1)
+            p *= exp(((double)(next() >> 11) * 0x1p-53 - 0.5) * 0.006);
+        ts[i] = i;
+        px[i] = p;
+    }
+}
+
+/* Every walk, grid, convention, start mode, first cap and cut, each scan
+ * against one of the whole walk; returns the events, or -1 on a mismatch. */
+static int64_t scan_walks(void)
+{
+    int64_t ts[WALK], events = 0;
+    double px[WALK];
+    struct it_runner whole[4], split[4];
+    for (int w = 0; w < 10; w++) {
+        walk(ts, px);
+        for (int g = 0; g < GRIDS; g++)
+            for (int use_log = 0; use_log < 2; use_log++)
+                for (int up = 0; up < 2; up++) {
+                    double mode = up ? 1.0 : -1.0;
+                    int64_t k = runners(whole, g, use_log, px[0], mode, 4 * WALK);
+                    scan(ts, px, 0, WALK, whole, k);
+                    for (int64_t cap = 1; cap <= 3; cap++)
+                        for (int64_t cut = 0; cut <= WALK; cut++) {
+                            runners(split, g, use_log, px[0], mode, cap);
+                            scan(ts, px, 0, cut, split, k);
+                            scan(ts, px, cut, WALK, split, k);
+                            for (int64_t j = 0; j < k; j++) {
+                                if (!same(&whole[j], &split[j])) {
+                                    fprintf(stderr, "walk %d grid %d log %d mode %g cap %lld "
+                                            "cut %lld: runner %lld differs\n", w, g, use_log,
+                                            mode, (long long)cap, (long long)cut, (long long)j);
+                                    return -1;
+                                }
+                                events += split[j].m;
+                            }
+                            free_runners(split, k);
+                        }
+                    free_runners(whole, k);
+                }
+    }
+    return events;
+}
+
 int main(int argc, char **argv)
 {
+    if (argc == 2 && !strcmp(argv[1], "--scan")) {
+        printf("runner %zu:", sizeof(struct it_runner));
+        size_t offsets[] = {
+            offsetof(struct it_runner, guard), offsetof(struct it_runner, up_factor),
+            offsetof(struct it_runner, down_factor), offsetof(struct it_runner, use_log),
+            offsetof(struct it_runner, confirmed), offsetof(struct it_runner, ext),
+            offsetof(struct it_runner, mode), offsetof(struct it_runner, ref),
+            offsetof(struct it_runner, stall), offsetof(struct it_runner, kind),
+            offsetof(struct it_runner, dir), offsetof(struct it_runner, ts),
+            offsetof(struct it_runner, px), offsetof(struct it_runner, xt),
+            offsetof(struct it_runner, cap), offsetof(struct it_runner, m),
+            offsetof(struct it_runner, os_c), offsetof(struct it_runner, dc_c),
+            offsetof(struct it_runner, os_at), offsetof(struct it_runner, dc_at)};
+        for (size_t f = 0; f < sizeof offsets / sizeof *offsets; f++)
+            printf(" %zu", offsets[f]);
+        int64_t events = scan_walks();
+        if (events < 0)
+            return 1;
+        printf("\n%lld events\n", (long long)events);
+        return 0;
+    }
     if (argc != 2 || !it_init()) {
-        fprintf(stderr, "usage: sanitized_scan CORPUS\n");
+        fprintf(stderr, "usage: sanitized_scan CORPUS | --scan\n");
         return 2;
     }
     FILE *fh = fopen(argv[1], "rb");

@@ -1017,6 +1017,95 @@ def test_any_split_of_the_ticks_gives_the_events_of_one_feed(backend, split, fir
                [event[:4] for event in expected]
 
 
+def trend_walk(rng, deltas, convention, runs):
+    """Prices from 1.0 in ``runs`` monotone runs of 4 to 40 small steps,
+    each much smaller than every threshold, so that the runs extend trends
+    on quiet ticks and the C scan reads most of them four at a time. Each
+    run ends on the retrace from its extreme onto the DC trigger of one of
+    ``deltas`` there, moved by up to 2 ulps, or on a shorter retrace."""
+    prices = [1.0]
+    for _ in range(runs):
+        sign = rng.choice([-1.0, 1.0])
+        size = min(deltas) * rng.uniform(0.02, 0.4)
+        for step in rng.uniform(0.1, 1.0, int(rng.integers(4, 41))):
+            prices.append(prices[-1] * math.exp(sign * size * step))
+        up_factor, down_factor = engine._scan_args(
+            it.ThresholdConfig(float(rng.choice(deltas)), convention))[1:3]
+        trigger = prices[-1] * (down_factor if sign > 0 else up_factor)
+        if rng.random() < 0.2:
+            trigger = (prices[-1] + trigger) / 2
+        prices.append(trigger + int(rng.integers(-2, 3)) * math.ulp(trigger))
+    return np.array(prices)
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+@pytest.mark.parametrize("convention", [REL, LOG])
+@pytest.mark.parametrize("first_cap", [1, 2, 3, 1024])
+def test_trends_extended_on_quiet_ticks_fire_where_the_twin_fires(monkeypatch, convention,
+                                                                 first_cap):
+    # The C scan moves a runner's extremum up to the highest (or lowest)
+    # price of the quiet ticks only at the next tick that can fire, and at
+    # the end of a call. Retraces onto the DC triggers of those extrema
+    # fire only if every extremum got there: through quiet four-tick
+    # blocks, through full-buffer stops (first blocks of 1 to 3 slots,
+    # with thresholds after the full one that have not read the tick), and
+    # through feeds of 1 to 7 ticks.
+    kernel = engine._load_kernel()
+    stops = []  # (runner whose block filled, runners in the grid)
+
+    def tracing(*args):
+        full = kernel.scan(*args)
+        stops.append((full, args[-1]))
+        return full
+
+    monkeypatch.setattr(engine, "_kernel", kernel._replace(scan=tracing))
+    monkeypatch.setattr(engine, "_FIRST_CAP", first_cap)
+    rng = np.random.default_rng(60 + first_cap)
+    grids = [(0.01,), (0.005, 0.03), (0.01, 0.02, 0.04), (0.002, 0.004, 0.008, 0.016)]
+    for deltas in grids:
+        for mode in it.Mode:
+            prices = trend_walk(rng, deltas, convention, 12)
+            series = it.TickSeries(np.arange(prices.size), prices)
+            configs = [it.ThresholdConfig(d, convention) for d in rng.permutation(deltas)]
+            whole = scan_in_blocks(series, configs, mode, [])
+            assert sum(arrays.n_dc for arrays in whole) >= 6
+            for size in range(1, 8):
+                assert scan_in_blocks(series, configs, mode,
+                                      list(range(size, len(series), size))) == whole
+            for got, twin in zip(whole, twin_grid(series, configs, mode)):
+                for field in ARRAY_FIELDS:
+                    a, b = getattr(got, field), getattr(twin, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (got.config, mode, field)
+                expected = reference_events(series.timestamps.tolist(), series.prices,
+                                            got.config.delta, convention is LOG, mode.value)
+                events = zip(got.kinds.tolist(), got.directions.tolist(),
+                             got.timestamps.tolist(), got.prices.tolist())
+                assert [("OS" if k else "DC", d, t, p) for k, d, t, p in events] == \
+                       [event[:4] for event in expected]
+    if first_cap < 1024:
+        assert any(0 <= full < k - 1 for full, k in stops)
+
+
+# A down trend that falls on quiet ticks from normal prices to 170 times
+# the smallest subnormal, then retraces to 172 times it, a DC at 0.01. The
+# DC band at that low, 170 times about 1.01, rounds to 172 times it, the
+# tick's own price, so a subnormal band must not leave the tick quiet:
+# reached on one quiet tick, and as the low of a quiet four-tick block
+SUBNORMAL_LOWS = [[1e-307, 170, 172], [1e-307, 0.9e-307, 170, 171, 171, 171, 172]]
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+@pytest.mark.parametrize("convention", [REL, LOG])
+@pytest.mark.parametrize("prices", SUBNORMAL_LOWS)
+def test_a_subnormal_extremum_reached_on_quiet_ticks_keeps_its_dc(convention, prices):
+    prices = np.array([p if p < 1 else p * 5e-324 for p in prices])
+    series = it.TickSeries(np.arange(prices.size), prices)
+    config = it.ThresholdConfig(0.01, convention)
+    got = it.process_arrays(series, config, it.Mode.DOWN)
+    twin = twin_grid(series, [config], it.Mode.DOWN)[0]
+    assert got == twin and twin.kinds.tolist() == [0] and twin.timestamps[0] == prices.size - 1
+
+
 # At 1e-12 the tick 2.0 asks for about 6.9e11 overshoots, each a step that
 # moves the reference price, so the scan ends, but not in memory
 FLOOD = it.TickSeries(np.arange(4), np.array([1.0, 0.5, 1.0, 2.0]))

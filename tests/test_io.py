@@ -465,6 +465,19 @@ def test_fast_parser_grows_its_columns_mid_file(tmp_path, monkeypatch, has_heade
     assert rooms[0] == 3 and len(rooms) == calls
 
 
+@needs_cc
+def test_fast_parser_columns_hold_no_spare_rows(tmp_path, monkeypatch):
+    # columns of three rows at first, each next one about twice the rows
+    # so far, have spare rows where the file ends
+    counting_parser(monkeypatch, "parse_ticks")
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(b"".join(b"%d,%r\n" % (t, p) for t, p in GBM_WALK[:25]))
+    series = it.parse_ticks(spec_for(path, timestamp_unit=it.TimestampUnit.NANOS))
+    assert len(series) == 25
+    for column in (series.timestamps, series.prices):
+        assert column.flags.owndata and column.size == 25
+
+
 COMMA_LOCALES = ["de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8", "fr_FR.utf8",
                  "fr_FR", "nl_NL.UTF-8", "ru_RU.UTF-8", "es_ES.UTF-8", "it_IT.UTF-8"]
 

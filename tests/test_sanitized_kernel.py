@@ -1,12 +1,17 @@
-"""The C parsers and writers of ``_scan.c`` under AddressSanitizer and UBSan.
+"""The C parsers, writers and grid scan of ``_scan.c`` under AddressSanitizer
+and UBSan.
 
 The kernel's parsers read buffers with no terminator, which the readers cut
 into blocks, and its writers fill fixed blocks; no byte outside either may be
 read or written. ``sanitized_scan.c`` runs them over the files of the
 grammar tests in ``test_io.py``, cut at every byte offset, and over seeded
-random doubles, in a build that stops at the first report.
+random doubles, in a build that stops at the first report. The grid scan
+reads ahead of the tick it is at, and must stop at the end of its block: the
+same build scans seeded walks cut at every tick, with event columns that
+fill and resume.
 """
 
+import ctypes
 import os
 import shutil
 import struct
@@ -105,3 +110,15 @@ def test_parsers_and_writers_stay_inside_their_buffers(sanitized, tmp_path):
     assert run.returncode == 0 and "Sanitizer" not in run.stderr \
         and "runtime error" not in run.stderr, run.stderr[-4000:]
     assert run.stdout.startswith(f"{len(files)} files")
+
+
+def test_grid_scan_stays_inside_its_buffers(sanitized):
+    run = subprocess.run([sanitized, "--scan"], capture_output=True, text=True, timeout=300,
+                         env=ENV)
+    assert run.returncode == 0 and "Sanitizer" not in run.stderr \
+        and "runtime error" not in run.stderr, run.stderr[-4000:]
+    # the program's struct it_runner is the one engine._Runner lays out
+    offsets = " ".join(str(getattr(engine._Runner, name).offset)
+                       for name, _ in engine._Runner._fields_)
+    assert run.stdout.startswith(f"runner {ctypes.sizeof(engine._Runner)}: {offsets}\n")
+    assert int(run.stdout.split("\n")[1].split()[0]) > 10_000  # events
