@@ -102,10 +102,28 @@
  * once, by it_init, which ``engine._bind_kernel`` calls when it loads this
  * unit.
  *
- * Build: cc -O2 -fPIC -shared -ffp-contract=off -lm (no fused multiply-add,
- * no fast-math: the arithmetic must round exactly as Python's does).
+ * Last comes the event builder, it_build_events, which turns event columns
+ * into IntrinsicEvent objects. It uses the Python C API, so it is compiled
+ * only where <Python.h> is found (Python 3.10 on); ``engine`` passes its
+ * directory to cc on CPython alone. A build without it, such as the
+ * sanitized test program's, keeps everything else.
+ *
+ * Build: cc -O2 -fPIC -shared -ffp-contract=off [-I<Python include>] -lm
+ * (no fused multiply-add, no fast-math: the arithmetic must round exactly
+ * as Python's does).
  */
+#if defined(__has_include)
+#if __has_include(<Python.h>)
+#define PY_SSIZE_T_CLEAN
+#include <Python.h> /* first, as the C API asks */
+#if PY_VERSION_HEX >= 0x030A0000 /* PyGC_Disable, Py_NewRef */
+#define IT_EVENTS 1
+#endif
+#endif
+#endif
+#ifndef _POSIX_C_SOURCE
 #define _POSIX_C_SOURCE 200809L /* locale_t, uselocale */
+#endif
 #include <errno.h>
 #include <float.h>
 #include <locale.h>
@@ -665,3 +683,86 @@ int it_init(void)
         c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
     return c_locale != (locale_t)0;
 }
+
+#ifdef IT_EVENTS
+/* Whether every code of n events is one the builder takes: kind 0 or 1,
+ * dir +1 or -1. */
+static int known_codes(const int8_t *kind, const int8_t *dir, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        if ((kind[i] != 0 && kind[i] != 1) || (dir[i] != 1 && dir[i] != -1))
+            return 0;
+    return 1;
+}
+
+/* A list of the n events of r's columns, each type->tp_alloc(type, 6) with
+ * the fields engine._build_events gives it: member[kind], member[2] (up) or
+ * member[3] (down), an int timestamp, a float price, the delta and an int
+ * clock: delta itself, or a new float of delta_col[i] when delta_col is
+ * given, and clock_col[i], or else i. NULL with an exception set when an
+ * object cannot be made. */
+static PyObject *event_list(PyTypeObject *type, PyObject *const *member,
+                            const struct it_runner *r, PyObject *delta,
+                            const double *delta_col, const int64_t *clock_col)
+{
+    PyObject *list = PyList_New((Py_ssize_t)r->m);
+    if (list == NULL)
+        return NULL;
+    for (int64_t i = 0; i < r->m; i++) {
+        PyObject *ev = type->tp_alloc(type, 6);
+        if (ev == NULL)
+            goto fail;
+        PyList_SET_ITEM(list, i, ev);         /* the list frees a part-filled event */
+        PyTuple_SET_ITEM(ev, 0, Py_NewRef(member[r->kind[i]]));
+        PyTuple_SET_ITEM(ev, 1, Py_NewRef(member[r->dir[i] > 0 ? 2 : 3]));
+        PyObject *field[4] = {
+            PyLong_FromLongLong(r->ts[i]), PyFloat_FromDouble(r->px[i]),
+            delta_col != NULL ? PyFloat_FromDouble(delta_col[i]) : Py_NewRef(delta),
+            PyLong_FromLongLong(clock_col != NULL ? clock_col[i] : i)};
+        for (int f = 0; f < 4; f++)
+            PyTuple_SET_ITEM(ev, f + 2, field[f]);
+        if (!field[0] || !field[1] || !field[2] || !field[3])
+            goto fail;
+    }
+    return list;
+fail:
+    Py_DECREF(list);
+    return NULL;
+}
+
+/* The IntrinsicEvent objects of k runners' event columns (kind, dir, ts, px,
+ * m of them), as a list of k lists: runner j's events get delta deltas[j],
+ * a tuple of k objects, and clock 0, 1, ... With a delta column or a clock
+ * column (k = 1), they get those instead, as event_list says. type is
+ * IntrinsicEvent and members the tuple (DC, OS, Mode.UP, Mode.DOWN).
+ *
+ * Returns None, and builds nothing, when a code is not one known_codes
+ * takes: the caller then runs engine._build_events, which is the spec, and
+ * raises its own error. The cyclic garbage collector is paused while the
+ * events are made, as an event holds no container and so cannot make a
+ * cycle, and left as it was. The caller holds the GIL: this function is
+ * bound through ctypes.PyDLL, and makes no call that could release it, so
+ * no other thread runs while the collector is paused. */
+PyObject *it_build_events(PyObject *type, PyObject *members, const struct it_runner *run,
+                          int64_t k, PyObject *deltas, const double *delta_col,
+                          const int64_t *clock_col)
+{
+    for (int64_t j = 0; j < k; j++)
+        if (!known_codes(run[j].kind, run[j].dir, run[j].m))
+            Py_RETURN_NONE;
+    int enabled = PyGC_Disable();
+    PyObject *out = PyList_New((Py_ssize_t)k);
+    for (int64_t j = 0; out != NULL && j < k; j++) {
+        PyObject *events = event_list((PyTypeObject *)type, &PyTuple_GET_ITEM(members, 0),
+                                      &run[j], PyTuple_GET_ITEM(deltas, j), delta_col,
+                                      clock_col);
+        if (events == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, j, events);
+    }
+    if (enabled)
+        PyGC_Enable();
+    return out;
+}
+#endif

@@ -20,11 +20,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import dataclasses
+import gc
 import itertools
 import math
 import os
 import platform
 import shutil
+import sys
 import tempfile
 import threading
 import warnings
@@ -399,16 +401,18 @@ def step(state: RunnerState, tick: Tick,
     return state, events
 
 
-# The grid scan (one pass over a block of ticks for a threshold grid) and
-# the tick-file and event-file parsers and writers run in C (``_scan.c``;
-# the parsers share one number reader, the writers one "%.17g" formatter),
-# compiled with the system ``cc`` on first use and cached by a checksum of
-# source and flags: beside this module in ``__pycache__/``, else in the
-# user's cache directory. A new build there replaces the builds of earlier
-# sources. Without a working compiler, ``_scan_python`` runs the same loop
-# per threshold and block, without the C price bands, quiet ticks and
-# put-off trend extensions (``step`` runs it too), and ``io`` its Python
-# row loops and writers.
+# The grid scan (one pass over a block of ticks for a threshold grid), the
+# tick-file and event-file parsers and writers (``_scan.c``; the parsers
+# share one number reader, the writers one "%.17g" formatter) and, on
+# CPython, the event builder run in C, compiled with the system ``cc`` on
+# first use and cached by a checksum of source, flags and interpreter:
+# beside this module in ``__pycache__/``, else in the user's cache
+# directory. A new build there replaces the builds of earlier sources.
+# Without a working compiler, ``_scan_python`` runs the same loop per
+# threshold and block, without the C price bands, quiet ticks and put-off
+# trend extensions (``step`` runs it too), ``io`` its Python row loops and
+# writers, and ``_build_events`` makes the events, as it does for a build
+# without the Python headers.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _UNLOADED = object()
@@ -433,6 +437,18 @@ class _Kernel(NamedTuple):
     format_ticks: Callable[..., int]  # it_format_ticks
     parse_events: Callable[..., int]  # it_parse_events
     format_events: Callable[..., int]  # it_format_events
+    build_events: Callable[..., list | None] | None  # it_build_events, if compiled in
+
+
+def _python_includes() -> list[str]:
+    """The ``-I`` flags that compile the event builder into the kernel: the
+    directories of ``Python.h`` and ``pyconfig.h`` on CPython, none elsewhere."""
+    if sys.implementation.name != "cpython":
+        return []
+    import sysconfig  # only needed to compile
+
+    paths = sysconfig.get_paths()
+    return [f"-I{d}" for d in dict.fromkeys((paths["include"], paths["platinclude"]))]
 
 
 def _compile_kernel(cache_dirs: list[Path]):
@@ -443,7 +459,8 @@ def _compile_kernel(cache_dirs: list[Path]):
     a RuntimeWarning.
     """
     source = _KERNEL_SOURCE.read_bytes()
-    key = zlib.crc32(source + repr((_KERNEL_FLAGS, platform.machine())).encode())
+    interpreter = f"{sys.implementation.cache_tag}{getattr(sys, 'abiflags', '')}"
+    key = zlib.crc32(source + repr((_KERNEL_FLAGS, platform.machine(), interpreter)).encode())
     name = f"_scan-{key:08x}.so"
     for directory in cache_dirs:
         if os.path.isfile(directory / name):
@@ -461,7 +478,8 @@ def _compile_kernel(cache_dirs: list[Path]):
             continue  # not writable: try the next directory
         os.close(fd)
         try:
-            subprocess.run([cc, *_KERNEL_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+            subprocess.run([cc, *_KERNEL_FLAGS, *_python_includes(), "-o", tmp,
+                            str(_KERNEL_SOURCE), "-lm"],
                            check=True, capture_output=True, timeout=300)
             os.replace(tmp, directory / name)
             _remove_other_builds(directory, name)
@@ -492,7 +510,7 @@ def _bind_kernel(path: Path):
     try:
         lib = ctypes.CDLL(str(path))
         kernel = _Kernel(lib.it_scan, lib.it_parse_ticks, lib.it_format_ticks,
-                         lib.it_parse_events, lib.it_format_events)
+                         lib.it_parse_events, lib.it_format_events, None)
         lib.it_init.argtypes, lib.it_init.restype = [], ctypes.c_int
         if not lib.it_init():  # once per process: a second bind keeps the locale
             raise OSError("cannot make a C locale for its parsers and writers")
@@ -500,7 +518,7 @@ def _bind_kernel(path: Path):
         warnings.warn(f"cannot load the C scan kernel {path}: {exc}; "
                       "using the slower Python scan and file I/O", RuntimeWarning)
         return None
-    ptr, i64, f64, c_int = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int
+    ptr, i64, c_int, obj = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.py_object
     i64_ptr = ctypes.POINTER(i64)
     kernel.scan.argtypes = [ptr, ptr, i64, i64_ptr, ctypes.POINTER(_Runner), i64]
     kernel.parse_ticks.argtypes = [ctypes.c_char_p, i64, i64_ptr, ptr, ptr, i64]
@@ -509,9 +527,15 @@ def _bind_kernel(path: Path):
                                     ptr, ptr, ptr, ptr, ptr, ptr, i64]
     kernel.format_events.argtypes = [ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ctypes.c_char_p,
                                      ptr, c_int, i64_ptr, ptr, i64]
-    for function in kernel:
+    for function in kernel[:-1]:  # all but the builder, bound below
         function.restype = i64
-    return kernel
+    # The builder makes Python objects, so it is called holding the GIL, as
+    # a PyDLL function, through the handle the CDLL above opened.
+    build = getattr(ctypes.PyDLL(str(path), handle=lib._handle), "it_build_events", None)
+    if build is not None:
+        build.argtypes = [obj, obj, ctypes.POINTER(_Runner), i64, obj, ptr, ptr]
+        build.restype = obj
+    return kernel._replace(build_events=build)
 
 
 def _load_kernel():
@@ -527,9 +551,12 @@ def _load_kernel():
 def kernel_backend() -> str:
     """The backend in use: ``"c"`` (the compiled ``_scan.c``) or ``"python"``.
 
-    One compiled unit serves the batch scan and the parsing and writing of
-    nanosecond tick files and of event files; results never depend on the
-    backend.
+    One compiled unit serves the batch grid scan, the parsing and writing
+    of nanosecond tick files and of event files and, on CPython where the
+    Python headers are installed, the building of ``IntrinsicEvent``
+    objects for ``process``, ``run_grid``, ``events_from_arrays`` and
+    ``read_events``. Everything else, and all of it on ``"python"``, runs
+    in Python; results never depend on the backend.
     """
     return "python" if _load_kernel() is None else "c"
 
@@ -659,13 +686,14 @@ class _GridScan:
         self.configs = configs
         self.kernel = _load_kernel()
         cap, k = _FIRST_CAP, len(configs)
-        first = np.empty(26 * cap * k, np.uint8)  # every runner's first block, in one
+        step = -(-26 * cap // 8) * 8  # each block starts 8-aligned, for its 8-byte columns
+        first = np.empty(step * k, np.uint8)  # every runner's first block, in one
         base = first.ctypes.data
         self.runners = (_Runner * k)(*(
             (*_scan_args(config), 0, first_price, mode, first_price, -1,
-             *_column_addresses(base + 26 * cap * j, cap), cap)
+             *_column_addresses(base + step * j, cap), cap)
             for j, config in enumerate(configs)))
-        self.blocks = [first[26 * cap * j:26 * cap * (j + 1)] for j in range(k)]
+        self.blocks = [first[step * j:step * j + 26 * cap] for j in range(k)]
         self.stalls = [None] * len(configs)  # per runner: timestamp, price and ref of its stall
 
     def feed(self, timestamps: np.ndarray, prices: np.ndarray) -> None:
@@ -725,26 +753,52 @@ class _GridScan:
         r.cap = cap
         return block
 
-    def finish(self) -> list[EventArrays]:
-        """Every config's event arrays, in order; DomainError for the first
-        config whose overshoot step could not move its reference price."""
+    def _check_stalls(self) -> None:
+        """DomainError for the first config whose overshoot step could not
+        move its reference price."""
         for config, stall in zip(self.configs, self.stalls):
             if stall is not None:
                 raise _endless_scan(config, *stall)
+
+    def finish(self) -> list[EventArrays]:
+        """Every config's event arrays, in order; DomainError as
+        ``_check_stalls`` raises it."""
+        self._check_stalls()
         return [EventArrays(*_columns(block, r.m), config)
                 for block, r, config in zip(self.blocks, self.runners, self.configs)]
 
+    def events(self) -> list[list[IntrinsicEvent]]:
+        """Every config's events, in order: ``events_from_arrays`` of each of
+        ``finish``'s arrays, built from every runner's columns in one
+        ``it_build_events`` call where the kernel has the builder. DomainError
+        as ``_check_stalls`` raises it."""
+        self._check_stalls()
+        build = self.kernel and self.kernel.build_events
+        if build:
+            events = build(IntrinsicEvent, _MEMBERS, self.runners, len(self.runners),
+                           tuple(config.delta for config in self.configs), None, None)
+            if events is not None:
+                return events
+        return [events_from_arrays(arrays) for arrays in self.finish()]
 
-def _process_grid(series: TickSeries, configs: list[ThresholdConfig],
-                  initial_mode: Mode = Mode.UP) -> list[EventArrays]:
-    """The grid driver: one ``_GridScan`` fed the whole series, so element j
-    is exactly what ``process_arrays`` returns for ``configs[j]``. Raises
-    EmptyInputError on an empty series, and DomainError as ``finish`` does."""
+
+def _grid_scan(series: TickSeries, configs: list[ThresholdConfig],
+               initial_mode: Mode = Mode.UP) -> _GridScan:
+    """One ``_GridScan`` fed the whole series; EmptyInputError on an empty
+    series."""
     if len(series) == 0:
         raise EmptyInputError("cannot process an empty tick sequence")
     scan = _GridScan(configs, float(series.prices[0]), initial_mode.value)
     scan.feed(series.timestamps, series.prices)
-    return scan.finish()
+    return scan
+
+
+def _process_grid(series: TickSeries, configs: list[ThresholdConfig],
+                  initial_mode: Mode = Mode.UP) -> list[EventArrays]:
+    """The grid driver of the array paths: element j is exactly what
+    ``process_arrays`` returns for ``configs[j]``. Raises EmptyInputError
+    on an empty series, and DomainError as ``finish`` does."""
+    return _grid_scan(series, configs, initial_mode).finish()
 
 
 def process_arrays(ticks: TickInput, config: ThresholdConfig,
@@ -760,18 +814,65 @@ def process_arrays(ticks: TickInput, config: ThresholdConfig,
 
 _KINDS = (EventKind.DIRECTIONAL_CHANGE, EventKind.OVERSHOOT)  # by kind code
 _DIRECTIONS = {1: Mode.UP, -1: Mode.DOWN}
+_MEMBERS = (*_KINDS, Mode.UP, Mode.DOWN)  # it_build_events': by kind code, then up, down
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The cyclic garbage collector off inside the block, then as it was.
+
+    For loops that make many objects that hold no container, such as
+    events, and so cannot make a cycle: the collector would scan them again
+    and again as they are made. ``gc.disable`` is process-wide, so other
+    threads allocate without collections while the block runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _build_events(kinds: Iterable[int], directions: Iterable[int], timestamps: Iterable,
                   prices: Iterable, deltas: Iterable, clocks: Iterable) -> list[IntrinsicEvent]:
     """IntrinsicEvent objects from six columns of Python values, with the
     kind as a code (0 = DC, 1 = OS) and the direction as +1 (up) or -1
-    (down). The loop runs in C: ``map`` calls ``tuple.__new__`` on each
-    zipped row."""
-    return list(map(tuple.__new__, itertools.repeat(IntrinsicEvent),
-                    zip(map(_KINDS.__getitem__, kinds),
-                        map(_DIRECTIONS.__getitem__, directions),
-                        timestamps, prices, deltas, clocks)))
+    (down), with the collector paused. The loop runs in C: ``map`` calls
+    ``tuple.__new__`` on each zipped row. The spec of ``it_build_events``."""
+    with _collector_paused():
+        return list(map(tuple.__new__, itertools.repeat(IntrinsicEvent),
+                        zip(map(_KINDS.__getitem__, kinds),
+                            map(_DIRECTIONS.__getitem__, directions),
+                            timestamps, prices, deltas, clocks)))
+
+
+# the dtypes of the columns it_build_events reads: kinds, directions,
+# timestamps, prices, deltas and clocks
+_BUILD_DTYPES = tuple(map(np.dtype, (np.int8, np.int8, np.int64, np.float64, np.float64,
+                                     np.int64)))
+
+
+def _built_in_c(kinds, directions, timestamps, prices, delta, deltas=None, clocks=None):
+    """The events of these columns from ``it_build_events``: each gets
+    ``delta``, or its value of ``deltas``, and its value of ``clocks``, or
+    else its position. None where ``_build_events`` must make them: without
+    the builder, for a column that is not a 1-d C-contiguous numpy array of
+    its exact dtype as long as ``kinds``, or for a code the builder does not
+    take (``_build_events`` then gives the same events, or its error)."""
+    kernel = _load_kernel()
+    build = kernel and kernel.build_events
+    columns = (kinds, directions, timestamps, prices, deltas, clocks)
+    if not build or any(
+            column is not None and not (type(column) is np.ndarray and column.dtype == dtype
+                                        and column.shape == kinds.shape == (kinds.size,)
+                                        and column.flags.c_contiguous)
+            for column, dtype in zip(columns, _BUILD_DTYPES)):
+        return None
+    data = [None if column is None else column.ctypes.data for column in columns]
+    runner = _Runner(kind=data[0], dir=data[1], ts=data[2], px=data[3], m=kinds.size)
+    events = build(IntrinsicEvent, _MEMBERS, runner, 1, (delta,), data[4], data[5])
+    return None if events is None else events[0]
 
 
 def events_from_arrays(arrays: EventArrays) -> list[IntrinsicEvent]:
@@ -780,8 +881,13 @@ def events_from_arrays(arrays: EventArrays) -> list[IntrinsicEvent]:
     The events are named tuples (see ``IntrinsicEvent``): change one with
     ``ev._replace(...)``, read it as a dict with ``ev._asdict()``; the
     dataclass helpers do not apply. Every field holds an enum member, an
-    ``int`` or a ``float``, never a numpy scalar.
+    ``int`` or a ``float``, never a numpy scalar, and every event holds the
+    one ``arrays.config.delta`` object.
     """
+    events = _built_in_c(arrays.kinds, arrays.directions, arrays.timestamps, arrays.prices,
+                         arrays.config.delta)
+    if events is not None:
+        return events
     return _build_events(arrays.kinds.tolist(), arrays.directions.tolist(),
                          arrays.timestamps.tolist(), arrays.prices.tolist(),
                          itertools.repeat(arrays.config.delta), range(len(arrays)))
@@ -799,7 +905,7 @@ def process(ticks: TickInput, config: ThresholdConfig,
     however many events there are. Raises EmptyInputError on an empty
     sequence; a single tick yields no events.
     """
-    return events_from_arrays(process_arrays(ticks, config, initial_mode))
+    return _grid_scan(as_tick_series(ticks), [config], initial_mode).events()[0]
 
 
 def overshoot_lengths(arrays: EventArrays) -> np.ndarray:

@@ -49,7 +49,8 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .engine import (_KINDS, EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries,
-                     _build_events, _in_int64, _load_kernel, _whole)
+                     _build_events, _built_in_c, _collector_paused, _in_int64, _load_kernel,
+                     _whole)
 from .errors import ConfigurationError, DomainError, IngestionError, OrderingError, WriteError
 
 TICK_SCHEMA_COMMENT = "# intrinsic-time tick-csv v1"
@@ -521,13 +522,14 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     """
     format = _event_format(format)
     rows = []
-    for i, ev in enumerate(events):
-        try:
-            rows.append((_member_code("kind", ev.kind, EventKind),
-                         _member_code("direction", ev.direction, Mode),
-                         *_event_values(ev.timestamp, ev.price, ev.delta, ev.clock_index)))
-        except ValueError as exc:
-            raise DomainError(f"event {i}: {exc}") from None
+    with _collector_paused():  # the rows are tuples of numbers, which make no cycle
+        for i, ev in enumerate(events):
+            try:
+                rows.append((_member_code("kind", ev.kind, EventKind),
+                             _member_code("direction", ev.direction, Mode),
+                             *_event_values(ev.timestamp, ev.price, ev.delta, ev.clock_index)))
+            except ValueError as exc:
+                raise DomainError(f"event {i}: {exc}") from None
     _write_event_columns(path, format, *_event_columns(rows))
 
 
@@ -616,10 +618,15 @@ def read_events(path: str | Path,
 
 
 def _column_events(columns: list[np.ndarray]) -> list[IntrinsicEvent]:
-    """The events of ``it_parse_events``' columns. Each column becomes a list,
-    and its array is freed, before the next is converted; a file of one
-    delta passes one float for it, as ``events_from_arrays`` does."""
+    """The events of ``it_parse_events``' columns. A file of one delta
+    passes one float for it, as ``events_from_arrays`` does. The C builder
+    reads the columns in one call; for ``_build_events`` each column
+    becomes a list, and its array is freed, before the next is converted."""
     one_delta = columns[4].size and columns[4].min() == columns[4].max()
+    events = _built_in_c(*columns[:4], columns[4].item(0) if one_delta else None,
+                         None if one_delta else columns[4], columns[5])
+    if events is not None:
+        return events
     for j in range(len(columns)):
         columns[j] = (itertools.repeat(columns[j].item(0)) if j == 4 and one_delta
                       else columns[j].tolist())

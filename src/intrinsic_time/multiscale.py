@@ -75,15 +75,17 @@ class ThresholdSummary:
     last_event_ts: int | None = None
 
 
+def _configs(grid: GridInput, convention: MoveConvention) -> list[ThresholdConfig]:
+    return [ThresholdConfig(d, convention) for d in as_threshold_grid(grid)]
+
+
 def _scan_grid(series: TickSeries, grid: GridInput,
                convention: MoveConvention) -> list[EventArrays]:
-    """``run_grid`` before event materialisation: the event arrays of every
-    threshold, in grid order, each carrying its threshold in
-    ``config.delta``, from one call of the grid driver, which reads each
-    tick once for the whole grid."""
+    """``run_grid`` as event arrays: those of every threshold, in grid
+    order, each carrying its threshold in ``config.delta``, from one call
+    of the grid driver, which reads each tick once for the whole grid."""
     # through the module, so that a patched ``engine._process_grid`` sees every pass
-    return engine._process_grid(series, [ThresholdConfig(d, convention)
-                                         for d in as_threshold_grid(grid)])
+    return engine._process_grid(series, _configs(grid, convention))
 
 
 def run_grid(ticks: TickInput, grid: GridInput,
@@ -95,10 +97,13 @@ def run_grid(ticks: TickInput, grid: GridInput,
     calling thread serves every threshold (with the C kernel; the Python
     fallback scans once per threshold), and the output follows the grid
     order; element i is exactly what a single ``process`` call at that
-    threshold returns.
+    threshold returns. The events of the whole grid are built in one call
+    of the C builder where the kernel has it.
     """
-    scans = _scan_grid(as_tick_series(ticks), grid, convention)
-    return [(arrays.config.delta, engine.events_from_arrays(arrays)) for arrays in scans]
+    series = as_tick_series(ticks)
+    configs = _configs(grid, convention)
+    events = engine._grid_scan(series, configs).events()
+    return [(config.delta, config_events) for config, config_events in zip(configs, events)]
 
 
 def summarize(delta: float, events: Sequence[IntrinsicEvent]) -> ThresholdSummary:

@@ -952,6 +952,14 @@ def test_one_pass_over_a_grid_equals_each_threshold_scanned_alone(monkeypatch, k
         assert any(0 < full < k - 1 for full in stops)
 
 
+def test_each_first_event_block_keeps_its_8_byte_columns_aligned(monkeypatch):
+    # the first blocks are slices of one allocation; with a cap that is not
+    # a multiple of 4, 26-byte slots would misalign every other runner's
+    monkeypatch.setattr(engine, "_FIRST_CAP", 3)
+    scan = engine._GridScan([it.ThresholdConfig(d) for d in (0.01, 0.02, 0.03)], 1.0, 1)
+    assert all(r.ts % 8 == r.px % 8 == r.xt % 8 == 0 for r in scan.runners)
+
+
 def scan_in_blocks(series, configs, mode, cuts):
     """The grid's event arrays from one ``_GridScan`` fed the ticks split at
     ``cuts`` (sorted; equal cuts make empty blocks), or the text of the
@@ -1133,18 +1141,22 @@ FLOOD_CALLS = {
                                                reason="no C compiler (cc) on PATH")),
     "python", "step"])
 def test_an_overshoot_flood_raises_before_it_runs_out_of_memory(backend):
-    # In a fresh interpreter, with its address space limited to 2 GiB: a
-    # scan that doubles its event block until no more can be allocated
-    # takes over a second there, and fails with a bare MemoryError
+    # In a fresh interpreter, with its address space limited to 2 GiB more
+    # than it has mapped (not to 2 GiB in all, which leaves no room beside
+    # AddressSanitizer's shadow memory): a scan that doubles its event block
+    # until no more can be allocated takes over a second there, and fails
+    # with a bare MemoryError
     script = textwrap.dedent("""
-        import resource, time
+        import re, resource, time
+        from pathlib import Path
         import numpy as np
         import intrinsic_time as it
         from intrinsic_time import engine
 
         it.kernel_backend()  # loads, or compiles, the kernel before the limit
+        mapped = int(re.search(r"VmSize:\\s+(\\d+) kB", Path("/proc/self/status").read_text())[1])
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
+        resource.setrlimit(resource.RLIMIT_AS, ((mapped << 10) + (2 << 30), hard))
         series = it.TickSeries(np.arange(4), np.array([1.0, 0.5, 1.0, 2.0]))
         config = it.ThresholdConfig(1e-12)
         start = time.perf_counter()
