@@ -63,8 +63,8 @@
  * exact tests as ``_scan_python`` does, and L, H, cu and cd are rebuilt
  * from all runners as they stand after it; top and bottom start again at
  * that tick. The extremes are also moved at the end of the call, and at a
- * full-buffer stop for the runners after the full one, so that every
- * runner the caller or the next call sees holds its own. A call starts with
+ * stop for the runners after the one that stopped, so that every runner
+ * the caller or the next call sees holds its own. A call starts with
  * an empty interval, so that every runner reads its first tick, which may
  * be one whose overshoot loop a full buffer cut short.
  *
@@ -72,20 +72,19 @@
  * px (the triggering tick's) and xt columns, m of its cap slots written.
  * Each block of ticks is scanned from its tick 0, from the runners' state
  * after the last block. The scan stops at the end of the block, returning
- * -1, or when an event is due and its runner's cap slots are full, returning
- * that runner's index; then ``*at`` is that event's tick, and a call with a
- * larger buffer for that runner resumes every runner there. The stop may
+ * -1, or at a runner that cannot go on, returning its index with ``*at`` at
+ * that tick: where an event is due and its cap slots are full, or where its
+ * overshoot step cannot move ref (ref * factor == ref, for a threshold below
+ * the price's rounding or a subnormal ref), a stall, which also sets its
+ * ``stall`` to the tick (a full stop leaves it at -1, as ref alone cannot
+ * tell: a full buffer at a DC may meet such a ref). A stall ends the scan; a
+ * call with a larger buffer resumes every runner at a full stop, which may
  * fall inside a gap tick's overshoot loop; the trend test is ``>=`` so that
  * the resumed tick, already the extremum, re-enters the loop. The runners
  * before the full one have read that tick already, and reading it again is a
  * no-op: a tie, whose overshoot loop emits nothing, because its first test
  * repeats the one that ended it, or is move(p, p) = 0 right after a DC; or a
- * tick that failed the DC test and fails it again. A runner whose overshoot
- * step cannot move ref (ref * factor == ref, for a threshold below the
- * price's rounding or a subnormal ref) would loop forever: it records the
- * tick in ``stall`` and parks, with ext at an infinity that no catch-up
- * passes; the busy ticks skip it, so it fires nothing more and narrows no
- * interval, and the other runners scan on.
+ * tick that failed the DC test and fails it again.
  *
  * xt gets the trend extremum: a DC writes it before resetting ``ext``, so
  * it is that of the trend the DC ends; an OS writes its own price.
@@ -196,8 +195,6 @@ int64_t it_scan(const int64_t *ts, const double *px, int64_t n, int64_t *at,
 
     for (r = run; r < end; r++) {
         double g = r->guard, mode = r->mode;
-        if (r->stall >= 0)
-            continue;                         /* parked */
         double c_up = r->use_log ? exp(g) * (1 - BAND_MU) : 1 + g - BAND_MU;
         double c_dn = r->use_log ? exp(-g) * (1 + BAND_MU) : 1 - g + BAND_MU;
         r->os_c = mode > 0 ? c_up : c_dn;
@@ -209,7 +206,7 @@ int64_t it_scan(const int64_t *ts, const double *px, int64_t n, int64_t *at,
 #define EMIT(code, d)                                                      \
     do {                                                                   \
         if (r->m == r->cap)                                                \
-            goto full;                                                     \
+            goto stop;                                                     \
         r->kind[r->m] = (code);                                            \
         r->dir[r->m] = (int8_t)(d);                                        \
         r->ts[r->m] = ts[i];                                               \
@@ -248,8 +245,6 @@ int64_t it_scan(const int64_t *ts, const double *px, int64_t n, int64_t *at,
         cu = 0;
         cd = HUGE_VAL;
         for (r = run; r < end; r++) {
-            if (r->stall >= 0)
-                continue;                     /* parked */
             catch_up(r, r + 1, top, bottom);
             double mode = r->mode, ext = r->ext, dc_at = r->dc_at;
             if (mode * p >= mode * ext) {     /* the trend extends (or ties) */
@@ -259,15 +254,12 @@ int64_t it_scan(const int64_t *ts, const double *px, int64_t n, int64_t *at,
                     double factor = mode > 0 ? r->up_factor : r->down_factor;
                     while (mode * move(r->ref, p, r->use_log) >= r->guard) {
                         if (r->ref * factor == r->ref) {
-                            r->stall = i;     /* a step that cannot move ref: */
-                            r->ext = mode * HUGE_VAL; /* park past every catch-up */
-                            break;
+                            r->stall = i;     /* a step that cannot move ref */
+                            goto stop;
                         }
                         EMIT(1, mode);
                         r->ref *= factor;
                     }
-                    if (r->stall >= 0)
-                        continue;             /* parked: it bounds no interval */
                     r->os_at = band(r->ref, r->os_c, mode);
                 }
             } else if (mode * p <= mode * dc_at
@@ -300,7 +292,7 @@ int64_t it_scan(const int64_t *ts, const double *px, int64_t n, int64_t *at,
     catch_up(run, end, top, bottom);
     *at = i;
     return -1;
-full:
+stop:
     catch_up(r + 1, end, top, bottom);
     *at = i;
     return r - run;

@@ -306,30 +306,27 @@ def _scan_args(config: ThresholdConfig) -> tuple[float, float, float, bool]:
     return guard, 1.0 + delta, 1.0 - delta, False
 
 
-def _endless_scan(config: ThresholdConfig, timestamp: int, price: float,
-                  ref: float) -> DomainError:
-    """The error for a tick where an overshoot step leaves the reference
-    price where it is (``ref * factor == ref``), so the scan would never end."""
-    return DomainError(
-        f"threshold {config.delta!r}: an overshoot step from reference price {ref!r} "
-        f"rounds back to it at the tick at timestamp {timestamp} (price {price!r}), "
-        "so the scan would never end")
-
-
 def _overshoots_due(price: float, ref: float, mode: float, factor: float) -> tuple[float, bool]:
     """About how many overshoots of ``factor`` are due at ``price`` from the
     reference ``ref`` in trend ``mode`` (+1 or -1), in closed form, and
     whether that is a flood: more than physical memory holds at 26 bytes
-    an event (``_columns``), where the scans stop and raise ``_flood``."""
+    an event (``_columns``), where the scans stop and raise ``_stopped``."""
     due = (mode * (math.log(price) - math.log(ref)) / abs(math.log(factor))
            if mode * (price - ref) > 0 and factor != 1.0 else 0.0)
     return due, due > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 26
 
 
-def _flood(config: ThresholdConfig, timestamp: int, price: float, ref: float, mode: float,
-           factor: float) -> DomainError:
-    """The error for a tick whose overshoots cannot all be held, from the
-    state where the scan stopped."""
+def _stopped(config: ThresholdConfig, timestamp: int, price: float, ref: float, mode: float,
+             factor: float, stall: bool) -> DomainError:
+    """The error for the tick where a scan stopped, from its state there: a
+    ``stall``, where an overshoot step leaves the reference price where it
+    is (``ref * factor == ref``), so the scan would never end, or else a
+    flood, whose overshoots cannot all be held."""
+    if stall:
+        return DomainError(
+            f"threshold {config.delta!r}: an overshoot step from reference price {ref!r} "
+            f"rounds back to it at the tick at timestamp {timestamp} (price {price!r}), "
+            "so the scan would never end")
     due = _overshoots_due(price, ref, mode, factor)[0]
     return DomainError(
         f"threshold {config.delta!r}: its events do not fit in memory at the tick at "
@@ -380,13 +377,12 @@ def step(state: RunnerState, tick: Tick,
     mode = state.mode
     sign = mode.value
     args = _scan_args(config)
-    found, ext, ref, new_sign, _, stop = _scan_python(
+    found, ext, ref, new_sign, _, stop, stall = _scan_python(
         [price], state.extremum_price, state.os_reference_price, sign,
         state.dc_confirm_price is not None, *args)
     if stop == 0:
-        factor = args[1] if sign == 1 else args[2]
-        raise (_endless_scan(config, ts, price, ref) if ref * factor == ref
-               else _flood(config, ts, price, ref, sign, factor))
+        raise _stopped(config, ts, price, ref, sign, args[1] if sign == 1 else args[2],
+                       stall >= 0)
     state.extremum_price, state.os_reference_price, state.last_timestamp = ext, ref, ts
     if new_sign != sign:  # a DC fired, and it is this tick's only event
         mode = state.mode = mode.flipped
@@ -609,11 +605,12 @@ def _scan_python(px: list, ext: float, ref: float, mode: int, confirmed: bool,
     Scans ``px`` from the given runner state; returns the events as
     ``(kind, direction, tick index, trend extremum)`` tuples (a DC's is
     the extremum of the trend it ends), the state after the last tick
-    read and the index of the next tick to read: ``len(px)``, unless the
-    scan stops at a tick where an overshoot step cannot move the reference
-    price (``ref * factor == ref``), so that it would loop forever, or at
-    one that floods (``_overshoots_due``), checked once the tick has fired
-    ``_FIRST_CAP`` overshoots, so that a tick that fires fewer pays nothing.
+    read, the index of the next tick to read and ``stall``: ``len(px)`` and
+    -1, unless the scan stops at a tick that floods (``_overshoots_due``),
+    checked once the tick has fired ``_FIRST_CAP`` overshoots, so that a
+    tick that fires fewer pays nothing, or at a stall: a tick where an
+    overshoot step cannot move the reference price (``ref * factor ==
+    ref``), so that it would loop forever; ``stall`` is then its index.
     ``mode`` is +1 or -1; ``mode * x >= guard`` reads ``x >= guard`` up
     and ``x <= -guard`` down, exactly, since negation does not round.
     """
@@ -627,9 +624,10 @@ def _scan_python(px: list, ext: float, ref: float, mode: int, confirmed: bool,
                 fired = 0  # this tick's overshoots
                 while mode * (log(p / ref) if use_log else (p - ref) / ref) >= guard:
                     fired += 1
-                    if ref * factor == ref or fired == _FIRST_CAP and _overshoots_due(
-                            p, ref, mode, factor)[1]:
-                        return events, ext, ref, mode, confirmed, i
+                    if ref * factor == ref:
+                        return events, ext, ref, mode, confirmed, i, i
+                    if fired == _FIRST_CAP and _overshoots_due(p, ref, mode, factor)[1]:
+                        return events, ext, ref, mode, confirmed, i, -1
                     events.append((1, mode, i, ext))
                     ref = ref * factor
         elif -mode * (log(p / ext) if use_log else (p - ext) / ext) >= guard:
@@ -637,7 +635,7 @@ def _scan_python(px: list, ext: float, ref: float, mode: int, confirmed: bool,
             events.append((0, mode, i, ext))
             ext = ref = p
             confirmed = True
-    return events, ext, ref, mode, confirmed, len(px)
+    return events, ext, ref, mode, confirmed, len(px), -1
 
 
 @dataclass(frozen=True, eq=False)
@@ -680,7 +678,8 @@ class _GridScan:
     left it, in the C kernel, which reads each tick once for the grid, or
     else in ``_scan_python``. Each runner's events go to one block, copied
     to one twice as large when it fills; the first blocks are slices of one
-    allocation."""
+    allocation. A threshold that cannot go on, at a stall or a flood, stops
+    the scan: ``feed`` raises there, and the scan is not fed again."""
 
     def __init__(self, configs: list[ThresholdConfig], first_price: float, mode: int):
         self.configs = configs
@@ -694,50 +693,47 @@ class _GridScan:
              *_column_addresses(base + step * j, cap), cap)
             for j, config in enumerate(configs)))
         self.blocks = [first[step * j:step * j + 26 * cap] for j in range(k)]
-        self.stalls = [None] * len(configs)  # per runner: timestamp, price and ref of its stall
 
     def feed(self, timestamps: np.ndarray, prices: np.ndarray) -> None:
         """Scan the next ticks: C-contiguous int64 timestamps, float64 prices.
-        DomainError for the first tick, then threshold, that floods."""
-        floods = []  # (tick, runner) where a runner's events do not fit in memory
+        DomainError (``_stopped``) for the first tick, then threshold in grid
+        order, where a threshold stalls or floods; the same for every split
+        of the ticks and on both backends."""
+        stops = []  # (tick, runner) where a runner cannot go on
         if self.kernel is None:
             px = prices.tolist()
             for j, r in enumerate(self.runners):
-                if r.stall < 0:
-                    found, r.ext, r.ref, r.mode, r.confirmed, stop = _scan_python(
-                        px, r.ext, r.ref, r.mode, r.confirmed, r.guard, r.up_factor,
-                        r.down_factor, r.use_log)
-                    r.stall = stop if stop < len(px) else -1
-                    if r.stall >= 0 and r.ref * r.factor != r.ref:  # not a stall
-                        floods.append((stop, j))
-                    # float64 holds these kinds, directions and tick indices exactly
-                    kinds, dirs, idx, xt = np.array(found, np.float64).reshape(-1, 4).T
-                    idx, m = idx.astype(np.int64), r.m + len(found)
-                    self.blocks[j] = self._grow(j, m)
-                    for column, new in zip(_columns(self.blocks[j], m),
-                                           (kinds, dirs, timestamps[idx], prices[idx], xt)):
-                        column[r.m:] = new
-                    r.m = m
+                found, r.ext, r.ref, r.mode, r.confirmed, stop, r.stall = _scan_python(
+                    px, r.ext, r.ref, r.mode, r.confirmed, r.guard, r.up_factor,
+                    r.down_factor, r.use_log)
+                if stop < len(px):
+                    stops.append((stop, j))
+                # float64 holds these kinds, directions and tick indices exactly
+                kinds, dirs, idx, xt = np.array(found, np.float64).reshape(-1, 4).T
+                idx, m = idx.astype(np.int64), r.m + len(found)
+                self.blocks[j] = self._grow(j, m)
+                for column, new in zip(_columns(self.blocks[j], m),
+                                       (kinds, dirs, timestamps[idx], prices[idx], xt)):
+                    column[r.m:] = new
+                r.m = m
         else:
             at = ctypes.c_int64(0)
             while (j := self.kernel.scan(timestamps.ctypes.data, prices.ctypes.data,
                                          prices.size, at, self.runners, len(self.runners))) >= 0:
                 r = self.runners[j]
-                try:
-                    if _overshoots_due(float(prices[at.value]), r.ref, r.mode, r.factor)[1]:
-                        raise MemoryError  # no block that holds them can be allocated
-                    self.blocks[j] = self._grow(j, r.cap + 1)
-                except MemoryError:
-                    floods.append((at.value, j))
-                    break
-        if floods:
-            i, j = min(floods)
+                # not a stall but a full block: a larger one, unless none can hold the events
+                if r.stall < 0 and not _overshoots_due(float(prices[at.value]), r.ref, r.mode,
+                                                       r.factor)[1]:
+                    with contextlib.suppress(MemoryError):
+                        self.blocks[j] = self._grow(j, r.cap + 1)
+                        continue
+                stops.append((at.value, j))
+                break
+        if stops:
+            i, j = min(stops)
             r = self.runners[j]
-            raise _flood(self.configs[j], int(timestamps[i]), float(prices[i]), r.ref, r.mode,
-                         r.factor)
-        for j, r in enumerate(self.runners):
-            if r.stall >= 0 and self.stalls[j] is None:
-                self.stalls[j] = (int(timestamps[r.stall]), float(prices[r.stall]), r.ref)
+            raise _stopped(self.configs[j], int(timestamps[i]), float(prices[i]), r.ref, r.mode,
+                           r.factor, r.stall >= 0)
 
     def _grow(self, j: int, need: int) -> np.ndarray:
         """Runner j's block if it has ``need`` event slots, else a new one
@@ -753,26 +749,15 @@ class _GridScan:
         r.cap = cap
         return block
 
-    def _check_stalls(self) -> None:
-        """DomainError for the first config whose overshoot step could not
-        move its reference price."""
-        for config, stall in zip(self.configs, self.stalls):
-            if stall is not None:
-                raise _endless_scan(config, *stall)
-
     def finish(self) -> list[EventArrays]:
-        """Every config's event arrays, in order; DomainError as
-        ``_check_stalls`` raises it."""
-        self._check_stalls()
+        """Every config's event arrays, in order, from the ticks fed."""
         return [EventArrays(*_columns(block, r.m), config)
                 for block, r, config in zip(self.blocks, self.runners, self.configs)]
 
     def events(self) -> list[list[IntrinsicEvent]]:
         """Every config's events, in order: ``events_from_arrays`` of each of
         ``finish``'s arrays, built from every runner's columns in one
-        ``it_build_events`` call where the kernel has the builder. DomainError
-        as ``_check_stalls`` raises it."""
-        self._check_stalls()
+        ``it_build_events`` call where the kernel has the builder."""
         build = self.kernel and self.kernel.build_events
         if build:
             events = build(IntrinsicEvent, _MEMBERS, self.runners, len(self.runners),
@@ -784,8 +769,10 @@ class _GridScan:
 
 def _grid_scan(series: TickSeries, configs: list[ThresholdConfig],
                initial_mode: Mode = Mode.UP) -> _GridScan:
-    """One ``_GridScan`` fed the whole series; EmptyInputError on an empty
-    series."""
+    """The grid driver: one ``_GridScan`` fed the whole series, which reads
+    the ticks once for the grid. ``finish()[j]`` is exactly what
+    ``process_arrays`` returns for ``configs[j]``. Raises EmptyInputError on
+    an empty series, and DomainError as ``feed`` does."""
     if len(series) == 0:
         raise EmptyInputError("cannot process an empty tick sequence")
     scan = _GridScan(configs, float(series.prices[0]), initial_mode.value)
@@ -793,28 +780,20 @@ def _grid_scan(series: TickSeries, configs: list[ThresholdConfig],
     return scan
 
 
-def _process_grid(series: TickSeries, configs: list[ThresholdConfig],
-                  initial_mode: Mode = Mode.UP) -> list[EventArrays]:
-    """The grid driver of the array paths: element j is exactly what
-    ``process_arrays`` returns for ``configs[j]``. Raises EmptyInputError
-    on an empty series, and DomainError as ``finish`` does."""
-    return _grid_scan(series, configs, initial_mode).finish()
-
-
 def process_arrays(ticks: TickInput, config: ThresholdConfig,
                    initial_mode: Mode = Mode.UP) -> EventArrays:
     """Run the event scan and return events as arrays (no object churn).
 
-    The one-threshold case of the grid driver ``_process_grid``, which
+    The one-threshold case of the grid driver ``_grid_scan``, which
     ``run_grid``, ``decompose`` and the CLI commands call once for a whole
     grid, so that they read the ticks once.
     """
-    return _process_grid(as_tick_series(ticks), [config], initial_mode)[0]
+    return _grid_scan(as_tick_series(ticks), [config], initial_mode).finish()[0]
 
 
-_KINDS = (EventKind.DIRECTIONAL_CHANGE, EventKind.OVERSHOOT)  # by kind code
+_KINDS = {0: EventKind.DIRECTIONAL_CHANGE, 1: EventKind.OVERSHOOT}  # by kind code
 _DIRECTIONS = {1: Mode.UP, -1: Mode.DOWN}
-_MEMBERS = (*_KINDS, Mode.UP, Mode.DOWN)  # it_build_events': by kind code, then up, down
+_MEMBERS = (*_KINDS.values(), Mode.UP, Mode.DOWN)  # it_build_events': kinds, then up, down
 
 
 @contextlib.contextmanager
@@ -838,8 +817,9 @@ def _build_events(kinds: Iterable[int], directions: Iterable[int], timestamps: I
                   prices: Iterable, deltas: Iterable, clocks: Iterable) -> list[IntrinsicEvent]:
     """IntrinsicEvent objects from six columns of Python values, with the
     kind as a code (0 = DC, 1 = OS) and the direction as +1 (up) or -1
-    (down), with the collector paused. The loop runs in C: ``map`` calls
-    ``tuple.__new__`` on each zipped row. The spec of ``it_build_events``."""
+    (down), with the collector paused; KeyError for any other code. The
+    loop runs in C: ``map`` calls ``tuple.__new__`` on each zipped row. The
+    spec of ``it_build_events``."""
     with _collector_paused():
         return list(map(tuple.__new__, itertools.repeat(IntrinsicEvent),
                         zip(map(_KINDS.__getitem__, kinds),
@@ -882,15 +862,25 @@ def events_from_arrays(arrays: EventArrays) -> list[IntrinsicEvent]:
     ``ev._replace(...)``, read it as a dict with ``ev._asdict()``; the
     dataclass helpers do not apply. Every field holds an enum member, an
     ``int`` or a ``float``, never a numpy scalar, and every event holds the
-    one ``arrays.config.delta`` object.
+    one ``arrays.config.delta`` object. A kind code other than 0 or 1, or a
+    direction other than +1 or -1, raises DomainError naming the first
+    event that has one.
     """
     events = _built_in_c(arrays.kinds, arrays.directions, arrays.timestamps, arrays.prices,
                          arrays.config.delta)
     if events is not None:
         return events
-    return _build_events(arrays.kinds.tolist(), arrays.directions.tolist(),
-                         arrays.timestamps.tolist(), arrays.prices.tolist(),
-                         itertools.repeat(arrays.config.delta), range(len(arrays)))
+    kinds, directions = arrays.kinds.tolist(), arrays.directions.tolist()
+    try:
+        return _build_events(kinds, directions, arrays.timestamps.tolist(),
+                             arrays.prices.tolist(), itertools.repeat(arrays.config.delta),
+                             range(len(arrays)))
+    except KeyError:
+        i, kind, direction = next((i, k, d) for i, (k, d) in enumerate(
+            itertools.zip_longest(kinds, directions)) if k not in _KINDS or d not in _DIRECTIONS)
+        raise DomainError(f"event {i} has kind code {kind!r} and direction {direction!r}: a "
+                          "kind code is 0 (DC) or 1 (OS), a direction +1 (up) or -1 (down)"
+                          ) from None
 
 
 def process(ticks: TickInput, config: ThresholdConfig,
@@ -903,7 +893,9 @@ def process(ticks: TickInput, config: ThresholdConfig,
     Python loop that ``step`` runs tick by tick. The C scan resumes where
     it stopped on a full event buffer, so every tick is scanned once
     however many events there are. Raises EmptyInputError on an empty
-    sequence; a single tick yields no events.
+    sequence; a single tick yields no events. At the first tick where an
+    overshoot step cannot move the reference price, or whose overshoots do
+    not fit in memory, it raises the DomainError that ``step`` raises there.
     """
     return _grid_scan(as_tick_series(ticks), [config], initial_mode).events()[0]
 

@@ -48,9 +48,8 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import (_KINDS, EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries,
-                     _build_events, _built_in_c, _collector_paused, _in_int64, _load_kernel,
-                     _whole)
+from .engine import (EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries, _build_events,
+                     _built_in_c, _collector_paused, _in_int64, _load_kernel, _whole)
 from .errors import ConfigurationError, DomainError, IngestionError, OrderingError, WriteError
 
 TICK_SCHEMA_COMMENT = "# intrinsic-time tick-csv v1"
@@ -436,7 +435,7 @@ def _member_code(field: str, value, enum: type[Enum]) -> int:
     """The column code of ``value``; ValueError when it is not an ``enum`` member."""
     if type(value) is not enum:
         raise ValueError(f"{field} {value!r} is not a member of {enum.__name__}")
-    return _KINDS.index(value) if enum is EventKind else value.value
+    return int(value is EventKind.OVERSHOOT) if enum is EventKind else value.value
 
 
 # the event-file text of each kind code (0, 1) and direction code (+1, -1)
@@ -569,14 +568,15 @@ def _read_event_rows(path: Path, data: bytes, csv: bool) -> list[IntrinsicEvent]
     ``it_parse_events``, and the only reader that names a bad row."""
     rows = []
     header = EVENT_HEADER if csv else False
-    for row_no, line in _text_rows(path, data, comments=csv, header=header):
-        try:
-            fields = line.split(",") if csv else _jsonl_fields(line)
-            if len(fields) != len(EVENT_FIELDS):
-                raise ValueError(f"expected {len(EVENT_FIELDS)} fields")
-            rows.append(_event_row(*fields))
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise IngestionError(f"row {row_no}: {exc}", row=row_no) from exc
+    with _collector_paused():  # the rows are tuples of numbers, which make no cycle
+        for row_no, line in _text_rows(path, data, comments=csv, header=header):
+            try:
+                fields = line.split(",") if csv else _jsonl_fields(line)
+                if len(fields) != len(EVENT_FIELDS):
+                    raise ValueError(f"expected {len(EVENT_FIELDS)} fields")
+                rows.append(_event_row(*fields))
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise IngestionError(f"row {row_no}: {exc}", row=row_no) from exc
     return _build_events(*_event_columns(rows))
 
 

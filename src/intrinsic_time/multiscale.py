@@ -32,11 +32,10 @@ class ThresholdGrid:
     deltas: tuple[float, ...]
 
     def __post_init__(self):
-        deltas = tuple(float(d) for d in self.deltas)
+        # ConfigurationError, as ThresholdConfig raises it, unless each is a number in (0, 1)
+        deltas = tuple(ThresholdConfig(d).delta for d in self.deltas)
         if not deltas:
             raise ConfigurationError("threshold grid must not be empty")
-        for d in deltas:
-            ThresholdConfig(d)  # ConfigurationError unless d is in (0, 1)
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
             raise ConfigurationError(
                 f"thresholds must be strictly ascending and distinct, got {deltas}")
@@ -84,8 +83,8 @@ def _scan_grid(series: TickSeries, grid: GridInput,
     """``run_grid`` as event arrays: those of every threshold, in grid
     order, each carrying its threshold in ``config.delta``, from one call
     of the grid driver, which reads each tick once for the whole grid."""
-    # through the module, so that a patched ``engine._process_grid`` sees every pass
-    return engine._process_grid(series, _configs(grid, convention))
+    # through the module, so that a patched ``engine._grid_scan`` sees every pass
+    return engine._grid_scan(series, _configs(grid, convention)).finish()
 
 
 def run_grid(ticks: TickInput, grid: GridInput,
@@ -98,7 +97,9 @@ def run_grid(ticks: TickInput, grid: GridInput,
     fallback scans once per threshold), and the output follows the grid
     order; element i is exactly what a single ``process`` call at that
     threshold returns. The events of the whole grid are built in one call
-    of the C builder where the kernel has it.
+    of the C builder where the kernel has it. The first tick, then
+    threshold, where a threshold stalls or floods raises the DomainError
+    that ``process`` raises for that threshold alone.
     """
     series = as_tick_series(ticks)
     configs = _configs(grid, convention)

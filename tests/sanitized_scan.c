@@ -20,9 +20,11 @@
  * their size, for grids of one to four thresholds (one grid with a
  * threshold that stalls), in both conventions and from both modes. Each
  * runner's event columns start with 1 to 3 slots, and a runner that fills
- * them gets one more slot and the scan resumes; the events and the runners'
- * state must be those of one scan of the whole walk. The first line out
- * gives the size and field offsets of struct it_runner as declared here.
+ * them gets one more slot and the scan resumes; a stall ends it, and a
+ * stall before the cut ends it before the ticks after the cut. The events
+ * and the runners' state must be those of one scan of the whole walk. The
+ * first line out gives the size and field offsets of struct it_runner as
+ * declared here.
  *
  * The first sanitizer report ends the run with a non-zero status.
  */
@@ -241,25 +243,25 @@ static int64_t runners(struct it_runner *run, int g, int use_log, double p0, dou
 }
 
 /* it_scan over ticks [from, to), copied into blocks of exactly their size,
- * resumed after each full stop with one more slot for the full runner. A
- * runner that stalls there gets the walk's index of its stall tick. */
-static void scan(const int64_t *ts, const double *px, int64_t from, int64_t to,
-                 struct it_runner *run, int64_t k)
+ * resumed after each full stop with one more slot for the full runner, and
+ * ended at a stall, whose runner gets the walk's index of its stall tick.
+ * Returns whether a stall ended it. */
+static int scan(const int64_t *ts, const double *px, int64_t from, int64_t to,
+                struct it_runner *run, int64_t k)
 {
-    int64_t n = to - from, at = 0, full, stalled[4];
-    for (int64_t j = 0; j < k; j++)
-        stalled[j] = run[j].stall >= 0;
+    int64_t n = to - from, at = 0, stop;
     int64_t *t = block((size_t)n * sizeof *t);
     double *p = block((size_t)n * sizeof *p);
     if (n > 0) {
         memcpy(t, ts + from, (size_t)n * sizeof *t);
         memcpy(p, px + from, (size_t)n * sizeof *p);
     }
-    while ((full = it_scan(t, p, n, &at, run, k)) >= 0)
-        grow(&run[full], run[full].cap + 1);
-    for (int64_t j = 0; j < k; j++)
-        run[j].stall += !stalled[j] && run[j].stall >= 0 ? from : 0;
+    while ((stop = it_scan(t, p, n, &at, run, k)) >= 0 && run[stop].stall < 0)
+        grow(&run[stop], run[stop].cap + 1);
+    if (stop >= 0)
+        run[stop].stall += from;
     free(t), free(p);
+    return stop >= 0;
 }
 
 /* Whether runners a and b hold the same state and events. */
@@ -312,8 +314,8 @@ static int64_t scan_walks(void)
                     for (int64_t cap = 1; cap <= 3; cap++)
                         for (int64_t cut = 0; cut <= WALK; cut++) {
                             runners(split, g, use_log, px[0], mode, cap);
-                            scan(ts, px, 0, cut, split, k);
-                            scan(ts, px, cut, WALK, split, k);
+                            if (!scan(ts, px, 0, cut, split, k))
+                                scan(ts, px, cut, WALK, split, k);
                             for (int64_t j = 0; j < k; j++) {
                                 if (!same(&whole[j], &split[j])) {
                                     fprintf(stderr, "walk %d grid %d log %d mode %g cap %lld "

@@ -229,13 +229,13 @@ def test_each_command_scans_each_threshold_once(tmp_path, monkeypatch, capsys):
     run_cli("generate", "--model", "walk", "--step-size", "0.003", "--steps",
             "5000", "--seed", "9", "--out", str(ticks))
     calls = []  # the thresholds of each grid-driver call
-    process_grid = it.engine._process_grid
+    grid_scan = it.engine._grid_scan
 
     def counting(*args, **kwargs):
         calls.append([config.delta for config in args[1]])
-        return process_grid(*args, **kwargs)
+        return grid_scan(*args, **kwargs)
 
-    monkeypatch.setattr(it.engine, "_process_grid", counting)
+    monkeypatch.setattr(it.engine, "_grid_scan", counting)
     common = ["--in", str(ticks), "--deltas", "0.002,0.004,0.008"]
     for command, extra in [("transform", ["--out-dir", str(tmp_path / "out")]),
                            ("scaling", []),

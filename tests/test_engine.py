@@ -842,9 +842,9 @@ def test_a_step_that_cannot_move_the_reference_stops_the_scan(monkeypatch, price
                                 *(column.ctypes.data for column in out), cap, 0)
         at = ctypes.c_int64(1)
         assert kernel.scan(series.timestamps.ctypes.data, series.prices.ctypes.data, 4, at,
-                           runner, 1) == -1
-        assert (runner.m, runner.stall) == (2, 3)  # the two DCs, then the stop at tick 3
-        assert at.value == 4 and runner.ref == prices[2]  # parked there; the scan ran on
+                           runner, 1) == 0  # runner 0 stopped the scan
+        assert (runner.m, runner.stall) == (2, 3)  # the two DCs, then the stall at tick 3
+        assert at.value == 3 and runner.ref == prices[2]  # the scan stopped there
         with pytest.raises(it.DomainError, match=error):
             it.process_arrays(series, config)
     monkeypatch.setattr(engine, "_kernel", None)
@@ -864,30 +864,46 @@ def test_the_oracle_stops_where_a_step_cannot_move_the_reference(prices, delta, 
         within_lines(100_000, reference_events, range(4), prices, delta, use_log)
 
 
-# Subnormal prices (multiples of the smallest one) on which the second
-# threshold of each grid stalls first in time, and the first one later
-STALLING_GRIDS = [(REL, [170, 150, 138, 143, 6, 2], (0.01, 0.05), (50, 40)),
-                  (LOG, [160, 50, 54, 3, 40, 173], (0.01, 0.1), (50, 30))]
+# Grids whose thresholds stop at different ticks: on subnormal prices
+# (multiples of the smallest one) the second threshold stalls first in
+# time and the first one later; on the last prices, 1e-17 stalls at
+# timestamp 30, where 1e-15 fires nothing, and 1e-15 floods at timestamp
+# 40, with about 6.9e15 overshoots due
+STOPPING_GRIDS = [(REL, np.array([170, 150, 138, 143, 6, 2]) * 5e-324, (0.01, 0.05), (50, 40)),
+                  (LOG, np.array([160, 50, 54, 3, 40, 173]) * 5e-324, (0.01, 0.1), (50, 30)),
+                  (REL, np.array([1.0, 0.5, 1.0, 1 + 5e-16, 2000.0]), (1e-17, 1e-15), (30, 40))]
 
 
 @pytest.mark.parametrize("backend", [
     pytest.param("c", marks=pytest.mark.skipif(not HAS_CC,
                                                reason="no C compiler (cc) on PATH")),
     "python"])
-@pytest.mark.parametrize("convention, multiples, deltas, stall_ts", STALLING_GRIDS)
-def test_a_stalling_grid_raises_for_its_first_stalled_threshold(monkeypatch, backend,
-                                                                convention, multiples,
-                                                                deltas, stall_ts):
+@pytest.mark.parametrize("convention, prices, deltas, stop_ts", STOPPING_GRIDS)
+def test_a_grid_raises_for_the_threshold_that_stops_first_in_time(
+        monkeypatch, backend, convention, prices, deltas, stop_ts):
     if backend == "python":
         monkeypatch.setattr(engine, "_kernel", None)
     assert it.kernel_backend() == backend
-    prices = np.array(multiples) * 5e-324
     series = it.TickSeries(np.arange(prices.size) * 10, prices)
-    for delta, ts in zip(deltas, stall_ts):  # each alone: the second stalls first
-        with pytest.raises(it.DomainError, match=rf"^threshold {delta!r}: .* timestamp {ts} "):
-            it.process_arrays(series, it.ThresholdConfig(delta, convention))
-    with pytest.raises(it.DomainError, match=rf"^threshold {deltas[0]!r}: .* timestamp 50 "):
+    alone = []  # each threshold's error alone, which folding step raises too
+    for delta, ts in zip(deltas, stop_ts):
+        config = it.ThresholdConfig(delta, convention)
+        with pytest.raises(it.DomainError, match=rf"^threshold {delta!r}: .* timestamp {ts} ") \
+                as error:
+            it.process_arrays(series, config)
+        alone.append(str(error.value))
+        state = it.new_runner(config, series[0])
+        with pytest.raises(it.DomainError) as error:
+            for tick in series[1:]:
+                it.step(state, tick, config)
+        assert str(error.value) == alone[-1]
+    first = alone[int(np.argmin(stop_ts))]
+    with pytest.raises(it.DomainError) as error:
         within_lines(100_000, it.run_grid, series, deltas, convention)
+    assert str(error.value) == first
+    with pytest.raises(it.DomainError) as error:  # the grid in the other order
+        engine._grid_scan(series, [it.ThresholdConfig(d, convention) for d in deltas[::-1]])
+    assert str(error.value) == first
 
 
 def twin_grid(series, configs, mode):
@@ -941,7 +957,7 @@ def test_one_pass_over_a_grid_equals_each_threshold_scanned_alone(monkeypatch, k
         gap = np.roll(np.geomspace(0.001, 0.03, k), next(shifts))
         cases.append((GAP_SERIES, [it.ThresholdConfig(d, convention) for d in gap], it.Mode.UP))
     for series, configs, mode in cases:
-        grid = engine._process_grid(series, configs, mode)
+        grid = engine._grid_scan(series, configs, mode).finish()
         assert [arrays.config for arrays in grid] == configs
         assert sum(map(len, grid)) > 20
         for got, twin in zip(grid, twin_grid(series, configs, mode)):
@@ -963,23 +979,23 @@ def test_each_first_event_block_keeps_its_8_byte_columns_aligned(monkeypatch):
 def scan_in_blocks(series, configs, mode, cuts):
     """The grid's event arrays from one ``_GridScan`` fed the ticks split at
     ``cuts`` (sorted; equal cuts make empty blocks), or the text of the
-    DomainError it raises."""
+    DomainError a feed raises."""
     scan = engine._GridScan(configs, float(series.prices[0]), mode.value)
-    for lo, hi in zip([0, *cuts], [*cuts, len(series)]):
-        scan.feed(series.timestamps[lo:hi], series.prices[lo:hi])
     try:
-        return scan.finish()
+        for lo, hi in zip([0, *cuts], [*cuts, len(series)]):
+            scan.feed(series.timestamps[lo:hi], series.prices[lo:hi])
     except it.DomainError as exc:
         return str(exc)
+    return scan.finish()
 
 
 # The gap tick, whose overshoot loop fills 3-slot blocks part way through,
-# and the grids that stall, each fed as one grid
+# and the grids that stall, one of them before a flood, each fed as one grid
 SPLIT_GRIDS = [(GAP_SERIES, [it.ThresholdConfig(d, c) for d in (0.03, 0.001, 0.003)], it.Mode.UP)
                for c in (REL, LOG)]
-SPLIT_GRIDS += [(it.TickSeries(np.arange(len(multiples)) * 10, np.array(multiples) * 5e-324),
+SPLIT_GRIDS += [(it.TickSeries(np.arange(prices.size) * 10, prices),
                  [it.ThresholdConfig(d, c) for d in deltas], it.Mode.UP)
-                for c, multiples, deltas, _ in STALLING_GRIDS]
+                for c, prices, deltas, _ in STOPPING_GRIDS]
 
 
 @st.composite
@@ -1190,7 +1206,7 @@ def test_a_flooding_grid_raises_for_its_first_flooding_tick(monkeypatch, backend
     series = it.TickSeries(np.arange(5), np.array([1.0, 0.5, 1.0, 2.0, 1e6]))
     with pytest.raises(it.DomainError, match=r"^threshold 1e-06: .* at timestamp 3 \(price "
                                              r"2\.0\), where about 6\.92e\+05 more"):
-        engine._process_grid(series, [it.ThresholdConfig(1e-5), it.ThresholdConfig(1e-6)])
+        engine._grid_scan(series, [it.ThresholdConfig(1e-5), it.ThresholdConfig(1e-6)])
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")

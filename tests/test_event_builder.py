@@ -92,7 +92,7 @@ def test_the_c_builder_makes_the_python_builders_events(columns):
     delta, deltas = columns[4], columns[5]
     for ev in built:
         assert type(ev) is it.IntrinsicEvent
-        assert ev.kind in engine._KINDS and ev.direction in engine._DIRECTIONS.values()
+        assert ev.kind in engine._KINDS.values() and ev.direction in engine._DIRECTIONS.values()
         assert [type(v) for v in ev[2:]] == [int, float, float, int]
         assert deltas is not None or ev.delta is delta  # one shared delta object
 
@@ -139,10 +139,28 @@ def strided(column):
     return np.repeat(column, 2)[::2]
 
 
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("column, code, message", [
+    ("kinds", 5, "kind code 5 and direction 1"),
+    ("kinds", -1, "kind code -1 and direction 1"),  # not read as _KINDS[-1], an overshoot
+    ("directions", 0, "kind code 0 and direction 0"),
+], ids=["kind-5", "kind-minus-1", "direction-0"])
+def test_a_bad_code_raises_a_domain_error_naming_its_event(monkeypatch, backend, column, code,
+                                                           message):
+    if backend == "python":
+        monkeypatch.setattr(engine, "_kernel", None)
+    elif KERNEL is None:
+        pytest.skip("no C kernel")
+    values = np.array(getattr(ARRAYS, column))
+    first = int(np.flatnonzero(ARRAYS.kinds == 0)[1])  # a DC, going up, past event 0
+    assert ARRAYS.directions[first] == 1
+    values[first:first + 2] = code
+    arrays = dataclasses.replace(ARRAYS, **{column: values})
+    with pytest.raises(it.DomainError, match=rf"^event {first} has {message}: "):
+        it.events_from_arrays(arrays)
+
+
 @pytest.mark.parametrize("change", [
-    {"kinds": np.full(len(ARRAYS), 5, np.int8)},
-    {"kinds": np.full(len(ARRAYS), -1, np.int8)},  # _KINDS[-1]: an overshoot
-    {"directions": np.zeros(len(ARRAYS), np.int8)},
     {"kinds": ARRAYS.kinds.astype(np.int64)},
     {"kinds": ARRAYS.kinds.astype(np.float64)},
     {"timestamps": ARRAYS.timestamps.astype(np.uint64)},
@@ -152,9 +170,8 @@ def strided(column):
     {"timestamps": ARRAYS.timestamps[:-1]},
     {"kinds": ARRAYS.kinds.reshape(1, -1)},
     {"directions": ARRAYS.directions.tolist()},
-], ids=["kind-5", "kind-minus-1", "direction-0", "int64-kinds", "float-kinds",
-        "uint64-timestamps", "big-endian-prices", "strided-kinds", "strided-prices",
-        "short-timestamps", "2d-kinds", "list-directions"])
+], ids=["int64-kinds", "float-kinds", "uint64-timestamps", "big-endian-prices",
+        "strided-kinds", "strided-prices", "short-timestamps", "2d-kinds", "list-directions"])
 def test_unusual_user_arrays_give_the_python_builders_result_or_error(change):
     arrays = dataclasses.replace(ARRAYS, **change)
 
@@ -187,9 +204,9 @@ CALLS = {
     "run_grid": (lambda tmp_path: it.run_grid(WALK, [0.002, 0.01]), None),
     "events_from_arrays": (lambda tmp_path: it.events_from_arrays(ARRAYS), None),
     "bad kind code": (lambda tmp_path: it.events_from_arrays(
-        dataclasses.replace(ARRAYS, kinds=np.full(len(ARRAYS), 5, np.int8))), IndexError),
+        dataclasses.replace(ARRAYS, kinds=np.full(len(ARRAYS), 5, np.int8))), it.DomainError),
     "python builder, bad code": (lambda tmp_path: engine._build_events(
-        [0, 7], [1, 1], [0, 1], [1.0, 1.0], [0.1, 0.1], [0, 1]), IndexError),
+        [0, 7], [1, 1], [0, 1], [1.0, 1.0], [0.1, 0.1], [0, 1]), KeyError),
     "read_events": (lambda tmp_path: it.read_events(event_file(tmp_path)), None),
     "write_events": (lambda tmp_path: it.write_events(EVENTS, tmp_path / "x"), None),
     "write_events, bad direction": (lambda tmp_path: it.write_events(
@@ -219,10 +236,9 @@ def test_each_call_leaves_the_collector_as_it_was(monkeypatch, tmp_path, backend
 
 @pytest.mark.parametrize("call, backend", [
     ("events_from_arrays", "c"), ("events_from_arrays", "python"), ("read_events", "c"),
-    ("write_events", "c"), ("write_events", "python")])
+    ("read_events", "python"), ("write_events", "c"), ("write_events", "python")])
 def test_event_loops_run_without_collections(monkeypatch, tmp_path, backend, call):
-    # 20k events: unpaused, the collector would run dozens of times. The
-    # Python row loop of read_events is not paused.
+    # 20k events: unpaused, the collector would run dozens of times
     if backend == "python":
         monkeypatch.setattr(engine, "_kernel", None)
     elif KERNEL is None:

@@ -627,6 +627,47 @@ def test_events_from_engine_roundtrip(tmp_path):
         assert it.read_events(path, fmt) == events
 
 
+def read_through_a_fifo(path, read):
+    """``read`` of a FIFO that one thread fills with the bytes of ``path``."""
+    fifo = path.with_name("fifo")
+    os.mkfifo(fifo)
+
+    def write():
+        with contextlib.suppress(OSError), open(fifo, "wb") as fh:  # EPIPE if read fails
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        if writer.is_alive():  # unblocks a writer still waiting for a reader
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("kind", ["ticks", "events"])
+def test_a_pipe_reads_as_the_regular_file_does(tmp_path, monkeypatch, kind, newline):
+    # A pipe cannot seek, so it is read whole first. With the kernel, an LF
+    # file is read by the C parser and a CRLF file by the Python row loop.
+    walk, path = GBM_WALK[:5000], tmp_path / "file.csv"
+    if kind == "ticks":
+        it.write_ticks(walk, path)
+        read, row_loop = (lambda p: it.parse_ticks(it.TickFileSpec(p))), "_parse_tick_rows"
+    else:
+        it.write_events(it.process(walk, it.ThresholdConfig(0.002)), path)
+        read, row_loop = it.read_events, "_read_event_rows"
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    assert path.stat().st_size > 1 << 16  # more than a pipe's buffer
+    loops, rows = [], getattr(io, row_loop)
+    monkeypatch.setattr(io, row_loop, lambda *args: loops.append(1) or rows(*args))
+    expected = read(path)
+    assert read_through_a_fifo(path, read) == expected
+    assert len(loops) == 2 * (newline == b"\r\n" or it.kernel_backend() == "python")
+
+
 EVENT_CSV_HEAD = f"{EVENT_SCHEMA_COMMENT}\n{','.join(EVENT_FIELDS)}\n"
 GOOD_JSONL = ('{"kind":"DC","direction":"up","timestamp_ns":1,"price":1.5,'
               '"delta":0.01,"clock_index":0}\n')

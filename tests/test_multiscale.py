@@ -43,10 +43,17 @@ def test_two_threshold_grid_on_fixture():
     [0.0, 0.01],
     [0.01, 1.5],
     [],
+    ["x"],  # not numbers: the error ThresholdConfig raises, not a bare one
+    [None],
+    ["0.5"],
 ])
 def test_invalid_grids_rejected(deltas):
     with pytest.raises(it.ConfigurationError):
         it.ThresholdGrid(tuple(deltas))
+    with pytest.raises(it.ConfigurationError):
+        it.run_grid(FOUR_TICKS, deltas)
+    with pytest.raises(it.ConfigurationError):
+        it.decompose(FOUR_TICKS, deltas, 1)
 
 
 def test_run_grid_rejects_duplicate_deltas():
