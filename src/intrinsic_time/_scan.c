@@ -677,21 +677,12 @@ int it_init(void)
 }
 
 #ifdef IT_EVENTS
-/* Whether every code of n events is one the builder takes: kind 0 or 1,
- * dir +1 or -1. */
-static int known_codes(const int8_t *kind, const int8_t *dir, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++)
-        if ((kind[i] != 0 && kind[i] != 1) || (dir[i] != 1 && dir[i] != -1))
-            return 0;
-    return 1;
-}
-
 /* A list of the n events of r's columns, each type->tp_alloc(type, 6) with
  * the fields engine._build_events gives it: member[kind], member[2] (up) or
  * member[3] (down), an int timestamp, a float price, the delta and an int
  * clock: delta itself, or a new float of delta_col[i] when delta_col is
- * given, and clock_col[i], or else i. NULL with an exception set when an
+ * given, and clock_col[i], or else i. None at the first kind other than 0
+ * or 1, or dir other than +1 or -1; NULL with an exception set when an
  * object cannot be made. */
 static PyObject *event_list(PyTypeObject *type, PyObject *const *member,
                             const struct it_runner *r, PyObject *delta,
@@ -701,6 +692,10 @@ static PyObject *event_list(PyTypeObject *type, PyObject *const *member,
     if (list == NULL)
         return NULL;
     for (int64_t i = 0; i < r->m; i++) {
+        if ((r->kind[i] != 0 && r->kind[i] != 1) || (r->dir[i] != 1 && r->dir[i] != -1)) {
+            Py_DECREF(list);
+            Py_RETURN_NONE;
+        }
         PyObject *ev = type->tp_alloc(type, 6);
         if (ev == NULL)
             goto fail;
@@ -728,30 +723,28 @@ fail:
  * column (k = 1), they get those instead, as event_list says. type is
  * IntrinsicEvent and members the tuple (DC, OS, Mode.UP, Mode.DOWN).
  *
- * Returns None, and builds nothing, when a code is not one known_codes
- * takes: the caller then runs engine._build_events, which is the spec, and
- * raises its own error. The cyclic garbage collector is paused while the
- * events are made, as an event holds no container and so cannot make a
- * cycle, and left as it was. The caller holds the GIL: this function is
- * bound through ctypes.PyDLL, and makes no call that could release it, so
- * no other thread runs while the collector is paused. */
+ * Returns None at the first code event_list does not take, and frees every
+ * event built before it: the caller then runs engine._build_events, which
+ * is the spec, and raises its own error. The cyclic garbage collector is
+ * paused while the events are made, as an event holds no container and so
+ * cannot make a cycle, and left as it was. The caller holds the GIL: this
+ * function is bound through ctypes.PyDLL, and makes no call that could
+ * release it, so no other thread runs while the collector is paused. */
 PyObject *it_build_events(PyObject *type, PyObject *members, const struct it_runner *run,
                           int64_t k, PyObject *deltas, const double *delta_col,
                           const int64_t *clock_col)
 {
-    for (int64_t j = 0; j < k; j++)
-        if (!known_codes(run[j].kind, run[j].dir, run[j].m))
-            Py_RETURN_NONE;
     int enabled = PyGC_Disable();
     PyObject *out = PyList_New((Py_ssize_t)k);
     for (int64_t j = 0; out != NULL && j < k; j++) {
         PyObject *events = event_list((PyTypeObject *)type, &PyTuple_GET_ITEM(members, 0),
                                       &run[j], PyTuple_GET_ITEM(deltas, j), delta_col,
                                       clock_col);
-        if (events == NULL)
-            Py_CLEAR(out);
-        else
-            PyList_SET_ITEM(out, j, events);
+        if (events == NULL || events == Py_None) {
+            Py_SETREF(out, events); /* and so frees the lists before j */
+            break;
+        }
+        PyList_SET_ITEM(out, j, events);
     }
     if (enabled)
         PyGC_Enable();

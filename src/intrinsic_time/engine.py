@@ -648,7 +648,8 @@ class EventArrays:
     ``config`` is the threshold and convention of the scan that made the
     columns; the functions that read them take both from it. CLI
     ``transform`` writes its event files from these columns. Two buffers
-    are equal when their columns and configs are.
+    are equal when their columns and configs are. Columns that are not
+    1-d and of one length raise DomainError naming each column's length.
     """
 
     kinds: np.ndarray
@@ -659,6 +660,12 @@ class EventArrays:
     config: ThresholdConfig
 
     __eq__ = _eq_with_arrays
+
+    def __post_init__(self):
+        shapes = {f.name: np.shape(getattr(self, f.name)) for f in dataclasses.fields(self)[:5]}
+        if len(set(shapes.values())) > 1 or len(shapes["kinds"]) != 1:
+            raise DomainError("event columns must be 1-d and of one length, got " + ", ".join(
+                f"{name} {s[0] if len(s) == 1 else s}" for name, s in shapes.items()))
 
     def __len__(self) -> int:
         return int(self.kinds.size)
@@ -827,8 +834,8 @@ def _build_events(kinds: Iterable[int], directions: Iterable[int], timestamps: I
                             timestamps, prices, deltas, clocks)))
 
 
-# the dtypes of the columns it_build_events reads: kinds, directions,
-# timestamps, prices, deltas and clocks
+# the dtypes of the columns it_build_events reads and it_parse_events
+# fills: kinds, directions, timestamps, prices, deltas and clocks
 _BUILD_DTYPES = tuple(map(np.dtype, (np.int8, np.int8, np.int64, np.float64, np.float64,
                                      np.int64)))
 
@@ -838,7 +845,7 @@ def _built_in_c(kinds, directions, timestamps, prices, delta, deltas=None, clock
     ``delta``, or its value of ``deltas``, and its value of ``clocks``, or
     else its position. None where ``_build_events`` must make them: without
     the builder, for a column that is not a 1-d C-contiguous numpy array of
-    its exact dtype as long as ``kinds``, or for a code the builder does not
+    its exact dtype as long as ``kinds``, or at a code the builder does not
     take (``_build_events`` then gives the same events, or its error)."""
     kernel = _load_kernel()
     build = kernel and kernel.build_events
@@ -855,6 +862,31 @@ def _built_in_c(kinds, directions, timestamps, prices, delta, deltas=None, clock
     return None if events is None else events[0]
 
 
+def _events(columns: list, delta) -> list[IntrinsicEvent]:
+    """The events of the numpy columns ``columns`` (kinds, directions,
+    timestamps, prices, deltas or None, clocks or None), as ``_built_in_c``
+    gives them, from ``it_build_events`` where it can, else from
+    ``_build_events``, for which each column becomes a list, and its entry of
+    ``columns`` is replaced, before the next is converted: a caller that
+    holds the arrays only in ``columns`` holds one of them at a time. A kind
+    code other than 0 or 1, or a direction other than +1 or -1, raises
+    DomainError naming the first event that has one."""
+    events = _built_in_c(*columns[:4], delta, *columns[4:])
+    if events is not None:
+        return events
+    missing = (None,) * 4 + (itertools.repeat(delta), range(columns[0].size))
+    for j, default in enumerate(missing):
+        columns[j] = default if columns[j] is None else columns[j].tolist()
+    try:
+        return _build_events(*columns)
+    except KeyError:
+        i, kind, direction = next((i, k, d) for i, (k, d) in enumerate(
+            zip(*columns[:2])) if k not in _KINDS or d not in _DIRECTIONS)
+        raise DomainError(f"event {i} has kind code {kind!r} and direction {direction!r}: a "
+                          "kind code is 0 (DC) or 1 (OS), a direction +1 (up) or -1 (down)"
+                          ) from None
+
+
 def events_from_arrays(arrays: EventArrays) -> list[IntrinsicEvent]:
     """Materialize IntrinsicEvent objects from an array buffer.
 
@@ -866,21 +898,8 @@ def events_from_arrays(arrays: EventArrays) -> list[IntrinsicEvent]:
     direction other than +1 or -1, raises DomainError naming the first
     event that has one.
     """
-    events = _built_in_c(arrays.kinds, arrays.directions, arrays.timestamps, arrays.prices,
-                         arrays.config.delta)
-    if events is not None:
-        return events
-    kinds, directions = arrays.kinds.tolist(), arrays.directions.tolist()
-    try:
-        return _build_events(kinds, directions, arrays.timestamps.tolist(),
-                             arrays.prices.tolist(), itertools.repeat(arrays.config.delta),
-                             range(len(arrays)))
-    except KeyError:
-        i, kind, direction = next((i, k, d) for i, (k, d) in enumerate(
-            itertools.zip_longest(kinds, directions)) if k not in _KINDS or d not in _DIRECTIONS)
-        raise DomainError(f"event {i} has kind code {kind!r} and direction {direction!r}: a "
-                          "kind code is 0 (DC) or 1 (OS), a direction +1 (up) or -1 (down)"
-                          ) from None
+    return _events([arrays.kinds, arrays.directions, arrays.timestamps, arrays.prices,
+                    None, None], arrays.config.delta)
 
 
 def process(ticks: TickInput, config: ThresholdConfig,

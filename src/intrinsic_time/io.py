@@ -6,18 +6,19 @@ field order. Every CSV written here starts with a ``#``-prefixed schema
 version comment. One reader, ``_text_rows``, numbers the lines of every
 file read here and skips blank lines, CSV comments and the header. When
 ``_scan.c`` is compiled, nanosecond tick files and event files are parsed
-in C into columns, from which the events are built. Tick and event files
-share one number grammar in C, JSON's. Each C parser reads a strict subset
-of what its Python row loop reads; one loop, ``_parse_c``, reads the file
-one block at a time, carries the row a block cuts into the next, resumes
-the parser past the blank, comment and header lines before the first row
-and hands any other file to the row loop, which reads it whole from its
-first byte and stays the spec: the result and every error never depend on
-the path taken or the block size. Every tick and event file is
-written through one block writer, ``_c_blocks``: a head, then the rows
-from a C writer when one is compiled, else from a Python template that
-formats a range of rows and is the C writer's spec (``write_ticks``' own,
-and ``_event_rows`` after ``_event_head`` for event files). Event lists
+in C into columns, from which ``engine._events`` builds the events. Tick
+and event files share one number grammar in C, JSON's. Each C parser reads
+a strict subset of what its Python row loop reads; one loop, ``_parse_c``,
+reads the file one block at a time, carries the row a block cuts into the
+next, resumes the parser past each blank, comment or header line wherever
+it stands, and hands a file with any other line to the row loop, which
+reads it whole from its first byte and stays the spec: the result and
+every error never depend on the path taken or the block size. Every tick
+and event file is written through one block writer, ``_c_blocks``: a
+head, then the rows from a C writer when one is compiled, else from a
+Python template that formats a range of rows and is the C writer's spec
+(``write_ticks``' own, and ``_event_rows`` after ``_event_head`` for event
+files). Event lists
 and scan arrays share one event writer, ``_write_event_columns``. The C
 event writer leaves to the template each row whose price it does not
 format, which in JSON Lines is any price outside [1e-3, 2**52), subnormal
@@ -33,7 +34,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
 import json
 import math
 import operator
@@ -48,8 +48,8 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import (EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries, _build_events,
-                     _built_in_c, _collector_paused, _in_int64, _load_kernel, _whole)
+from .engine import (_BUILD_DTYPES, EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries,
+                     _build_events, _collector_paused, _events, _in_int64, _load_kernel, _whole)
 from .errors import ConfigurationError, DomainError, IngestionError, OrderingError, WriteError
 
 TICK_SCHEMA_COMMENT = "# intrinsic-time tick-csv v1"
@@ -174,59 +174,63 @@ def _text_rows(path: Path, data: bytes, comments: bool,
 
 def _read_on(fh: BinaryIO, rest: bytes) -> tuple[bytes, bool]:
     """``rest`` and the next block of ``fh``, or the blocks up to the first
-    that holds a LF, and whether the file ended."""
+    that holds a LF, and whether the file ended. ``rest`` holds no LF, so at
+    the end of the file they are its last line, which gets a LF."""
     blocks = [rest]
     while block := fh.read(_BLOCK_BYTES):
         blocks.append(block)
         if b"\n" in block:
             return b"".join(blocks), False
-    return b"".join(blocks), True
+    last = b"".join(blocks)
+    return last + b"\n" if last else last, True
 
 
 def _parse_c(parse, fh: BinaryIO, size: int, comments: bool, header: bool | str,
-             dtypes: Sequence[type]) -> list[np.ndarray] | None:
+             dtypes: Sequence[np.dtype]) -> list[np.ndarray] | None:
     """The columns of the data rows of the file ``fh``, of ``size`` bytes
     (0 if unknown), read by a C row parser one block at a time, or None
     when the row loop must read the file.
 
     ``parse(buf, len, *pos, *columns, cap)`` reads rows from ``buf[*pos]``
     into one array per dtype, returns how many, and leaves ``*pos`` where
-    it stopped. It stops before a row without LF, so the line that a block
+    it stopped. It stops before a line without LF, so the line that a block
     cuts is carried into the next block, and a line longer than a block is
-    read on to its LF. A whole line where it stopped is read by
-    ``_text_rows``' rules ``comments`` and ``header``: before the first row,
-    a blank line, a comment or the header is skipped and the parse resumes
-    after it; a last row without LF is parsed once more with one. Any other
-    line gives None, as does one that is not UTF-8 or holds a break other
-    than LF. Only the blocks, the carried line and the columns are held,
-    and the columns returned hold their rows and no more.
+    read on to its LF. At every other stop, the line there is read by
+    ``_text_rows``' rules ``comments`` and ``header``: a blank line, a
+    comment or the header (once) is skipped and the parse resumes after it.
+    Any other line gives None, as does one that is not UTF-8 or holds a
+    break other than LF. Only the blocks, the carried line and the columns
+    are held, and the columns returned hold their rows and no more.
     """
     # a row takes at least 4 bytes
     cap = min(size // 4 + 1, _FIRST_ROWS) if size else _FIRST_ROWS
     columns = [np.empty(cap, dtype=dtype) for dtype in dtypes]
+    # each column's address and item size, once per allocation: ``.ctypes``
+    # costs microseconds, and a file of comments resumes the parser per line
+    at = [(c.ctypes.data, c.itemsize) for c in columns]
     pos, n, header_pending = ctypes.c_int64(0), 0, bool(header)
     (data, eof), base = _read_on(fh, b""), 0  # base: the file offset of data[0]
     while True:
         # a header in the grammar must not be read as a row
         if not header_pending and n < cap and pos.value < len(data):
-            n += parse(data, len(data), pos, *[c[n:].ctypes.data for c in columns], cap - n)
+            n += parse(data, len(data), pos, *[a + n * width for a, width in at], cap - n)
         start = pos.value
         end = data.find(b"\n", start)
-        if end < 0 and not eof:  # the block ends inside the line at start
-            data, eof = _read_on(fh, data[start:])
-            base, pos.value = base + start, 0
-            continue
-        if start >= len(data):
+        if end < 0 and eof:  # at the end of data, which ends in LF
             for c in columns:  # no view of it is left: its spare rows are freed in place
                 c.resize(n, refcheck=False)
             return columns
+        if end < 0:  # the block ends inside the line at start, or at it
+            data, eof = _read_on(fh, data[start:])
+            base, pos.value = base + start, 0
+            continue
         if n == cap:  # full: resume into columns sized by the mean row so far, at least double
             cap = max(2 * cap, n * size // (base + start) * 17 // 16)  # 1/16 spare
             columns, full = [np.empty(cap, c.dtype) for c in columns], columns
             for new, old in zip(columns, full):
                 new[:n] = old  # not np.pad, which would touch every page of the spare rows
+            at = [(c.ctypes.data, c.itemsize) for c in columns]
             continue
-        end %= len(data) + 1  # len(data) where no LF follows
         try:
             line = data[start:end].decode("utf-8")
         except UnicodeDecodeError:
@@ -234,19 +238,8 @@ def _parse_c(parse, fh: BinaryIO, size: int, comments: bool, header: bool | str,
         if len((line + "_").splitlines()) > 1:
             return None
         line = line.strip()
-        skipped = not line or comments and line[0] == "#"
-        if not (skipped or header_pending):  # a row the parser did not read
-            if end < len(data):
-                return None
-            # the last row, now with its LF, from 0
-            data, base, end = data[start:] + b"\n", base + start, -1
-        elif n:
-            # A blank or comment line after a row sends the file to the row
-            # loop: a resume costs about 2.4 us in Python, more than the row
-            # loop spends on such a line and a row.
-            return None
-        elif not skipped:  # the header line
-            if header is not True and line != header:
+        if line and not (comments and line[0] == "#"):  # neither blank nor a comment
+            if not header_pending or header is not True and line != header:
                 return None
             header_pending = False
         pos.value = end + 1
@@ -302,9 +295,10 @@ def parse_ticks(spec: TickFileSpec, allow_unordered: bool = False) -> TickSeries
     are stably sorted by timestamp instead.
 
     Nanosecond files go through the C parser when it is compiled, which
-    reads the file one block at a time; a file it does not read whole, or
-    whose timestamps go backwards, is read again from its first byte by
-    the Python row loop, which raises the row-numbered error.
+    reads the file one block at a time and skips blank lines, comments and
+    the header wherever they stand; a file with any other line outside its
+    grammar, or whose timestamps go backwards, is read again from its first
+    byte by the Python row loop, which raises the row-numbered error.
     """
     kernel = _load_kernel()
     with _opened(Path(spec.path)) as (fh, size):
@@ -580,10 +574,6 @@ def _read_event_rows(path: Path, data: bytes, csv: bool) -> list[IntrinsicEvent]
     return _build_events(*_event_columns(rows))
 
 
-# it_parse_events' columns: kind and direction codes, timestamp, price, delta, clock
-_EVENT_DTYPES = (np.int8, np.int8, np.int64, np.float64, np.float64, np.int64)
-
-
 def read_events(path: str | Path,
                 format: EventFileFormat | str = EventFileFormat.CSV) -> list[IntrinsicEvent]:
     """Parse an event file written by write_events.
@@ -599,10 +589,12 @@ def read_events(path: str | Path,
     a delta outside (0, 1). ``format`` is taken as by write_events.
 
     When the C kernel is loaded, ``it_parse_events`` reads the file into
-    columns, one block at a time, and the events are built from them; a
-    file it does not read whole goes to the Python row loop, which reads
-    it again from its first byte and raises the row-numbered error. The
-    result never depends on the path taken.
+    columns, one block at a time, skipping blank lines, CSV comments and
+    the header wherever they stand, and ``engine._events`` builds the
+    events from them; a file with any other line outside its grammar goes
+    to the Python row loop, which reads it again from its first byte and
+    raises the row-numbered error. The result never depends on the path
+    taken.
     """
     csv = _event_format(format) is EventFileFormat.CSV
     path, kernel = Path(path), _load_kernel()
@@ -610,24 +602,11 @@ def read_events(path: str | Path,
         if kernel is not None:
             columns = _parse_c(lambda buf, length, pos, *rest:
                                kernel.parse_events(buf, length, pos, not csv, *rest),
-                               fh, size, csv, EVENT_HEADER if csv else False, _EVENT_DTYPES)
-            if columns is not None:
-                return _column_events(columns)
+                               fh, size, csv, EVENT_HEADER if csv else False, _BUILD_DTYPES)
+            if columns is not None:  # a file of one delta passes one float, as arrays do
+                delta = None
+                if columns[4].size and columns[4].min() == columns[4].max():
+                    delta, columns[4] = columns[4].item(0), None
+                return _events(columns, delta)
         fh.seek(0)
         return _read_event_rows(path, fh.read(), csv)
-
-
-def _column_events(columns: list[np.ndarray]) -> list[IntrinsicEvent]:
-    """The events of ``it_parse_events``' columns. A file of one delta
-    passes one float for it, as ``events_from_arrays`` does. The C builder
-    reads the columns in one call; for ``_build_events`` each column
-    becomes a list, and its array is freed, before the next is converted."""
-    one_delta = columns[4].size and columns[4].min() == columns[4].max()
-    events = _built_in_c(*columns[:4], columns[4].item(0) if one_delta else None,
-                         None if one_delta else columns[4], columns[5])
-    if events is not None:
-        return events
-    for j in range(len(columns)):
-        columns[j] = (itertools.repeat(columns[j].item(0)) if j == 4 and one_delta
-                      else columns[j].tolist())
-    return _build_events(*columns)

@@ -12,10 +12,12 @@ import contextlib
 import dataclasses
 import gc
 import itertools
+import re
 import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import intrinsic_time as it
-from intrinsic_time import engine
+from intrinsic_time import engine, io
 
 HAS_CC = shutil.which("cc") is not None
 KERNEL = engine._load_kernel()
@@ -114,6 +116,8 @@ def test_the_c_builder_keeps_reference_counts():
     arrays = it.process_arrays(WALK, CONFIG)
     delta, n = CONFIG.delta, len(arrays)
     deltas, clocks = np.full(n, 0.25), np.arange(n, dtype=np.int64) + 1000
+    grid = engine._grid_scan(WALK, [CONFIG, it.ThresholdConfig(0.01)])
+    grid.finish()[-1].kinds[-1] = 2  # a bad code at the last runner's last event
     builds = [
         lambda: it.events_from_arrays(arrays),
         lambda: engine._grid_scan(WALK, [CONFIG, it.ThresholdConfig(0.01)]).events(),
@@ -121,8 +125,12 @@ def test_the_c_builder_keeps_reference_counts():
                                    arrays.prices, delta, deltas, clocks),
         lambda: engine._built_in_c(arrays.kinds + 2, arrays.directions, arrays.timestamps,
                                    arrays.prices, delta),  # a bad code: None
+        # None after every other list is built: they are all freed
+        lambda: KERNEL.build_events(it.IntrinsicEvent, engine._MEMBERS, grid.runners, 2,
+                                    (delta, delta), None, None),
     ]
     watched = [it.IntrinsicEvent, *engine._MEMBERS, delta]
+    assert builds[-2]() is None and builds[-1]() is None
     for build in builds:
         build()
         before = [sys.getrefcount(obj) for obj in watched]
@@ -167,11 +175,9 @@ def test_a_bad_code_raises_a_domain_error_naming_its_event(monkeypatch, backend,
     {"prices": ARRAYS.prices.astype(">f8")},
     {"kinds": strided(ARRAYS.kinds)},
     {"prices": strided(ARRAYS.prices)},
-    {"timestamps": ARRAYS.timestamps[:-1]},
-    {"kinds": ARRAYS.kinds.reshape(1, -1)},
     {"directions": ARRAYS.directions.tolist()},
 ], ids=["int64-kinds", "float-kinds", "uint64-timestamps", "big-endian-prices",
-        "strided-kinds", "strided-prices", "short-timestamps", "2d-kinds", "list-directions"])
+        "strided-kinds", "strided-prices", "list-directions"])
 def test_unusual_user_arrays_give_the_python_builders_result_or_error(change):
     arrays = dataclasses.replace(ARRAYS, **change)
 
@@ -182,6 +188,21 @@ def test_unusual_user_arrays_give_the_python_builders_result_or_error(change):
 
     got, expected = outcome(it.events_from_arrays, arrays), outcome(spec, arrays)
     assert got == expected and (got[0] == "events") == (not isinstance(got[0], type))
+
+
+N = len(ARRAYS)
+
+
+@pytest.mark.parametrize("change, lengths", [
+    ({"timestamps": ARRAYS.timestamps[:-1]}, f"kinds {N}, directions {N}, timestamps {N - 1}"),
+    ({"prices": ARRAYS.prices[:5]}, f"timestamps {N}, prices 5, extrema {N}"),
+    ({"kinds": ARRAYS.kinds.reshape(1, -1)}, f"kinds (1, {N}), directions {N}"),
+    ({"kinds": np.int8(0)}, f"kinds (), directions {N}"),
+], ids=["short-timestamps", "five-prices", "2d-kinds", "0d-kinds"])
+def test_event_columns_of_unequal_shapes_are_refused_on_construction(change, lengths):
+    with pytest.raises(it.DomainError, match=rf"^event columns must be 1-d and of one length, "
+                                             rf"got .*{re.escape(lengths)}"):
+        dataclasses.replace(ARRAYS, **change)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +282,35 @@ def test_event_loops_run_without_collections(monkeypatch, tmp_path, backend, cal
         gc.callbacks.pop()
         (gc.enable if was else gc.disable)()
     assert len(collections) <= 4  # start and stop of at most two, outside the loops
+
+
+@pytest.mark.skipif(KERNEL is None, reason="no C kernel")
+@pytest.mark.parametrize("deltas", [1, 2], ids=["one-delta", "two-deltas"])
+def test_read_events_without_the_builder_frees_each_column_as_it_is_converted(
+        monkeypatch, tmp_path, deltas):
+    # the Python builder takes lists: each C column's array goes once its list is made
+    live, parse_c = [], io._parse_c
+
+    class Column(np.ndarray):
+        def tolist(self):
+            live.append(sum(ref() is not None for ref in refs))
+            return super().tolist()
+
+    def tracked(*args):
+        columns = [column.view(Column) for column in parse_c(*args)]
+        refs.extend(weakref.ref(column) for column in columns)
+        return columns
+
+    refs = []
+    monkeypatch.setattr(engine, "_kernel", KERNEL._replace(build_events=None))
+    monkeypatch.setattr(io, "_parse_c", tracked)
+    events = EVENTS if deltas == 1 else [*EVENTS, EVENTS[-1]._replace(delta=0.5)]
+    path = event_file(tmp_path)
+    it.write_events(events, path)
+    assert it.read_events(path) == events
+    # one array fewer at each conversion; a file of one delta passes it as a
+    # float, so that column is dropped before the build and not converted
+    assert live == list(range(4 + deltas, 0, -1))
 
 
 # ---------------------------------------------------------------------------

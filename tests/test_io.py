@@ -349,9 +349,11 @@ def test_fast_parser_equals_row_loop_on_mutated_files(
     (b"", b"0,1.0\r\n", False, False),
     (b"", b"0, 1.0\n", False, False),
     (b"", b"\n0,1.0\n", False, True),
-    (b"", b"0,1.0\n\n1,2.0\n", False, False),
-    (b"", b"0,1.0\n# mid\n1,2.0\n", False, False),
-    (b"", b"0,1.0\n# end", False, False),
+    (b"", b"0,1.0\n\n1,2.0\n", False, True),
+    (b"", b"0,1.0\n# mid\n1,2.0\n", False, True),
+    (b"", b"0,1.0\n# end", False, True),
+    (b"", b"0,1.0\n  \n1,2.0\n", False, True),
+    (b"", b"0,1.0\ntimestamp,price\n", False, False),
 ] + [(f"# a{b}b\n".encode(), b"0,1.0\n", False, False) for b in OTHER_BREAKS])
 def test_fast_parser_takes_exactly_its_grammar(tmp_path, has_header, prefix, body,
                                                allow_unordered, taken):
@@ -453,7 +455,7 @@ def counting_parser(monkeypatch, name):
     (b"".join(b"%d,%r\n" % (t, p) for t, p in GBM_WALK[:200]), 2),  # sized once, at row 3
     (b"0,1.0000000000000002\n" * 3 + b"1,2\n" * 200, 4),  # shorter rows later: grows 3 times
     (b"0,1.0\n1,2.0\n2,3.0\n", 1),  # full at the end of the file: no growth
-    (b"0,1.0\n1,2.0\n2,3.0\n3,4.0", 3),  # a last row without LF after a full block
+    (b"0,1.0\n1,2.0\n2,3.0\n3,4.0", 2),  # a last row without LF, given one, after a full block
 ], ids=["walk", "shorter-rows", "full-at-end", "no-final-lf"])
 def test_fast_parser_grows_its_columns_mid_file(tmp_path, monkeypatch, has_header, body,
                                                 calls):
@@ -896,7 +898,7 @@ def test_fast_event_reader_takes_written_files_and_equals_row_loop(
     writer, data, expected = write
     path = tmp_path_factory.mktemp("written") / f"events.{fmt.value}"
     writer(data, path, fmt)
-    if not final_newline:  # the C reader gets the last row again, with its LF
+    if not final_newline:  # the C reader gets a LF after the last row
         path.write_bytes(path.read_bytes().removesuffix(b"\n"))
     fast, slow, took_fast_path = read_both_ways(path, fmt)
     assert took_fast_path
@@ -1054,14 +1056,15 @@ def test_fast_event_reader_takes_exactly_its_grammar(tmp_path, fmt, row, taken):
 
 @needs_cc
 @pytest.mark.parametrize("fmt", [CSV, JSONL])
-@pytest.mark.parametrize("before, between, after, taken", [
-    ("\n", "", "", True),  # a blank line between the header and the first row
+@pytest.mark.parametrize("before, between, after, comment", [
+    ("\n", "", "", False),  # a blank line between the header and the first row
     ("", "\n", "", False),
-    ("", "# mid\n", "", False),
-    ("", "", "# end", False),
+    ("", " \t\n", "\n\n", False),
+    ("", "# mid\n", "", True),
+    ("", "", "# end", True),
 ])
-def test_fast_event_reader_skips_lines_only_before_its_rows(tmp_path, fmt, before, between,
-                                                            after, taken):
+def test_fast_event_reader_skips_blank_lines_and_csv_comments_anywhere(
+        tmp_path, fmt, before, between, after, comment):
     path = tmp_path / f"events.{fmt.value}"
     head = EVENT_CSV_HEAD if fmt is CSV else ""
     first, second = (event_file(fmt, row)[len(head):]
@@ -1069,7 +1072,7 @@ def test_fast_event_reader_skips_lines_only_before_its_rows(tmp_path, fmt, befor
     path.write_text(head + before + first + between + second + after)
     fast, slow, took_fast_path = read_both_ways(path, fmt)
     assert fast == slow
-    assert took_fast_path == taken
+    assert took_fast_path == (fmt is CSV or not comment)  # JSON Lines has no comments
 
 
 @needs_cc
@@ -1193,9 +1196,9 @@ TICK_BLOCK_CASES = {
     "a row longer than a block": ("", False, f"0,1.5\n1,{LONG_PRICE}\n2,2\n", True),
     "a walk": ("", True, WALK_ROWS, True),
     "no final LF": ("", False, WALK_ROWS + f"{2**62},3.25", True),
-    "a comment without LF after the rows": ("", False, WALK_ROWS + "# end", False),
-    "a blank line after a row": ("", False, "0,1.5\n\n1,2.5\n", False),
-    "a comment between rows": ("", False, "0,1.5\n1,2.5\n# mid\n2,3.5\n", False),
+    "a comment without LF after the rows": ("", False, WALK_ROWS + "# end", True),
+    "a blank line after a row": ("", False, "0,1.5\n\n1,2.5\n", True),
+    "a comment between rows": ("", False, "0,1.5\n1,2.5\n# mid\n2,3.5\n", True),
     "a backwards row": ("", False, WALK_ROWS + "0,1.5\n", False),
     "a row with a space": ("# c\n", True, "0,1.5\n1, 2.5\n", False),
     "CRLF": ("", True, WALK_ROWS.replace("\n", "\r\n"), False),
@@ -1229,8 +1232,8 @@ def event_block_cases(fmt):
         "a row longer than a block": (head + rows + long_row, True),
         "rows": (head + rows, True),
         "no final LF": (head + rows[:-1], True),
-        "a blank line after a row": (head + rows + "\n" + long_row, False),
-        "a comment after the rows": (head + rows + "# end\n", False),
+        "a blank line after a row": (head + rows + "\n" + long_row, True),
+        "a comment after the rows": (head + rows + "# end\n", fmt is CSV),
         "a bad row": (head + rows + long_row.replace("OS", "XX"), False),
         "CRLF": (head + rows.replace("\n", "\r\n"), False),
     }
@@ -1285,6 +1288,65 @@ def test_any_block_size_reads_event_files_as_the_row_loop(tmp_path_factory, writ
         fast, slow, took_fast_path = read_both_ways(path, fmt)
     assert fast == slow
     assert mutation or took_fast_path and fast == ("ok", repr(expected))
+
+
+BLANK_LINES = ["", "  ", "\t", " \t "]
+COMMENT_LINES = ["#", "# comment", "  # indented", "# é ü", "\t# ∆ non-ASCII"]
+# lines that are neither a row, a blank line, a comment nor the header where
+# they stand: a second header, a comment that is not UTF-8 or that holds a
+# break other than LF, a row with a space
+OTHER_LINES = ["{header}", "# \udcff", "# a\x85b", "# a\rb", "{row} "]
+LINE_FILE_EVENTS = it.process(GBM_WALK[:5000], it.ThresholdConfig(0.02))[:12]
+
+
+@st.composite
+def line_files(draw, fmt):
+    """A tick file (``fmt`` None) or an event file of ``fmt``, made of rows,
+    blank and whitespace-only lines, comments and a header, with or without
+    a final LF, and perhaps one line of ``OTHER_LINES``: ``(text, has_header,
+    whether every line is a row, a blank line, a comment or the header)``."""
+    if fmt is None:
+        pool, has_header = WALK_ROWS.splitlines(), draw(st.booleans())
+        header = "timestamp,price"
+    else:
+        pool = io._event_rows([(e.kind.value, e.direction.name.lower(), *e[2:])
+                               for e in LINE_FILE_EVENTS], fmt).splitlines()
+        has_header, header = fmt is CSV, io.EVENT_HEADER
+    # half the JSON Lines files, which have no comments, get no # lines
+    fillers = st.sampled_from(BLANK_LINES + COMMENT_LINES * (fmt is not JSONL or draw(
+        st.booleans())))
+    head = draw(st.lists(fillers, max_size=3)) + ([header] if has_header else [])
+    body = pool[:draw(st.integers(0, 12))]
+    for _ in range(draw(st.integers(0, 6))):
+        body.insert(draw(st.integers(0, len(body))), draw(fillers))
+    lines = head + body
+    other = draw(st.none() | st.sampled_from(OTHER_LINES))
+    if other is not None:
+        at = draw(st.integers(len(head), len(lines)))
+        lines.insert(at, other.format(header=header, row=pool[0]))
+    comments = any(line.strip().startswith("#") for line in lines)
+    text = "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+    return text, has_header, other is None and (fmt is not JSONL or not comments)
+
+
+
+@needs_cc
+@pytest.mark.parametrize("fmt", [None, CSV, JSONL], ids=["ticks", "csv", "jsonl"])
+@settings(max_examples=120)
+@given(data=st.data())
+def test_the_c_path_is_taken_exactly_where_every_line_is_a_row_blank_comment_or_header(
+        tmp_path_factory, fmt, data):
+    text, has_header, taken = data.draw(line_files(fmt))
+    path = tmp_path_factory.mktemp("lines") / "file"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    for block in (1, 7, 64, io._BLOCK_BYTES):
+        with blocks_of(block, path):
+            if fmt is None:
+                fast, slow, took_fast_path = parse_both_ways(path, has_header)
+            else:
+                fast, slow, took_fast_path = read_both_ways(path, fmt)
+        assert fast == slow
+        assert took_fast_path == taken, block
 
 
 @needs_cc
