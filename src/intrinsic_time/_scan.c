@@ -103,9 +103,9 @@
  *
  * Last comes the event builder, it_build_events, which turns event columns
  * into IntrinsicEvent objects. It uses the Python C API, so it is compiled
- * only where <Python.h> is found (Python 3.10 on); ``engine`` passes its
- * directory to cc on CPython alone. A build without it, such as the
- * sanitized test program's, keeps everything else.
+ * only where <Python.h> is found; ``engine`` passes its directory to cc on
+ * CPython alone. A build without it, such as the sanitized test program's,
+ * keeps everything else.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off [-I<Python include>] -lm
  * (no fused multiply-add, no fast-math: the arithmetic must round exactly
@@ -115,9 +115,7 @@
 #if __has_include(<Python.h>)
 #define PY_SSIZE_T_CLEAN
 #include <Python.h> /* first, as the C API asks */
-#if PY_VERSION_HEX >= 0x030A0000 /* PyGC_Disable, Py_NewRef */
 #define IT_EVENTS 1
-#endif
 #endif
 #endif
 #ifndef _POSIX_C_SOURCE

@@ -401,9 +401,9 @@ def step(state: RunnerState, tick: Tick,
 # tick-file and event-file parsers and writers (``_scan.c``; the parsers
 # share one number reader, the writers one "%.17g" formatter) and, on
 # CPython, the event builder run in C, compiled with the system ``cc`` on
-# first use and cached by a checksum of source, flags and interpreter:
+# first use and cached per interpreter by a checksum of source and flags:
 # beside this module in ``__pycache__/``, else in the user's cache
-# directory. A new build there replaces the builds of earlier sources.
+# directory. A new build replaces its interpreter's older builds there.
 # Without a working compiler, ``_scan_python`` runs the same loop per
 # threshold and block, without the C price bands, quiet ticks and put-off
 # trend extensions (``step`` runs it too), ``io`` its Python row loops and
@@ -411,6 +411,8 @@ def step(state: RunnerState, tick: Tick,
 # without the Python headers.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# the interpreter a build is for, in its file name, such as ``cpython-311``
+_INTERPRETER = f"{sys.implementation.cache_tag}{getattr(sys, 'abiflags', '')}"
 _UNLOADED = object()
 _kernel = _UNLOADED  # the loaded _Kernel, or None on the Python fallback
 _kernel_lock = threading.Lock()
@@ -455,9 +457,8 @@ def _compile_kernel(cache_dirs: list[Path]):
     a RuntimeWarning.
     """
     source = _KERNEL_SOURCE.read_bytes()
-    interpreter = f"{sys.implementation.cache_tag}{getattr(sys, 'abiflags', '')}"
-    key = zlib.crc32(source + repr((_KERNEL_FLAGS, platform.machine(), interpreter)).encode())
-    name = f"_scan-{key:08x}.so"
+    key = zlib.crc32(source + repr((_KERNEL_FLAGS, platform.machine())).encode())
+    name = f"_scan-{_INTERPRETER}-{key:08x}.so"
     for directory in cache_dirs:
         if os.path.isfile(directory / name):
             return _bind_kernel(directory / name)
@@ -493,13 +494,14 @@ def _compile_kernel(cache_dirs: list[Path]):
 
 
 def _remove_other_builds(directory: Path, name: str) -> None:
-    """Delete the builds of other ``_scan.c`` sources from ``directory``,
-    leaving any that cannot be listed or removed."""
+    """Delete this interpreter's builds of other ``_scan.c`` sources, and
+    untagged ones, from ``directory``, leaving any that cannot be removed."""
     with contextlib.suppress(OSError):
-        for stale in directory.glob("_scan-*.so"):
-            if stale.name != name:
-                with contextlib.suppress(OSError):
-                    stale.unlink()
+        for pattern in (f"_scan-{_INTERPRETER}-*.so", "_scan-????????.so"):
+            for stale in directory.glob(pattern):
+                if stale.name != name:
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
 
 
 def _bind_kernel(path: Path):

@@ -14,19 +14,17 @@ next, resumes the parser past each blank, comment or header line wherever
 it stands, and hands a file with any other line to the row loop, which
 reads it whole from its first byte and stays the spec: the result and
 every error never depend on the path taken or the block size. Every tick
-and event file is written through one block writer, ``_c_blocks``: a
-head, then the rows from a C writer when one is compiled, else from a
-Python template that formats a range of rows and is the C writer's spec
-(``write_ticks``' own, and ``_event_rows`` after ``_event_head`` for event
-files). Event lists
-and scan arrays share one event writer, ``_write_event_columns``. The C
-event writer leaves to the template each row whose price it does not
-format, which in JSON Lines is any price outside [1e-3, 2**52), subnormal
-too. CSV prices are serialized with 17 significant digits and JSON Lines
-prices as ``repr`` writes them, so numeric round-trips are lossless.
-Writers go through a temp-file-then-rename step, so a failed run never
-leaves a partial output behind, and the files they create take their
-permissions from the umask.
+and event file is written by one loop, ``_c_blocks``: a head, then blocks
+of rows from a C writer, and wherever it writes nothing rows from a Python
+template, its spec (``write_ticks``' own; ``_event_rows`` after
+``_event_head`` for event files): the row C stops at, or without the
+kernel bounded runs of rows. Event lists and scan arrays share one event
+writer, ``_write_event_columns``, whose C writer leaves each JSON Lines
+row with a price outside [1e-3, 2**52), subnormal too. CSV prices are
+serialized with 17 significant digits and JSON Lines prices as ``repr``
+writes them, so numeric round-trips are lossless. Writers go through a
+temp-file-then-rename step, so a failed run never leaves a partial output
+behind, and the files they create take their permissions from the umask.
 """
 
 from __future__ import annotations
@@ -74,6 +72,7 @@ _FIRST_ROWS = 1 << 16  # the most rows of the first columns ``_parse_c`` fills
 # The block size of every file read and written here: the bytes ``_parse_c``
 # reads at a time, and the buffer the C writers fill and hand on.
 _BLOCK_BYTES = 1 << 18
+_TEMPLATE_ROWS = 1 << 12  # the most rows of one template call: about a block of text
 
 
 class EventFileFormat(Enum):
@@ -360,24 +359,23 @@ def _c_blocks(head: str, n: int, format_rows,
 
     ``format_rows(row, buf, cap)``, a C writer or None, formats the rows
     from ``row.value`` on into the ``cap`` bytes at ``buf`` and moves
-    ``row`` past them. The template ``python_rows(start, stop)`` formats
-    rows ``start`` to ``stop``: all ``n`` at once without a C writer, else
-    each row the C writer leaves (a call that writes nothing). Each C block
-    is a view of one reused buffer, valid until the next.
+    ``row`` past them. Where it writes nothing, the template
+    ``python_rows(start, stop)`` formats the row it stops at; without a C
+    writer, the next ``_TEMPLATE_ROWS`` rows. Each C block is a view of one
+    reused buffer, valid until the next.
     """
     yield head.encode("utf-8")
-    if format_rows is None:
-        yield python_rows(0, n).encode("utf-8")
-        return
     buf = np.empty(_BLOCK_BYTES, dtype=np.uint8)
     row, address = ctypes.c_int64(0), buf.ctypes.data
+    chunk = _TEMPLATE_ROWS if format_rows is None else 1
     while row.value < n:
-        size = format_rows(row, address, buf.size)
+        size = format_rows(row, address, buf.size) if format_rows else 0
         if size > 0:
             yield memoryview(buf)[:size]
         else:
-            yield python_rows(row.value, row.value + 1).encode("utf-8")
-            row.value += 1
+            stop = min(row.value + chunk, n)
+            yield python_rows(row.value, stop).encode("utf-8")
+            row.value = stop
 
 
 def write_ticks(series: TickSeries, path: str | Path) -> None:

@@ -1362,6 +1362,25 @@ def test_a_new_build_removes_the_builds_of_other_sources(tmp_path):
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+def test_a_build_leaves_the_builds_of_other_interpreters(monkeypatch, tmp_path):
+    this = engine._INTERPRETER
+    older = tmp_path / f"_scan-{this}-0badc0de.so"  # this interpreter, an earlier source
+    older.write_bytes(b"a build of an earlier _scan.c")
+    assert engine._compile_kernel([tmp_path]) is not None
+    (built,) = tmp_path.glob("*.so")
+    assert built.name.startswith(f"_scan-{this}-")
+    stamp = built.stat().st_mtime_ns
+    monkeypatch.setattr(engine, "_INTERPRETER", "cpython-399")
+    assert engine._compile_kernel([tmp_path]) is not None
+    (other,) = tmp_path.glob("_scan-cpython-399-*.so")
+    assert built.is_file() and other.name == built.name.replace(this, "cpython-399")
+    monkeypatch.setattr(engine, "_INTERPRETER", this)
+    assert engine._compile_kernel([tmp_path]) is not None  # the cached build: no compile
+    assert sorted(tmp_path.glob("*.so")) == sorted([built, other])
+    assert built.stat().st_mtime_ns == stamp
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
 def test_first_use_from_many_threads_compiles_once(monkeypatch, tmp_path):
     compiles = []
     compile_kernel = engine._compile_kernel

@@ -1508,6 +1508,37 @@ def test_c_event_writer_leaves_one_row_to_python_between_two_c_rows(tmp_path):
     assert rows_left_to_python(calls) == [1]
 
 
+@pytest.mark.parametrize("writer", ["ticks", "no-kernel", "wide-clock"])
+def test_the_template_formats_at_most_its_bound_of_rows_a_call(monkeypatch, tmp_path, writer):
+    n, bound = 3 * io._TEMPLATE_ROWS + 5, io._TEMPLATE_ROWS
+    path, templated, c_blocks = tmp_path / "written", [], io._c_blocks
+
+    def recording(head, n, format_rows, python_rows):
+        def template(start, stop):
+            templated.append((start, stop))
+            return python_rows(start, stop)
+        return c_blocks(head, n, format_rows, template)
+
+    monkeypatch.setattr(io, "_c_blocks", recording)
+    if writer != "wide-clock":
+        monkeypatch.setattr(engine, "_kernel", None)
+    if writer == "ticks":
+        series = it.generate_random_walk(1.0, 0.004, n - 1, seed=3)  # n ticks
+        it.write_ticks(series, path)
+        expected = TICK_SCHEMA_COMMENT + "\ntimestamp,price\n" + "".join(
+            f"{t},{p:.17g}\n" for t, p in zip(series.timestamps.tolist(), series.prices.tolist()))
+    else:
+        # a clock past int64 leaves every row to the template, kernel or not
+        clocks = [*range(n - 1), 2**64 if writer == "wide-clock" else n]
+        rows = [("OS" if i % 2 else "DC", "up" if i % 3 else "down", i, 1.5 + i / n, 0.002, clock)
+                for i, clock in enumerate(clocks)]
+        it.write_events([it.IntrinsicEvent(it.EventKind(k), it.Mode.UP if d == "up" else it.Mode.DOWN,
+                                           *rest) for k, d, *rest in rows], path, JSONL)
+        expected = io._event_rows(rows, JSONL)
+    assert path.read_text() == expected
+    assert templated == [(0, bound), (bound, 2 * bound), (2 * bound, 3 * bound), (3 * bound, n)]
+
+
 @needs_cc
 def test_c_event_writer_ignores_a_comma_decimal_locale(tmp_path, comma_decimal_locale):
     arrays = arrays_with_prices([p for p in HARD_PRICES if p != 5e-324], delta=0.015625)
