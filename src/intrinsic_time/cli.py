@@ -1,7 +1,7 @@
 """Command-line pipeline: generate, transform, scaling, decompose.
 
-Exit codes: 0 success, 1 runtime failure (bad data, unwritable output),
-2 usage error (unknown flags, missing files, invalid threshold lists).
+Exit codes: 0 success, 1 runtime failure (bad data, unwritable output), 2 usage
+error (unknown flags, a missing or directory --in path, invalid threshold lists).
 All randomness is seed-controlled, so identical invocations produce
 byte-identical output files. Threshold lists are plain fractions
 (0.005 means 0.5%); percent strings are not accepted.
@@ -121,9 +121,7 @@ def _write_report(path, kind: str, comment: str | None, header: str,
 
 
 def _read_input(args) -> TickSeries:
-    path = Path(args.input)
-    spec = TickFileSpec(path=path, has_header=not args.no_header,
-                        timestamp_unit=TimestampUnit(args.timestamp_unit))
+    spec = TickFileSpec(args.input, not args.no_header, args.timestamp_unit)
     return parse_ticks(spec, allow_unordered=args.allow_unordered)
 
 
@@ -240,7 +238,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "input", None) is not None and not Path(args.input).is_file():
+    if "input" in args and (Path(args.input).is_dir() or not Path(args.input).exists()):
         print(f"error: input file not found: {args.input}", file=sys.stderr)
         return 2
     try:

@@ -404,11 +404,12 @@ def step(state: RunnerState, tick: Tick,
 # first use and cached per interpreter by a checksum of source and flags:
 # beside this module in ``__pycache__/``, else in the user's cache
 # directory. A new build replaces its interpreter's older builds there.
-# Without a working compiler, ``_scan_python`` runs the same loop per
-# threshold and block, without the C price bands, quiet ticks and put-off
-# trend extensions (``step`` runs it too), ``io`` its Python row loops and
-# writers, and ``_build_events`` makes the events, as it does for a build
-# without the Python headers.
+# Without a kernel (``_load_kernel`` warns once why: no compiler, a build
+# that fails or cannot load, no cache directory), ``_scan_python`` runs
+# the same loop per threshold and block, without the C price bands, quiet
+# ticks and put-off trend extensions (``step`` runs it too), ``io`` its
+# Python row loops and writers, and ``_build_events`` makes the events, as
+# it does for a build without the Python headers.
 _KERNEL_SOURCE = Path(__file__).with_name("_scan.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # the interpreter a build is for, in its file name, such as ``cpython-311``
@@ -449,13 +450,10 @@ def _python_includes() -> list[str]:
     return [f"-I{d}" for d in dict.fromkeys((paths["include"], paths["platinclude"]))]
 
 
-def _compile_kernel(cache_dirs: list[Path]):
-    """The C functions, compiled into the first writable cache directory.
-
-    Returns None when no compiler is on PATH. A compiler or loader that
-    fails, or no writable cache directory, also gives None, reported with
-    a RuntimeWarning.
-    """
+def _compile_kernel(cache_dirs: list[Path]) -> _Kernel:
+    """The C functions, compiled into the first writable cache directory. OSError says
+    why there are none: no cc on PATH, one that fails, no writable cache directory, or a
+    build that cannot load (AttributeError if it lacks a function) or make its C locale."""
     source = _KERNEL_SOURCE.read_bytes()
     key = zlib.crc32(source + repr((_KERNEL_FLAGS, platform.machine())).encode())
     name = f"_scan-{_INTERPRETER}-{key:08x}.so"
@@ -464,7 +462,7 @@ def _compile_kernel(cache_dirs: list[Path]):
             return _bind_kernel(directory / name)
     cc = shutil.which("cc")
     if cc is None:
-        return None
+        raise OSError("no C compiler (cc) on PATH for the C scan kernel")
     import subprocess  # only needed to compile
 
     for directory in cache_dirs:
@@ -484,13 +482,9 @@ def _compile_kernel(cache_dirs: list[Path]):
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             detail = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
-            warnings.warn(f"cannot compile the C scan kernel ({exc}) {detail.strip()}; "
-                          "using the slower Python scan and file I/O", RuntimeWarning)
-            return None
+            raise OSError(f"cannot compile the C scan kernel ({exc}) {detail.strip()}") from exc
         return _bind_kernel(directory / name)
-    warnings.warn("no writable cache directory for the C scan kernel; "
-                  "using the slower Python scan and file I/O", RuntimeWarning)
-    return None
+    raise OSError("no writable cache directory for the C scan kernel")
 
 
 def _remove_other_builds(directory: Path, name: str) -> None:
@@ -504,18 +498,13 @@ def _remove_other_builds(directory: Path, name: str) -> None:
                         stale.unlink()
 
 
-def _bind_kernel(path: Path):
-    try:
-        lib = ctypes.CDLL(str(path))
-        kernel = _Kernel(lib.it_scan, lib.it_parse_ticks, lib.it_format_ticks,
-                         lib.it_parse_events, lib.it_format_events, None)
-        lib.it_init.argtypes, lib.it_init.restype = [], ctypes.c_int
-        if not lib.it_init():  # once per process: a second bind keeps the locale
-            raise OSError("cannot make a C locale for its parsers and writers")
-    except OSError as exc:
-        warnings.warn(f"cannot load the C scan kernel {path}: {exc}; "
-                      "using the slower Python scan and file I/O", RuntimeWarning)
-        return None
+def _bind_kernel(path: Path) -> _Kernel:
+    lib = ctypes.CDLL(str(path))  # an OSError naming the file if it cannot load
+    kernel = _Kernel(lib.it_scan, lib.it_parse_ticks, lib.it_format_ticks,
+                     lib.it_parse_events, lib.it_format_events, None)
+    lib.it_init.argtypes, lib.it_init.restype = [], ctypes.c_int
+    if not lib.it_init():  # once per process: a second bind keeps the locale
+        raise OSError(f"cannot make a C locale for the C scan kernel {path}")
     ptr, i64, c_int, obj = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.py_object
     i64_ptr = ctypes.POINTER(i64)
     kernel.scan.argtypes = [ptr, ptr, i64, i64_ptr, ctypes.POINTER(_Runner), i64]
@@ -537,12 +526,18 @@ def _bind_kernel(path: Path):
 
 
 def _load_kernel():
-    """The C functions, or None; the first call may come from user threads."""
+    """The C functions, or None on the Python fallback, which the first call
+    (from any thread) to find no kernel records, then warns once why."""
     global _kernel
     if _kernel is _UNLOADED:
         with _kernel_lock:
             if _kernel is _UNLOADED:
-                _kernel = _compile_kernel(_kernel_cache_dirs())
+                try:
+                    _kernel = _compile_kernel(_kernel_cache_dirs())
+                except (OSError, AttributeError) as exc:
+                    _kernel = None
+                    warnings.warn(f"{exc}; using the slower Python scan and file I/O",
+                                  RuntimeWarning)
     return _kernel
 
 
@@ -553,8 +548,9 @@ def kernel_backend() -> str:
     of nanosecond tick files and of event files and, on CPython where the
     Python headers are installed, the building of ``IntrinsicEvent``
     objects for ``process``, ``run_grid``, ``events_from_arrays`` and
-    ``read_events``. Everything else, and all of it on ``"python"``, runs
-    in Python; results never depend on the backend.
+    ``read_events``. Everything else, and all of it on ``"python"`` (which
+    the first call reports once, saying why), runs in Python; results never
+    depend on the backend.
     """
     return "python" if _load_kernel() is None else "c"
 

@@ -46,8 +46,9 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import (_BUILD_DTYPES, EventArrays, EventKind, IntrinsicEvent, Mode, TickSeries,
-                     _build_events, _collector_paused, _events, _in_int64, _load_kernel, _whole)
+from .engine import (_BUILD_DTYPES, EventArrays, EventKind, IntrinsicEvent, Mode, TickInput,
+                     TickSeries, _build_events, _collector_paused, _events, _in_int64,
+                     _load_kernel, _whole, as_tick_series)
 from .errors import ConfigurationError, DomainError, IngestionError, OrderingError, WriteError
 
 TICK_SCHEMA_COMMENT = "# intrinsic-time tick-csv v1"
@@ -80,20 +81,26 @@ class EventFileFormat(Enum):
     JSONL = "jsonl"
 
 
-def _event_format(format) -> EventFileFormat:
-    """``format`` as an EventFileFormat: a member, or its value such as
-    ``"csv"``; anything else raises ConfigurationError."""
+def _member(enum: type[Enum], value, what: str):
+    """``value`` as a member of ``enum``: a member, or its value such as
+    ``"csv"``; anything else raises ConfigurationError naming ``what``."""
     try:
-        return EventFileFormat(format)
+        return enum(value)
     except ValueError:
-        raise ConfigurationError(f"unknown event file format {format!r}") from None
+        raise ConfigurationError(f"unknown {what} {value!r}") from None
 
 
 @dataclass(frozen=True)
 class TickFileSpec:
+    """A tick file to read; ``timestamp_unit`` may be a unit's value, e.g. ``"ms"``."""
+
     path: str | Path
     has_header: bool = True
     timestamp_unit: TimestampUnit = TimestampUnit.NANOS
+
+    def __post_init__(self):
+        object.__setattr__(self, "timestamp_unit",
+                           _member(TimestampUnit, self.timestamp_unit, "timestamp unit"))
 
 
 def _parse_timestamp(text: str, unit: TimestampUnit) -> int:
@@ -378,13 +385,12 @@ def _c_blocks(head: str, n: int, format_rows,
             row.value = stop
 
 
-def write_ticks(series: TickSeries, path: str | Path) -> None:
-    """Write a tick CSV (nanosecond timestamps, versioned header).
-
-    Rows are ``timestamp,price`` with the price in ``.17g``; the C writer,
-    when compiled, writes the same bytes as the Python template.
+def write_ticks(series: TickInput, path: str | Path) -> None:
+    """Write a tick CSV (nanosecond timestamps, versioned header) of what
+    ``as_tick_series`` takes. Rows are ``timestamp,price`` with the price in
+    ``.17g``; the C writer, when compiled, writes the template's bytes.
     """
-    kernel = _load_kernel()
+    series, kernel = as_tick_series(series), _load_kernel()
     ts, px = series.timestamps, series.prices  # C-contiguous (TickSeries guarantees it)
     _atomic_write(path, _c_blocks(
         f"{TICK_SCHEMA_COMMENT}\ntimestamp,price\n", len(series),
@@ -511,7 +517,7 @@ def write_events(events: Sequence[IntrinsicEvent], path: str | Path,
     deltas as ``float(value)``. ``format`` is an EventFileFormat or its
     value (``"csv"``, ``"jsonl"``); any other value raises ConfigurationError.
     """
-    format = _event_format(format)
+    format = _member(EventFileFormat, format, "event file format")
     rows = []
     with _collector_paused():  # the rows are tuples of numbers, which make no cycle
         for i, ev in enumerate(events):
@@ -594,7 +600,7 @@ def read_events(path: str | Path,
     raises the row-numbered error. The result never depends on the path
     taken.
     """
-    csv = _event_format(format) is EventFileFormat.CSV
+    csv = _member(EventFileFormat, format, "event file format") is EventFileFormat.CSV
     path, kernel = Path(path), _load_kernel()
     with _opened(path) as (fh, size):
         if kernel is not None:

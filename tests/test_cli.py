@@ -1,6 +1,11 @@
 """End-to-end tests for the command-line pipeline."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+from conftest import child_env, read_through_a_fifo
 
 import intrinsic_time as it
 from intrinsic_time.cli import cli_main
@@ -118,6 +123,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                    "--out-dir", str(tmp_path)) == 2
     assert run_cli("transform", "--in", str(tmp_path / "missing.csv"),
                    "--deltas", "0.01", "--out-dir", str(tmp_path)) == 2
+    assert run_cli("transform", "--in", str(tmp_path),  # a directory
+                   "--deltas", "0.01", "--out-dir", str(tmp_path)) == 2
     assert run_cli("generate", "--model", "walk", "--steps", "10",
                    "--out", str(tmp_path / "w.csv")) == 2
     for argv in (["walk", "--step-size", "0.01", "--dt", "0.5"],
@@ -133,6 +140,34 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert run_cli("decompose", "--in", str(ticks), "--deltas", "0.01",
                        "--dt-seconds", dt) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param("fifo", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                  reason="no os.mkfifo")),
+    pytest.param("stdin", marks=pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                                                   reason="no /dev/stdin"))])
+def test_piped_input_reads_as_the_regular_file_does(tmp_path, capsys, source):
+    ticks, piped = tmp_path / "ticks.csv", tmp_path / "piped.csv"
+    assert run_cli("generate", "--model", "walk", "--step-size", "0.0005",
+                   "--steps", "20000", "--seed", "3", "--out", str(ticks)) == 0
+    assert ticks.stat().st_size > 1 << 16  # more than a pipe's buffer
+    scaling = ["scaling", "--deltas", "0.001,0.002,0.004", "--out"]
+    capsys.readouterr()
+    assert run_cli(*scaling, str(tmp_path / "file.csv"), "--in", str(ticks)) == 0
+    expected = capsys.readouterr().out
+    if source == "fifo":
+        assert read_through_a_fifo(
+            ticks, lambda fifo: run_cli(*scaling, str(piped), "--in", str(fifo))) == 0
+        out = capsys.readouterr().out
+    else:  # a child process whose stdin is a pipe
+        child = subprocess.run([sys.executable, "-m", "intrinsic_time.cli", *scaling,
+                                str(piped), "--in", "/dev/stdin"], input=ticks.read_bytes(),
+                               capture_output=True, env=child_env())
+        assert child.returncode == 0, child.stderr
+        out = child.stdout.decode()
+    assert out == expected
+    assert piped.read_bytes() == (tmp_path / "file.csv").read_bytes()
 
 
 def test_runtime_errors_exit_1_without_partial_output(tmp_path, capsys):

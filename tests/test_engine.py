@@ -1268,6 +1268,9 @@ def test_no_compiler_falls_back_to_python(monkeypatch, tmp_path):
     monkeypatch.setenv("PATH", str(tmp_path))
     monkeypatch.setattr(engine, "_kernel", engine._UNLOADED)
     monkeypatch.setattr(engine, "_kernel_cache_dirs", lambda: [tmp_path / "cache"])
+    with pytest.warns(RuntimeWarning, match="no C compiler") as record:
+        assert it.kernel_backend() == "python"
+    assert len(record) == 1  # and no more: the error filter would raise one
     assert it.kernel_backend() == "python"
     events = run([100.0, 99.0, 98.01, 99.0001], 0.01)
     assert [(e.kind, e.direction) for e in events] == \
@@ -1287,6 +1290,64 @@ def test_failing_compiler_warns_and_falls_back(monkeypatch, tmp_path):
     with pytest.warns(RuntimeWarning, match="no such target"):
         assert it.kernel_backend() == "python"
     assert list((tmp_path / "cache").iterdir()) == []  # the temp file is gone
+    assert len(run([100.0, 99.0, 98.01, 99.0001], 0.01)) == 3
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="the fake compiler is a shell script")
+def test_a_failing_compiler_runs_once_when_warnings_are_errors(monkeypatch, tmp_path):
+    # the fallback is recorded before the warning, so the warning raised as
+    # an error does not leave the next call to build again
+    runs = tmp_path / "runs"
+    fake_cc = tmp_path / "bin" / "cc"
+    fake_cc.parent.mkdir()
+    fake_cc.write_text(f"#!/bin/sh\necho run >> '{runs}'\necho 'no such target' >&2\nexit 1\n")
+    fake_cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(fake_cc.parent))
+    monkeypatch.setattr(engine, "_kernel", engine._UNLOADED)
+    monkeypatch.setattr(engine, "_kernel_cache_dirs", lambda: [tmp_path / "cache"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="no such target"):
+            it.kernel_backend()
+        assert it.kernel_backend() == "python"
+        assert len(run([100.0, 99.0, 98.01, 99.0001], 0.01)) == 3
+    assert runs.read_text() == "run\n"
+
+
+@pytest.mark.parametrize("lacks", [
+    "shared object",
+    pytest.param("kernel function",
+                 marks=pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH"))])
+@pytest.mark.skipif(sys.platform == "win32", reason="the fake compiler is a shell script")
+def test_a_cached_build_that_cannot_load_warns_once_and_falls_back(monkeypatch, tmp_path,
+                                                                   lacks):
+    # a fake compiler leaves a file that is no kernel under the build's own
+    # name; a later process finds it there with no compiler
+    payload = tmp_path / "payload"
+    if lacks == "shared object":
+        payload.write_text(f"{lacks:>4096}")
+    else:
+        subprocess.run(["cc", "-shared", "-fPIC", "-x", "c", "-o", str(payload), "-"],
+                       input=b"int nothing(void) { return 0; }\n", check=True)
+    fake_cc = tmp_path / "bin" / "cc"
+    fake_cc.parent.mkdir()
+    fake_cc.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\n'
+                       f'{shutil.which("cp")} \'{payload}\' "$2"\n')
+    fake_cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(fake_cc.parent))
+    monkeypatch.setattr(engine, "_kernel", engine._UNLOADED)
+    monkeypatch.setattr(engine, "_kernel_cache_dirs", lambda: [tmp_path / "cache"])
+    with pytest.warns(RuntimeWarning):
+        assert it.kernel_backend() == "python"
+    (build,) = (tmp_path / "cache").iterdir()
+    assert build.name.startswith("_scan-") and build.suffix == ".so"
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    monkeypatch.setattr(engine, "_kernel", engine._UNLOADED)
+    with pytest.warns(RuntimeWarning, match=re.escape(str(build))) as record:
+        assert [it.kernel_backend() for _ in range(3)] == ["python"] * 3
+    assert len(record) == 1
+    assert str(record[0].message).endswith("; using the slower Python scan and file I/O")
+    assert "no C compiler" not in str(record[0].message)
     assert len(run([100.0, 99.0, 98.01, 99.0001], 0.01)) == 3
 
 
@@ -1342,8 +1403,9 @@ def test_a_kernel_without_a_c_locale_warns_and_falls_back(monkeypatch):
             "it_format_events")}, it_init=lambda: 0)
 
     monkeypatch.setattr(engine.ctypes, "CDLL", without_locale)
+    monkeypatch.setattr(engine, "_kernel", engine._UNLOADED)
     with pytest.warns(RuntimeWarning, match="cannot make a C locale"):
-        assert engine._compile_kernel(engine._kernel_cache_dirs()) is None
+        assert it.kernel_backend() == "python"
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")

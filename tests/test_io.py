@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_through_a_fifo
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,28 @@ def test_parse_millis_unit(tmp_path):
     path.write_text("1500,4.5\n")
     series = it.parse_ticks(spec_for(path, timestamp_unit=it.TimestampUnit.MILLIS))
     assert series.timestamps.tolist() == [1_500_000_000]
+
+
+@pytest.mark.parametrize("unit", list(it.TimestampUnit))
+def test_a_timestamp_unit_may_be_named_by_value(tmp_path, monkeypatch, unit):
+    path = tmp_path / "ticks.csv"
+    path.write_text("timestamp,price\n1500,4.5\n2000,4.25\n")
+    parsed, parse_c = [], io._parse_c
+    monkeypatch.setattr(io, "_parse_c", lambda *args: parsed.append(1) or parse_c(*args))
+    spec = it.TickFileSpec(path, timestamp_unit=unit.value)
+    assert spec.timestamp_unit is unit
+    member = it.TickFileSpec(path, timestamp_unit=unit)
+    by_value, by_member = it.parse_ticks(spec), it.parse_ticks(member)
+    assert by_value.timestamps.tolist() == by_member.timestamps.tolist()
+    assert by_value.prices.tolist() == by_member.prices.tolist() == [4.5, 4.25]
+    # a nanosecond file takes the C parser, named by member or by value
+    nanos = unit is it.TimestampUnit.NANOS and it.kernel_backend() == "c"
+    assert len(parsed) == 2 * nanos
+
+
+def test_an_unknown_timestamp_unit_raises(tmp_path):
+    with pytest.raises(it.ConfigurationError, match="unknown timestamp unit 'min'"):
+        it.TickFileSpec(tmp_path / "ticks.csv", timestamp_unit="min")
 
 
 @pytest.mark.parametrize("content,bad_row", [
@@ -629,23 +652,19 @@ def test_events_from_engine_roundtrip(tmp_path):
         assert it.read_events(path, fmt) == events
 
 
-def read_through_a_fifo(path, read):
-    """``read`` of a FIFO that one thread fills with the bytes of ``path``."""
-    fifo = path.with_name("fifo")
-    os.mkfifo(fifo)
-
-    def write():
-        with contextlib.suppress(OSError), open(fifo, "wb") as fh:  # EPIPE if read fails
-            fh.write(path.read_bytes())
-
-    writer = threading.Thread(target=write)
-    writer.start()
-    try:
-        return read(fifo)
-    finally:
-        if writer.is_alive():  # unblocks a writer still waiting for a reader
-            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
-        writer.join()
+def test_write_ticks_takes_what_as_tick_series_takes(tmp_path):
+    pairs = [(0, 1.0), (1, 2.0), (5, 1.5)]
+    it.write_ticks(pairs, tmp_path / "pairs.csv")
+    it.write_ticks([it.Tick(*pair) for pair in pairs], tmp_path / "ticks.csv")
+    it.write_ticks(it.as_tick_series(pairs), tmp_path / "series.csv")
+    written = {p.read_bytes() for p in tmp_path.iterdir()}
+    assert written == {f"{TICK_SCHEMA_COMMENT}\ntimestamp,price\n0,1\n1,2\n5,1.5\n".encode()}
+    with pytest.raises(it.DomainError):
+        it.write_ticks([(0, 1.0), (1, -2.0)], tmp_path / "negative.csv")
+    with pytest.raises(it.OrderingError):
+        it.write_ticks([(1, 1.0), (0, 2.0)], tmp_path / "unordered.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.csv", "series.csv",
+                                                         "ticks.csv"]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
