@@ -93,11 +93,15 @@
  * writers, which ``io.py`` uses in place of its Python row loops and
  * writers when this unit is loaded. Both parsers read their numbers with
  * int_field and real_field, in the JSON number grammar; both writers write
- * "%.17g" with put_g17. The event writer formats a JSON Lines price as
+ * "%.17g" with put_g17. These are exact in integer arithmetic for every
+ * timestamp, for a price or delta of at most 19 significant digits and 22
+ * after the point without an exponent, and for "%.17g" of a double in
+ * [1e-6, 2^53); any other number goes to strtod or snprintf, and no value or
+ * text depends on which. The event writer formats a JSON Lines price as
  * float.__repr__ does, exactly, for prices in [1e-3, 2^52); it leaves a
  * row with any other price to Python. The parsers and writers switch the
  * calling thread to the C locale and back around their loops, so strtod
- * and "%.17g" use '.' whatever the process locale; that locale is made
+ * and snprintf use '.' whatever the process locale; that locale is made
  * once, by it_init, which ``engine._bind_kernel`` calls when it loads this
  * unit.
  *
@@ -296,17 +300,40 @@ stop:
     return r - run;
 }
 
-/* The end of the run of ASCII digits that starts at p. */
-static const char *digits(const char *p, const char *end)
+/* The field readers and writers below are forced inline, so that gcc lays
+ * none of them out before it_scan. Left to gcc, real_field is called, not
+ * inlined, which slows it_parse_ticks by 8%. */
+#define FIELD static inline __attribute__((always_inline))
+
+/* 10^0 .. 10^11: 10^q for q <= 22 is the product of two of them. */
+static const uint64_t POW10[12] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL};
+
+/* 10^q, for 0 <= q <= 22, in 128 bits. */
+FIELD unsigned __int128 ten_to(int q)
 {
-    while (p < end && *p >= '0' && *p <= '9')
-        p++;
-    return p;
+    return (unsigned __int128)POW10[q / 2] * POW10[q - q / 2];
 }
 
-/* The field readers and writers below are forced inline. Left to gcc,
- * real_field is called, not inlined, which slows it_parse_ticks by 8%. */
-#define FIELD static inline __attribute__((always_inline))
+/* m 10^q >> shift, the bits shifted out in *rest: the exact arithmetic of
+ * both decimal writers, for m 10^q < 2^128 and a quotient below 2^64. */
+FIELD uint64_t scaled(uint64_t m, int q, int shift, unsigned __int128 *rest)
+{
+    unsigned __int128 r = ten_to(q) * m;
+    *rest = r & (((unsigned __int128)1 << shift) - 1);
+    return (uint64_t)(r >> shift);
+}
+
+/* The end of the run of ASCII digits that starts at p, each appended to *w
+ * (10 *w + d) by the overflow builtins: UINT64_MAX once it would pass that. */
+FIELD const char *digits(const char *p, const char *end, uint64_t *w)
+{
+    for (; p < end && *p >= '0' && *p <= '9'; p++)
+        if (__builtin_mul_overflow(*w, 10, w) || __builtin_add_overflow(*w, *p - '0', w))
+            *w = UINT64_MAX;
+    return p;
+}
 
 /* The end of the text lit at p, or NULL when p does not start with it. */
 FIELD const char *literal(const char *p, const char *end, const char *lit)
@@ -327,61 +354,88 @@ FIELD const char *either(const char *p, const char *end, const char *a,
 }
 
 /* The end of a JSON integer ``-?(0|[1-9][0-9]*)`` at p (without the minus
- * when sign is 0), or NULL. */
-FIELD const char *integer(const char *p, const char *end, int sign)
+ * when sign is 0), or NULL. Its digits go to *w as digits() appends them. */
+FIELD const char *integer(const char *p, const char *end, int sign, uint64_t *w)
 {
     p += sign && p < end && *p == '-';
     if (p == end || *p < '0' || *p > '9')
         return NULL;
-    return *p == '0' ? p + 1 : digits(p, end);
+    return *p == '0' ? p + 1 : digits(p, end, w);
 }
 
 /* The end of a JSON number ``-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?``
- * at p, or NULL. */
-FIELD const char *number(const char *p, const char *end)
+ * at p, or NULL. The digits before the exponent go to *w as digits()
+ * appends them, and *k is the number of them after the point, or INT64_MAX
+ * with an exponent. */
+FIELD const char *number(const char *p, const char *end, uint64_t *w, int64_t *k)
 {
-    const char *q = integer(p, end, 1), *r;
+    const char *q = integer(p, end, 1, w), *r;
     if (q != NULL && q < end && *q == '.') {
-        r = digits(q + 1, end);
+        r = digits(q + 1, end, w);
+        *k = r - (q + 1);
         q = r > q + 1 ? r : NULL;
     }
     if (q != NULL && q < end && (*q == 'e' || *q == 'E')) {
         r = q + 1;
         r += r < end && (*r == '+' || *r == '-');
-        q = digits(r, end);
+        q = digits(r, end, &(uint64_t){0});
         q = q > r ? q : NULL;
+        *k = INT64_MAX;
     }
     return q;
 }
 
-/* An integer field at p, read by strtoll into *out, followed by the text
- * next: the end of next, or NULL when the field is outside the grammar or
- * int64. Checking next first keeps strtoll inside the buffer. */
+/* An integer field at p, read into *out, followed by the text next: the end
+ * of next, or NULL when the field is outside the grammar or int64. It is read
+ * as integer() checks it, so the text is walked once, exactly over
+ * [-2^63, 2^63). */
 FIELD const char *int_field(const char *p, const char *end, int sign,
                              const char *next, int64_t *out)
 {
-    const char *q = integer(p, end, sign), *r;
-    char *stop;
-    if (q == NULL || (r = literal(q, end, next)) == NULL)
+    uint64_t w = 0;
+    int minus = sign && p < end && *p == '-';
+    const char *q = integer(p, end, sign, &w);
+    if (q == NULL || w > (uint64_t)INT64_MAX + minus)
         return NULL;
-    errno = 0;
-    *out = strtoll(p, &stop, 10);
-    return stop == q && errno != ERANGE ? r : NULL;
+    *out = (int64_t)(minus ? 0 - w : w); /* gcc converts modulo 2^64 */
+    return literal(q, end, next);
 }
 
-/* A number field at p, read by strtod into *out, followed by the text next:
- * the end of next, or NULL when the field is outside the grammar, ERANGE or
- * not in (0, hi). The one place this unit reads a double. */
+/* A number field at p, read into *out, followed by the text next: the end of
+ * next, or NULL when the field is outside the grammar, ERANGE or not in
+ * (0, hi). The one place this unit reads a double.
+ *
+ * A number without an exponent whose digits w, read as number() checks them,
+ * stay below 2^64 (any of at most 19 significant digits), k <= 22 of them
+ * after the point, is w / 10^k = w / (5^k 2^k) (Clinger, "How to read
+ * floating point numbers accurately", PLDI 1990). q = (w << s) / 5^k, in 128
+ * bits with 2^62 < q < 2^64, holds its leading bits; the conversion of q to
+ * double rounds half to even, with the remainder as a sticky bit in q's last
+ * place, and ldexp is exact, as the value is in [1e-22, 2^64). Any other
+ * number goes to strtod. Either way *out is the double nearest the text,
+ * ties to even, as Python's float() reads it. */
 FIELD const char *real_field(const char *p, const char *end, double hi,
                               const char *next, double *out)
 {
-    const char *q = number(p, end), *r;
-    char *stop;
-    if (q == NULL || (r = literal(q, end, next)) == NULL)
-        return NULL;
-    errno = 0;
-    *out = strtod(p, &stop);
-    return stop == q && errno != ERANGE && *out > 0.0 && *out < hi ? r : NULL;
+    uint64_t w = 0;
+    int64_t k = 0;
+    const char *q = number(p, end, &w, &k), *r;
+    if (q == NULL || *p == '-' || (r = literal(q, end, next)) == NULL)
+        return NULL;                          /* a minus sign reads as 0 or less */
+    if (w != 0 && w != UINT64_MAX && k <= 22) {
+        uint64_t five = (uint64_t)(ten_to((int)k) >> k);
+        int s = __builtin_clzll(w) + 63 - __builtin_clzll(five);
+        unsigned __int128 n = (unsigned __int128)w << s;
+        uint64_t quotient = (uint64_t)(n / five);
+        *out = ldexp((double)(quotient | ((uint64_t)n != quotient * five)), -s - (int)k);
+    } else {
+        char *stop;
+        errno = 0;
+        *out = strtod(p, &stop);
+        if (stop != q || errno == ERANGE)
+            return NULL;
+    }
+    return *out > 0.0 && *out < hi ? r : NULL;
 }
 
 /* Tick rows from buf[*pos] on, each a ``-?(0|[1-9][0-9]*)`` timestamp in
@@ -394,8 +448,8 @@ FIELD const char *real_field(const char *p, const char *end, double hi,
  *
  * Everything this grammar accepts, Python's int() and float() read to the
  * same values, so a caller that falls back to its Python reader on any
- * unread row gets the same result either way. strtoll and strtod run in
- * the C locale whatever the process locale is.
+ * unread row gets the same result either way. strtod runs in the C locale
+ * whatever the process locale is.
  */
 int64_t it_parse_ticks(const char *buf, int64_t len, int64_t *pos,
                        int64_t *ts, double *px, int64_t cap)
@@ -465,11 +519,6 @@ int64_t it_parse_events(const char *buf, int64_t len, int64_t *pos, int jsonl,
     return m;
 }
 
-/* 10^0 .. 10^11: 10^q for q <= 22 is the product of two of them. */
-static const uint64_t POW10[12] = {
-    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
-    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL};
-
 /* The decimal digits of v, written so that they end at end: their start. */
 FIELD char *digits_before(char *end, uint64_t v)
 {
@@ -506,10 +555,53 @@ FIELD char *put_int(char *out, int64_t v)
     return put_chars(out, first, (int)(end - first));
 }
 
+/* The n digits at first in fixed notation, with the decimal point point
+ * places after the first digit (-point zeros before it when point <= 0),
+ * then whole after a whole number: the end of the text at out. */
+FIELD char *put_fixed(char *out, const char *first, int n, int point, const char *whole)
+{
+    if (point <= 0)
+        return put_chars(put_chars(out, "0.000", 2 - point), first, n);
+    if (point >= n)
+        return put_text(put_chars(put_chars(out, first, n), "0000000000000000", point - n),
+                        whole);
+    out = put_chars(put_chars(out, first, point), ".", 1);
+    return put_chars(out, first + point, n - point);
+}
+
 /* x as "%.17g" writes it, in the caller's C locale, at out: the end of the
- * text, at most 24 characters. The one place this unit writes "%.17g". */
+ * text, at most 24 characters. The one place this unit writes "%.17g".
+ *
+ * A normal x = m 2^e with e < 0 (x < 2^53) and p = 16 - floor(log10 x) in
+ * [0, 22] (x >= 1e-6) has the 17 digits D = (m 10^p) >> -e, rounded half to
+ * even on the bits shifted out, in 128 bits; p is guessed as in put_repr.
+ * D is checked to be in [10^16, 10^17) before and after rounding, then laid
+ * out by %g's rules: no trailing zeros, and the exponent form below 1e-4
+ * (p > 20). Any other x or D goes to snprintf: the text is the same. */
 FIELD char *put_g17(char *out, double x)
 {
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int32_t biased = (int32_t)(bits >> 52);   /* with the sign: 0 for x > 0 */
+    uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    int32_t e = biased - 1075, p = 15 - (((e + 52) * 78913) >> 18);
+    if (biased != 0 && e < 0 && p <= 22) {    /* not 0, subnormal, x >= 2^53, inf, nan, x < 0 */
+        unsigned __int128 rest, half = (unsigned __int128)1 << (-e - 1);
+        uint64_t d = scaled(m, p, -e, &rest);
+        if (d < 10000000000000000ULL && p < 22)
+            d = scaled(m, ++p, -e, &rest);
+        int full = d >= 10000000000000000ULL;  /* 17 digits before rounding: p is right */
+        d += rest > half || (rest == half && d % 2 == 1);
+        if (full && d < 100000000000000000ULL) {
+            char text[20], *end = text + sizeof text;
+            const char *first = digits_before(end, d);
+            int n = 17;
+            while (first[n - 1] == '0')
+                n--;
+            out = put_fixed(out, first, n, p <= 20 ? 17 - p : 1, "");
+            return p <= 20 ? out : put_text(out, p == 21 ? "e-05" : "e-06");
+        }
+    }
     return out + snprintf(out, 32, "%.17g", x);
 }
 
@@ -520,9 +612,9 @@ FIELD char *put_g17(char *out, double x)
  * The digits are Ryu's (Adams, "Ryu: fast float-to-string conversion",
  * PLDI 2018): the shortest that read back to x, and of those the nearest
  * to x, ties to even. Where Ryu takes the bounds of x's rounding interval
- * from tables, they are computed here exactly: with x = m 2^e and
- * q = 18 - floor(log10 x), the interval is (vm, vp) around vr in units of
- * 10^-q, where vr, vp and vm are 4m, 4m + 2 and 4m - 1 - (m != 2^52),
+ * from tables, they are computed here exactly by scaled(): with x = m 2^e
+ * and q = 18 - floor(log10 x), the interval is (vm, vp) around vr in units
+ * of 10^-q, where vr, vp and vm are 4m, 4m + 2 and 4m - 1 - (m != 2^52),
  * times 10^q, shifted right by 2 - e. The bits shifted out say whether a
  * value is a whole number of units. The digits are then laid out in
  * repr's fixed form, with ".0" after a whole number. repr takes the
@@ -541,25 +633,21 @@ FIELD char *put_repr(char *out, double x)
         return NULL;
     /* q = 18 - floor(log10 x), guessed from b = floor(log2 x) as
      * 17 - floor(b log10 2): right, or one too small when vr < 10^18 */
-    int32_t q = 17 - (((e + 52) * 78913) >> 18);
+    int32_t q = 17 - (((e + 52) * 78913) >> 18), shift = 2 - e;
     if (q > 21)
         return NULL;
-    unsigned __int128 ten = (unsigned __int128)POW10[q / 2] * POW10[q - q / 2];
-    unsigned __int128 r = ten * (4 * m);
-    int shift = 2 - e;
-    if ((uint64_t)(r >> shift) < 1000000000000000000ULL) {
+    unsigned __int128 r, p, lo;
+    uint64_t vr = scaled(4 * m, q, shift, &r);
+    if (vr < 1000000000000000000ULL) {
         if (++q > 21)                         /* x < 1e-3 */
             return NULL;
-        ten *= 10;
-        r *= 10;
+        vr = scaled(4 * m, q, shift, &r);
     }
-    unsigned __int128 p = r + 2 * ten, lo = r - (1 + (m != 1ULL << 52)) * ten;
-    unsigned __int128 frac = ((unsigned __int128)1 << shift) - 1;
-    uint64_t vr = (uint64_t)(r >> shift), vp = (uint64_t)(p >> shift),
-             vm = (uint64_t)(lo >> shift);
+    uint64_t vp = scaled(4 * m + 2, q, shift, &p),
+             vm = scaled(4 * m - 1 - (m != 1ULL << 52), q, shift, &lo);
     int even = (m & 1) == 0;                  /* the bounds round to x */
-    int vr_whole = (r & frac) == 0, vm_whole = even && (lo & frac) == 0;
-    vp -= !even && (p & frac) == 0;
+    int vr_whole = r == 0, vm_whole = even && lo == 0;
+    vp -= !even && p == 0;
     int removed = 0, last = 0;
     while (vp / 10 > vm / 10 || (vm_whole && vm % 10 == 0)) {
         vm_whole &= vm % 10 == 0;
@@ -577,13 +665,7 @@ FIELD char *put_repr(char *out, double x)
     int n = (int)(end - first), point = n + removed - q;
     if (point <= -4 || point > 16)            /* repr's exponent form */
         return NULL;
-    if (point <= 0)
-        return put_chars(put_chars(out, "0.000", 2 - point), first, n);
-    if (point >= n)
-        return put_chars(put_chars(put_chars(out, first, n), "0000000000000000",
-                                   point - n), ".0", 2);
-    out = put_chars(put_chars(out, first, point), ".", 1);
-    return put_chars(out, first + point, n - point);
+    return put_fixed(out, first, n, point, ".0");
 }
 
 /* Longer than any "%lld,%.17g\n" row: 20 + 1 + 24 + 1 characters. */

@@ -7,8 +7,12 @@ version comment. One reader, ``_text_rows``, numbers the lines of every
 file read here and skips blank lines, CSV comments and the header. When
 ``_scan.c`` is compiled, nanosecond tick files and event files are parsed
 in C into columns, from which ``engine._events`` builds the events. Tick
-and event files share one number grammar in C, JSON's. Each C parser reads
-a strict subset of what its Python row loop reads; one loop, ``_parse_c``,
+and event files share one number grammar in C, JSON's, and one exact
+codec: every timestamp, every price or delta of at most 19 significant
+digits and 22 after the point without an exponent, and ``.17g`` of every
+price in [1e-6, 2**53) take integer arithmetic, other numbers ``strtod``
+and ``snprintf``, to the same values and text. Each C parser reads a
+strict subset of what its Python row loop reads; one loop, ``_parse_c``,
 reads the file one block at a time, carries the row a block cuts into the
 next, resumes the parser past each blank, comment or header line wherever
 it stands, and hands a file with any other line to the row loop, which
@@ -17,14 +21,15 @@ every error never depend on the path taken or the block size. Every tick
 and event file is written by one loop, ``_c_blocks``: a head, then blocks
 of rows from a C writer, and wherever it writes nothing rows from a Python
 template, its spec (``write_ticks``' own; ``_event_rows`` after
-``_event_head`` for event files): the row C stops at, or without the
-kernel bounded runs of rows. Event lists and scan arrays share one event
-writer, ``_write_event_columns``, whose C writer leaves each JSON Lines
-row with a price outside [1e-3, 2**52), subnormal too. CSV prices are
-serialized with 17 significant digits and JSON Lines prices as ``repr``
-writes them, so numeric round-trips are lossless. Writers go through a
-temp-file-then-rename step, so a failed run never leaves a partial output
-behind, and the files they create take their permissions from the umask.
+``_event_head`` for event files): from the row C stops at, runs that
+double while C writes nothing, or without the kernel bounded runs. Event
+lists and scan arrays share one event writer, ``_write_event_columns``,
+whose C writer leaves each JSON Lines row with a price outside
+[1e-3, 2**52), subnormal too. CSV prices are serialized with 17 significant
+digits and JSON Lines prices as ``repr`` writes them, so numeric
+round-trips are lossless. Writers go through a temp-file-then-rename step,
+so a failed run never leaves a partial output behind, and the files they
+create take their permissions from the umask.
 """
 
 from __future__ import annotations
@@ -367,9 +372,10 @@ def _c_blocks(head: str, n: int, format_rows,
     ``format_rows(row, buf, cap)``, a C writer or None, formats the rows
     from ``row.value`` on into the ``cap`` bytes at ``buf`` and moves
     ``row`` past them. Where it writes nothing, the template
-    ``python_rows(start, stop)`` formats the row it stops at; without a C
-    writer, the next ``_TEMPLATE_ROWS`` rows. Each C block is a view of one
-    reused buffer, valid until the next.
+    ``python_rows(start, stop)`` formats rows from there: 1, then twice as
+    many each time C writes nothing again, up to ``_TEMPLATE_ROWS`` (at
+    once without a C writer). Each C block is a view of one reused buffer,
+    valid until the next.
     """
     yield head.encode("utf-8")
     buf = np.empty(_BLOCK_BYTES, dtype=np.uint8)
@@ -379,10 +385,11 @@ def _c_blocks(head: str, n: int, format_rows,
         size = format_rows(row, address, buf.size) if format_rows else 0
         if size > 0:
             yield memoryview(buf)[:size]
+            chunk = 1
         else:
             stop = min(row.value + chunk, n)
             yield python_rows(row.value, stop).encode("utf-8")
-            row.value = stop
+            row.value, chunk = stop, min(2 * chunk, _TEMPLATE_ROWS)
 
 
 def write_ticks(series: TickInput, path: str | Path) -> None:

@@ -33,12 +33,7 @@ class ThresholdGrid:
 
     def __post_init__(self):
         # ConfigurationError, as ThresholdConfig raises it, unless each is a number in (0, 1)
-        deltas = tuple(ThresholdConfig(d).delta for d in self.deltas)
-        if not deltas:
-            raise ConfigurationError("threshold grid must not be empty")
-        if any(b <= a for a, b in zip(deltas, deltas[1:])):
-            raise ConfigurationError(
-                f"thresholds must be strictly ascending and distinct, got {deltas}")
+        deltas = _ascending(tuple(ThresholdConfig(d).delta for d in self.deltas))
         object.__setattr__(self, "deltas", deltas)
 
     def __len__(self) -> int:
@@ -49,6 +44,16 @@ class ThresholdGrid:
 
 
 GridInput = Union[ThresholdGrid, Iterable[float]]
+
+
+def _ascending(deltas: tuple[float, ...]) -> tuple[float, ...]:
+    """``deltas``, checked deltas, unless they are none or not strictly ascending."""
+    if not deltas:
+        raise ConfigurationError("threshold grid must not be empty")
+    if any(b <= a for a, b in zip(deltas, deltas[1:])):
+        raise ConfigurationError(
+            f"thresholds must be strictly ascending and distinct, got {deltas}")
+    return deltas
 
 
 def as_threshold_grid(grid: GridInput) -> ThresholdGrid:
@@ -75,7 +80,13 @@ class ThresholdSummary:
 
 
 def _configs(grid: GridInput, convention: MoveConvention) -> list[ThresholdConfig]:
-    return [ThresholdConfig(d, convention) for d in as_threshold_grid(grid)]
+    """The configs of ``grid``, each delta checked once, by its config; the
+    errors are those of ``ThresholdGrid(grid)``, then of the convention."""
+    if isinstance(grid, ThresholdGrid) or not isinstance(convention, MoveConvention):
+        return [ThresholdConfig(d, convention) for d in as_threshold_grid(grid)]
+    configs = [ThresholdConfig(d, convention) for d in grid]
+    _ascending(tuple(config.delta for config in configs))
+    return configs
 
 
 def _scan_grid(series: TickSeries, grid: GridInput,

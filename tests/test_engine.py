@@ -1380,6 +1380,31 @@ def test_every_static_function_of_the_kernel_is_used():
     assert unused == []
 
 
+class _DlInfo(ctypes.Structure):
+    _fields_ = [("fname", ctypes.c_char_p), ("fbase", ctypes.c_void_p),
+                ("sname", ctypes.c_char_p), ("saddr", ctypes.c_void_p)]
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")
+def test_no_function_of_the_kernel_comes_before_it_scan():
+    # it_scan's place in .text sets where its loops fall, and so its speed: a
+    # helper that gcc lays out ahead of it moves it
+    nm, dladdr = shutil.which("nm"), getattr(ctypes.CDLL(None), "dladdr", None)
+    if nm is None or dladdr is None:
+        pytest.skip("no nm on PATH, or no dladdr to find the loaded kernel")
+    dladdr.argtypes = [ctypes.c_void_p, ctypes.POINTER(_DlInfo)]
+    info = _DlInfo()  # the file the loaded it_scan comes from
+    assert dladdr(ctypes.cast(engine._load_kernel().scan, ctypes.c_void_p), ctypes.byref(info))
+    listing = subprocess.run([nm, "-n", info.fname.decode()], capture_output=True, text=True,
+                             check=True, timeout=60).stdout
+    text = [(int(address, 16), name.split(".")[0]) for address, kind, name in
+            (line.split() for line in listing.splitlines() if len(line.split()) == 3)
+            if kind in "tT"]  # gcc's clones are named like real_field.part.0
+    scan_at = next(address for address, name in text if name == "it_scan")
+    in_source = set(re.findall(r"\b(\w+)\(", engine._KERNEL_SOURCE.read_text()))
+    assert [name for address, name in text if address < scan_at and name in in_source] == []
+
+
 def test_the_kernel_makes_its_c_locale_once():
     # one locale, made by it_init when the kernel is bound, serves every
     # parser and writer: none makes or frees one per call

@@ -397,6 +397,43 @@ def test_fast_parser_never_reads_the_header_as_a_row(tmp_path):
                             np.dtype(np.float64), np.array([2.0]).tobytes())
 
 
+def fixed_text(w, k):
+    """w / 10**k, a whole number w >= 0, in decimal with k digits after the point."""
+    text = str(w).rjust(k + 1, "0")
+    return f"{text[:-k]}.{text[-k:]}" if k else text
+
+
+@st.composite
+def decimal_texts(draw):
+    """A decimal of 1-25 significant digits, 0-25 of them after the point,
+    or an exact tie between two doubles, written out in full."""
+    if draw(st.booleans()):  # m 2**f and the next double, (2m + 1) 2**(f - 1)
+        tie, f = 2 * draw(st.integers(2**52, 2**53 - 1)) + 1, draw(st.integers(-70, 8)) - 1
+        return str(tie << f) if f >= 0 else fixed_text(tie * 5**-f, -f)
+    digits = draw(st.sampled_from("123456789")) + draw(st.text("0123456789", max_size=24))
+    return fixed_text(int(digits), draw(st.integers(0, 25)))
+
+
+timestamp_texts = st.one_of(st.integers(-2**64, 2**64), st.integers(-2**63 - 2, -2**63 + 2),
+                            st.integers(2**63 - 2, 2**63 + 2)).map(str) | st.just("-0")
+
+
+@needs_cc
+@given(st.lists(st.tuples(timestamp_texts, decimal_texts()), min_size=1, max_size=20))
+@settings(max_examples=300)
+def test_c_number_reader_equals_int_and_float(rows):
+    # it_parse_ticks, a row a call, against Python's int() and float(): the
+    # same values, and a row refused exactly where they give a timestamp
+    # outside int64 or a price that is not positive
+    kernel, ts, px = engine._load_kernel(), np.empty(1, np.int64), np.empty(1)
+    for t, p in rows:
+        data = f"{t},{p}\n".encode()
+        read = kernel.parse_ticks(data, len(data), ctypes.c_int64(0), ts.ctypes.data,
+                                  px.ctypes.data, 1)
+        expected = -2**63 <= int(t) < 2**63 and float(p) > 0
+        assert read == expected and (not read or (ts[0], px[0]) == (int(t), float(p))), (t, p)
+
+
 def write_both_ways(series, path):
     """The bytes write_ticks writes with the compiled kernel and without it."""
     assert it.kernel_backend() == "c"
@@ -409,14 +446,21 @@ def write_both_ways(series, path):
     return compiled, path.read_bytes()
 
 
-HARD_PRICES = [1e-5, 5e-324, 1e22, 1 / 3, float(np.nextafter(1.0, 2.0)), 1.7976931348623157e308]
+# Prices whose "%.17g" or float() is easy to get wrong: the ends of the
+# double range, the edges of the exact writer's range [1e-6, 2**53) and of
+# %g's exponent form (below 1e-4, at 1e17), and exact ties on the 17th digit
+# (2**50 + 0.25 and 1307231931751.78125), which round to the even digit.
+HARD_PRICES = [1e-5, 5e-324, 1e22, 1 / 3, float(np.nextafter(1.0, 2.0)), 1.7976931348623157e308,
+               9.9999999999999991e-5, 1e-4, 1e16, 1e17, 1e-6, float(np.nextafter(1e-6, 1.0)),
+               2.0 ** 53, 2.0 ** 53 - 1, 2.0 ** 50 + 0.25, 1307231931751.78125]
+HARD_STAMPS = [-2**63, -1, 0, *range(1, len(HARD_PRICES) - 3), 2**63 - 1]
 GBM_WALK = it.generate_gbm(it.GbmParams(s0=1.0, mu=0.0, sigma=0.01, dt_step=0.5,
                                         n_steps=50_000, seed=3))
 
 
 @needs_cc
 @pytest.mark.parametrize("series", [
-    it.TickSeries(np.array([-2**63, -1, 0, 1, 2, 2**63 - 1]), np.array(HARD_PRICES)),
+    it.TickSeries(np.array(HARD_STAMPS), np.array(HARD_PRICES)),
     GBM_WALK,
     it.TickSeries(np.array([], dtype=np.int64), np.array([])),
 ], ids=["hard-prices", "gbm", "empty"])
@@ -426,6 +470,23 @@ def test_both_tick_writers_write_17g_bytes(tmp_path, series):
                    for t, p in zip(series.timestamps.tolist(), series.prices.tolist()))
     assert compiled == python == f"{TICK_SCHEMA_COMMENT}\ntimestamp,price\n{rows}".encode()
     assert [p.name for p in tmp_path.iterdir()] == ["ticks.csv"]  # no temp file left
+
+
+@needs_cc
+def test_c_tick_writer_equals_17g_on_random_doubles(tmp_path):
+    rng = np.random.default_rng(11)
+    prices = np.concatenate([
+        # every positive finite double, by its bits
+        rng.integers(1, 0x7FF0000000000000, size=100_000).view(np.float64),
+        # the exact writer's range, [1e-6, 2**53), and a little below it
+        np.ldexp(rng.integers(2**52, 2**53, size=100_000).astype(float),
+                 rng.integers(-73, 1, size=100_000)),
+        # ties on the 17th digit: 16 digits and a quarter, 15 and an eighth
+        rng.integers(10**15, 2**51, size=2_000) + rng.choice([0.25, 0.75], size=2_000),
+        rng.integers(10**14, 2**49, size=2_000) + rng.integers(0, 8, size=2_000) / 8])
+    it.write_ticks(it.TickSeries(np.arange(len(prices)), prices), tmp_path / "ticks.csv")
+    lines = (tmp_path / "ticks.csv").read_text().splitlines()[2:]
+    assert [line.split(",")[1] for line in lines] == [format(p, ".17g") for p in prices.tolist()]
 
 
 @needs_cc
@@ -838,9 +899,9 @@ def test_written_files_follow_the_umask(tmp_path, umask, mode):
 # event files in C: the compiled reader against the Python row loop
 # ---------------------------------------------------------------------------
 
-# strtod reports ERANGE below the smallest normal double and strtoll past
-# int64, so a subnormal price or delta or a clock index past int64 sends its
-# file to the row loop; the writers below write none
+# strtod reports ERANGE below the smallest normal double and int_field
+# refuses past int64, so a subnormal price or delta or a clock index past
+# int64 sends its file to the row loop; the writers below write none
 NORMAL_PRICES = st.floats(min_value=np.finfo(np.float64).tiny,
                           max_value=np.finfo(np.float64).max)
 NORMAL_DELTAS = st.floats(min_value=np.finfo(np.float64).tiny, max_value=1.0,
@@ -1094,17 +1155,38 @@ def test_fast_event_reader_skips_blank_lines_and_csv_comments_anywhere(
     assert took_fast_path == (fmt is CSV or not comment)  # JSON Lines has no comments
 
 
+# Texts read exactly in integer arithmetic, and texts next to them that go
+# to strtod: exact ties between two doubles, written out in full; just past
+# a tie, by less than the quotient's last bit (only the remainder, as the
+# sticky bit, tells); 19 and 20 digits, and 2**64 - 1 and past it; 22 and 23
+# digits after the point; leading zeros; %g's layout edges written both ways.
+CODEC_TEXTS = [
+    "9007199254740993", "9007199254740995", "4503599627370496.5", "4503599627370497.5",
+    "2251799813685248.25", "1125899906842624.125", "1125899906842624.375",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.197005600543192494", "0.005036796303984159094", "6815.365195739121646",
+    "1234567890.123456789", "9999999999999999999", "12345678901234567890",
+    "18446744073709551614", "18446744073709551615", "18446744073709551616",
+    "0.0001234567890123456789", "0.1234567890123456789012", "0.0000000000000000000001",
+    "0.00000000000000000000001", "0.0000001", "0.000000000000000000000000000001", "0.000",
+    "0.00001", "0.000099999999999999991", "9.9999999999999991e-5", "1e16",
+    "10000000000000000", "1e17", "100000000000000000"]
+
+
 @needs_cc
 @pytest.mark.parametrize("fmt", [CSV, JSONL])
-@pytest.mark.parametrize("text, taken", [
-    ("1e-5", True), ("2.5E+3", True), (".5", False), ("1.", False), ("007", False),
-    ("-0", False), ("+5", False), ("5e-324", False), ("1e400", False)])
-def test_tick_and_event_prices_share_one_grammar(tmp_path, fmt, text, taken):
+@pytest.mark.parametrize("ts, text, taken", [
+    (1, "1e-5", True), (1, "2.5E+3", True), (1, ".5", False), (1, "1.", False),
+    (1, "007", False), (1, "-0", False), (1, "+5", False), (1, "5e-324", False),
+    (1, "1e400", False), ("-0", "1.5", True), (-2**63, "1.5", True), (2**63 - 1, "1.5", True),
+    (2**63, "1.5", False), (-2**63 - 1, "1.5", False)]
+    + [(1, text, float(text) > 0) for text in CODEC_TEXTS])
+def test_tick_and_event_prices_share_one_grammar(tmp_path, fmt, ts, text, taken):
     ticks = tmp_path / "ticks.csv"
-    ticks.write_text(f"0,1.25\n1,{text}\n")
+    ticks.write_text(f"{ts},1.25\n{ts},{text}\n")
     tick_fast, tick_slow, tick_taken = parse_both_ways(ticks)
     events = tmp_path / f"events.{fmt.value}"
-    events.write_text(event_file(fmt, ("OS", 0, 1.25, 0.01, 0), ("DC", 1, text, 0.01, 1)))
+    events.write_text(event_file(fmt, ("OS", ts, 1.25, 0.01, 0), ("DC", ts, text, 0.01, 1)))
     event_fast, event_slow, event_taken = read_both_ways(events, fmt)
     assert tick_fast == tick_slow and event_fast == event_slow
     assert tick_taken == event_taken == taken
@@ -1445,6 +1527,24 @@ def rows_left_to_python(calls):
     return [first for first, _, size in calls if size == 0]
 
 
+def rows_c_leaves(prices, fmt):
+    """The rows at which the C event writer writes nothing, for prices that
+    fit one block: each JSON Lines price outside ``C_REPR_RANGE`` that a
+    template run does not cover. A run takes 1 row, then twice as many each
+    time C writes nothing again, and 1 again after C writes."""
+    outside = [fmt is JSONL and not C_REPR_RANGE[0] <= p < C_REPR_RANGE[1] for p in prices]
+    left, row, chunk = [], 0, 1
+    while row < len(prices):
+        if outside[row]:
+            left.append(row)
+            row, chunk = row + chunk, min(2 * chunk, io._TEMPLATE_ROWS)
+        else:
+            while row < len(prices) and not outside[row]:
+                row += 1
+            chunk = 1
+    return left
+
+
 def arrays_with_prices(prices, delta=0.0025):
     n = len(prices)
     return it.EventArrays(np.arange(n, dtype=np.int8) % 2,
@@ -1484,8 +1584,7 @@ def test_c_event_writer_equals_row_templates(tmp_path_factory, prices, delta, fm
     compiled, python, calls = write_arrays_both_ways(arrays_with_prices(prices, delta),
                                                     path, fmt)
     assert compiled == python
-    outside = [i for i, p in enumerate(prices) if not C_REPR_RANGE[0] <= p < C_REPR_RANGE[1]]
-    assert rows_left_to_python(calls) == (outside if fmt is JSONL else [])
+    assert rows_left_to_python(calls) == rows_c_leaves(prices, fmt)
 
 
 @needs_cc
@@ -1500,9 +1599,7 @@ def test_c_event_writer_on_hard_prices(tmp_path, fmt):
     written = [field(line) for line in lines]
     assert written == [format(p, ".17g") if fmt is CSV else repr(p) for p in REPR_HARD_PRICES]
     assert "1125899906842624.2" in written and "1307231931751.7812" in written
-    left = [i for i, p in enumerate(REPR_HARD_PRICES)
-            if not C_REPR_RANGE[0] <= p < C_REPR_RANGE[1]]
-    assert rows_left_to_python(calls) == (left if fmt is JSONL else [])
+    assert rows_left_to_python(calls) == rows_c_leaves(REPR_HARD_PRICES, fmt)
 
 
 @needs_cc
@@ -1525,6 +1622,38 @@ def test_c_event_writer_leaves_one_row_to_python_between_two_c_rows(tmp_path):
     assert compiled == python and b'"price":1e-05,' in compiled
     assert [(first, after) for first, after, _ in calls] == [(0, 1), (1, 1), (2, 3)]
     assert rows_left_to_python(calls) == [1]
+
+
+@needs_cc
+def test_the_template_takes_doubling_runs_where_c_writes_nothing(monkeypatch, tmp_path):
+    # JSON Lines prices near 1e-5, which C leaves, but for three rows it writes
+    n, bound = 3 * io._TEMPLATE_ROWS + 5, io._TEMPLATE_ROWS
+    prices = 1e-5 * (1.5 + np.sin(np.arange(n)))
+    prices[bound - 1:bound + 2] = [1.5, 2.5, 3.5]
+    arrays = it.EventArrays(np.arange(n, dtype=np.int8) % 2,
+                            np.where(np.arange(n) % 3 == 0, 1, -1).astype(np.int8),
+                            np.arange(n, dtype=np.int64) * 1000, prices, prices,
+                            it.ThresholdConfig(0.002))
+    path, templated, c_blocks = tmp_path / "events.jsonl", [], io._c_blocks
+
+    def recording(head, n, format_rows, python_rows):
+        def template(start, stop):
+            templated.append((start, stop))
+            return python_rows(start, stop)
+        return c_blocks(head, n, format_rows, template)
+
+    monkeypatch.setattr(io, "_c_blocks", recording)
+    io._write_event_arrays(arrays, path, JSONL)
+    compiled, runs = path.read_bytes(), list(templated)
+    monkeypatch.setattr(engine, "_kernel", None)
+    io._write_event_arrays(arrays, path, JSONL)
+    assert compiled == path.read_bytes()
+    # runs of 1, 2, 4, ... rows up to the rows C writes, then from 1 again up to the bound
+    doubling = [(2**j - 1, 2**(j + 1) - 1) for j in range(12)]
+    after = [(bound + 2 + 2**j - 1, bound + 2 + 2**(j + 1) - 1) for j in range(12)]
+    assert runs == doubling + after + [(bound + 2 + 4095, bound + 2 + 4095 + bound),
+                                       (bound + 2 + 4095 + bound, n)]
+    assert doubling[-1][1] == bound - 1 and len(runs) <= 2 * np.log2(n) + n / bound
 
 
 @pytest.mark.parametrize("writer", ["ticks", "no-kernel", "wide-clock"])

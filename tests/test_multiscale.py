@@ -56,6 +56,26 @@ def test_invalid_grids_rejected(deltas):
         it.decompose(FOUR_TICKS, deltas, 1)
 
 
+@pytest.mark.parametrize("grid", [[0.005, 0.01], iter([0.005, 0.01]),
+                                  it.ThresholdGrid((0.005, 0.01))])
+def test_each_delta_is_checked_once_per_grid_call(monkeypatch, grid):
+    checked, post_init = [], it.ThresholdConfig.__post_init__
+    monkeypatch.setattr(it.ThresholdConfig, "__post_init__",
+                        lambda config: checked.append(config.delta) or post_init(config))
+    results = it.run_grid(FOUR_TICKS, grid, it.MoveConvention.LOG_RETURN)
+    assert [delta for delta, _ in results] == checked == [0.005, 0.01]
+
+
+@pytest.mark.parametrize("deltas, message", [
+    ([0.01, 0.005], "strictly ascending"), ([0.01, 1.5], "delta must be in"),
+    ([], "must not be empty"), ([0.01], "unknown move convention")])
+def test_grid_errors_come_before_the_conventions(deltas, message):
+    # as ThresholdGrid(deltas), then ThresholdConfig(delta, convention), raise them
+    for grid in (deltas, iter(deltas)):
+        with pytest.raises(it.ConfigurationError, match=message):
+            it.run_grid(FOUR_TICKS, grid, "log")
+
+
 def test_run_grid_rejects_duplicate_deltas():
     with pytest.raises(it.ConfigurationError):
         it.run_grid(FOUR_TICKS, [0.01, 0.01])

@@ -86,10 +86,12 @@ def grammar_files() -> list[bytes]:
         for (row, _) in parametrized(test_io.test_fast_event_reader_takes_exactly_its_grammar,
                                      "row, taken"):
             files.append(event_file(fmt, ("OS", 0, 1.25, 0.01, 0), row).encode())
-        for (text, _) in parametrized(test_io.test_tick_and_event_prices_share_one_grammar,
-                                      "text, taken"):
-            files.append(event_file(fmt, ("OS", 0, 1.25, 0.01, 0),
-                                    ("DC", 1, text, 0.01, 1)).encode())
+        for (ts, text, _) in parametrized(test_io.test_tick_and_event_prices_share_one_grammar,
+                                          "ts, text, taken"):
+            files.append(event_file(fmt, ("OS", ts, 1.25, 0.01, 0),
+                                    ("DC", ts, text, 0.01, 1)).encode())
+            if fmt is test_io.CSV:  # and as a tick file
+                files.append(f"{ts},1.25\n{ts},{text}\n".encode())
         base = (io._event_head(fmt) + io._event_rows(rows, fmt)).split("\n")
         first = 2 if fmt is test_io.CSV else 0
         for mutate in EVENT_MUTATIONS.values():
