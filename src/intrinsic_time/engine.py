@@ -233,8 +233,20 @@ class ThresholdConfig:
         if not in_range:
             raise ConfigurationError(f"delta must be in (0, 1), got {self.delta!r}")
         object.__setattr__(self, "delta", delta)
-        if not isinstance(self.move_convention, MoveConvention):
-            raise ConfigurationError(f"unknown move convention {self.move_convention!r}")
+        _known_convention(self.move_convention)
+
+
+def _known_convention(convention) -> None:
+    """ConfigurationError unless ``convention`` is a MoveConvention."""
+    if not isinstance(convention, MoveConvention):
+        raise ConfigurationError(f"unknown move convention {convention!r}")
+
+
+def _known_mode(mode) -> int:
+    """``mode``'s value, +1 or -1; ConfigurationError unless it is a Mode."""
+    if not isinstance(mode, Mode):
+        raise ConfigurationError(f"initial mode must be a Mode, got {mode!r}")
+    return mode.value
 
 
 class IntrinsicEvent(NamedTuple):
@@ -282,8 +294,10 @@ def relative_move(from_price: float, to_price: float,
                   convention: MoveConvention = MoveConvention.RELATIVE) -> float:
     """Signed fractional move from one price to another.
 
-    RELATIVE returns (to - from) / from, LOG_RETURN returns ln(to / from).
+    RELATIVE returns (to - from) / from, LOG_RETURN returns ln(to / from);
+    any other convention raises ConfigurationError, before the prices are read.
     """
+    _known_convention(convention)
     if not (0.0 < from_price < math.inf) or not (0.0 < to_price < math.inf):
         raise DomainError(
             f"prices must be positive and finite, got {from_price!r} -> {to_price!r}")
@@ -349,8 +363,10 @@ def _tick_values(tick) -> tuple[int, float]:
 
 def new_runner(config: ThresholdConfig, initial_tick: Tick,
                initial_mode: Mode = Mode.UP) -> RunnerState:
-    """Fresh runner state anchored at the first tick."""
+    """Fresh runner state anchored at the first tick; ConfigurationError
+    unless ``initial_mode`` is a Mode."""
     ts, price = _tick_values(initial_tick)
+    _known_mode(initial_mode)
     return RunnerState(mode=initial_mode, extremum_price=price, os_reference_price=price,
                        last_timestamp=ts)
 
@@ -678,15 +694,24 @@ class EventArrays:
 
 
 class _GridScan:
-    """A threshold grid's scan of ticks that come in blocks, split anywhere:
-    ``feed`` goes on from each threshold's ``_Runner`` as the last block
-    left it, in the C kernel, which reads each tick once for the grid, or
-    else in ``_scan_python``. Each runner's events go to one block, copied
-    to one twice as large when it fills; the first blocks are slices of one
-    allocation. A threshold that cannot go on, at a stall or a flood, stops
-    the scan: ``feed`` raises there, and the scan is not fed again."""
+    """A threshold grid's scan, the only one the library starts: built from
+    the configs, any ``TickInput`` and a ``Mode``, which it checks, and fed
+    the ticks. ``feed`` goes on with more, split anywhere, from each
+    ``_Runner`` as the last block left it, in C, which reads each tick once
+    for the grid, or in ``_scan_python``. Each runner's events go to one
+    block, copied to one twice as large when it fills; the first blocks are
+    slices of one allocation. A stall or flood of a threshold stops the
+    scan: ``feed`` raises there, and the scan is not fed again."""
 
-    def __init__(self, configs: list[ThresholdConfig], first_price: float, mode: int):
+    def __init__(self, configs: list[ThresholdConfig], ticks: TickInput,
+                 initial_mode: Mode = Mode.UP):
+        series = as_tick_series(ticks)
+        if len(series) == 0:
+            raise EmptyInputError("cannot process an empty tick sequence")
+        for config in configs:
+            if not isinstance(config, ThresholdConfig):
+                raise ConfigurationError(f"expected a ThresholdConfig, got {config!r}")
+        mode, first_price = _known_mode(initial_mode), float(series.prices[0])
         self.configs = configs
         self.kernel = _load_kernel()
         cap, k = _FIRST_CAP, len(configs)
@@ -698,6 +723,7 @@ class _GridScan:
              *_column_addresses(base + step * j, cap), cap)
             for j, config in enumerate(configs)))
         self.blocks = [first[step * j:step * j + 26 * cap] for j in range(k)]
+        self.feed(series.timestamps, series.prices)
 
     def feed(self, timestamps: np.ndarray, prices: np.ndarray) -> None:
         """Scan the next ticks: C-contiguous int64 timestamps, float64 prices.
@@ -772,28 +798,15 @@ class _GridScan:
         return [events_from_arrays(arrays) for arrays in self.finish()]
 
 
-def _grid_scan(series: TickSeries, configs: list[ThresholdConfig],
-               initial_mode: Mode = Mode.UP) -> _GridScan:
-    """The grid driver: one ``_GridScan`` fed the whole series, which reads
-    the ticks once for the grid. ``finish()[j]`` is exactly what
-    ``process_arrays`` returns for ``configs[j]``. Raises EmptyInputError on
-    an empty series, and DomainError as ``feed`` does."""
-    if len(series) == 0:
-        raise EmptyInputError("cannot process an empty tick sequence")
-    scan = _GridScan(configs, float(series.prices[0]), initial_mode.value)
-    scan.feed(series.timestamps, series.prices)
-    return scan
-
-
 def process_arrays(ticks: TickInput, config: ThresholdConfig,
                    initial_mode: Mode = Mode.UP) -> EventArrays:
     """Run the event scan and return events as arrays (no object churn).
 
-    The one-threshold case of the grid driver ``_grid_scan``, which
-    ``run_grid``, ``decompose`` and the CLI commands call once for a whole
-    grid, so that they read the ticks once.
+    The one-threshold case of ``_GridScan``, which ``run_grid``,
+    ``decompose`` and the CLI commands build once for a whole grid, so that
+    they read the ticks once. Raises as ``process`` does.
     """
-    return _grid_scan(as_tick_series(ticks), [config], initial_mode).finish()[0]
+    return _GridScan([config], ticks, initial_mode).finish()[0]
 
 
 _KINDS = {0: EventKind.DIRECTIONAL_CHANGE, 1: EventKind.OVERSHOOT}  # by kind code
@@ -905,16 +918,16 @@ def process(ticks: TickInput, config: ThresholdConfig,
     """Transform a whole tick sequence into its intrinsic-time events.
 
     Equivalent to folding ``step`` over the sequence after ``new_runner``
-    on the first tick, but runs as one pass with constant state: in C
-    where a compiler is available (see ``kernel_backend``), else in the
-    Python loop that ``step`` runs tick by tick. The C scan resumes where
-    it stopped on a full event buffer, so every tick is scanned once
-    however many events there are. Raises EmptyInputError on an empty
-    sequence; a single tick yields no events. At the first tick where an
+    on the first tick, but one pass of ``_GridScan``, which reads each tick
+    once however many events there are: in C where a compiler is available
+    (see ``kernel_backend``), else in the Python loop that ``step`` runs
+    tick by tick. Raises EmptyInputError on an empty sequence, then
+    ConfigurationError naming a ``config`` or ``initial_mode`` of the wrong
+    type; a single tick yields no events. At the first tick where an
     overshoot step cannot move the reference price, or whose overshoots do
     not fit in memory, it raises the DomainError that ``step`` raises there.
     """
-    return _grid_scan(as_tick_series(ticks), [config], initial_mode).events()[0]
+    return _GridScan([config], ticks, initial_mode).events()[0]
 
 
 def overshoot_lengths(arrays: EventArrays) -> np.ndarray:

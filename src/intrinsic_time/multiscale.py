@@ -9,18 +9,15 @@ thresholds resolve more events and a longer coastline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import engine
 from .engine import (
-    EventArrays,
     EventKind,
     IntrinsicEvent,
     MoveConvention,
     ThresholdConfig,
     TickInput,
-    TickSeries,
-    as_tick_series,
 )
 from .errors import ConfigurationError, ConsistencyError
 
@@ -33,7 +30,7 @@ class ThresholdGrid:
 
     def __post_init__(self):
         # ConfigurationError, as ThresholdConfig raises it, unless each is a number in (0, 1)
-        deltas = _ascending(tuple(ThresholdConfig(d).delta for d in self.deltas))
+        deltas = _ascending(tuple(ThresholdConfig(d).delta for d in _deltas(self.deltas)))
         object.__setattr__(self, "deltas", deltas)
 
     def __len__(self) -> int:
@@ -44,6 +41,16 @@ class ThresholdGrid:
 
 
 GridInput = Union[ThresholdGrid, Iterable[float]]
+
+
+def _deltas(grid) -> Iterator:
+    """``iter(grid)``; ConfigurationError for a str, bytes or non-iterable grid."""
+    try:
+        if not isinstance(grid, (str, bytes)):
+            return iter(grid)
+    except TypeError:
+        pass
+    raise ConfigurationError(f"threshold grid must be an iterable of numbers, got {grid!r}")
 
 
 def _ascending(deltas: tuple[float, ...]) -> tuple[float, ...]:
@@ -57,9 +64,7 @@ def _ascending(deltas: tuple[float, ...]) -> tuple[float, ...]:
 
 
 def as_threshold_grid(grid: GridInput) -> ThresholdGrid:
-    if isinstance(grid, ThresholdGrid):
-        return grid
-    return ThresholdGrid(tuple(grid))
+    return grid if isinstance(grid, ThresholdGrid) else ThresholdGrid(grid)
 
 
 @dataclass(frozen=True)
@@ -84,18 +89,17 @@ def _configs(grid: GridInput, convention: MoveConvention) -> list[ThresholdConfi
     errors are those of ``ThresholdGrid(grid)``, then of the convention."""
     if isinstance(grid, ThresholdGrid) or not isinstance(convention, MoveConvention):
         return [ThresholdConfig(d, convention) for d in as_threshold_grid(grid)]
-    configs = [ThresholdConfig(d, convention) for d in grid]
+    configs = [ThresholdConfig(d, convention) for d in _deltas(grid)]
     _ascending(tuple(config.delta for config in configs))
     return configs
 
 
-def _scan_grid(series: TickSeries, grid: GridInput,
-               convention: MoveConvention) -> list[EventArrays]:
-    """``run_grid`` as event arrays: those of every threshold, in grid
-    order, each carrying its threshold in ``config.delta``, from one call
-    of the grid driver, which reads each tick once for the whole grid."""
-    # through the module, so that a patched ``engine._grid_scan`` sees every pass
-    return engine._grid_scan(series, _configs(grid, convention)).finish()
+def _scan_grid(ticks: TickInput, grid: GridInput,
+               convention: MoveConvention) -> engine._GridScan:
+    """The ``engine._GridScan`` of ``ticks`` for ``grid``, in grid order; grid
+    errors come before tick errors. Looked up in ``engine``, so that a
+    patched ``_GridScan`` sees every scan."""
+    return engine._GridScan(_configs(grid, convention), ticks)
 
 
 def run_grid(ticks: TickInput, grid: GridInput,
@@ -112,10 +116,8 @@ def run_grid(ticks: TickInput, grid: GridInput,
     threshold, where a threshold stalls or floods raises the DomainError
     that ``process`` raises for that threshold alone.
     """
-    series = as_tick_series(ticks)
-    configs = _configs(grid, convention)
-    events = engine._grid_scan(series, configs).events()
-    return [(config.delta, config_events) for config, config_events in zip(configs, events)]
+    scan = _scan_grid(ticks, grid, convention)
+    return [(config.delta, events) for config, events in zip(scan.configs, scan.events())]
 
 
 def summarize(delta: float, events: Sequence[IntrinsicEvent]) -> ThresholdSummary:

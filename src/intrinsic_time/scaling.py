@@ -27,6 +27,7 @@ from .engine import (
     ThresholdConfig,
     TickInput,
     _eq_with_arrays,
+    _known_convention,
     _moves,
     _whole,
     as_tick_series,
@@ -157,8 +158,10 @@ def physical_returns(ticks: TickInput, dt: int,
     Prices are sampled at t0, t0+dt, t0+2dt, ... using the last tick at
     or before each sample time (no look-ahead), then differenced with
     the given convention. The tick span must cover at least 2 * dt, and
-    dt must be a positive whole number (an integral float is accepted).
+    dt must be a positive whole number (an integral float is accepted). A
+    convention that is not a MoveConvention raises ConfigurationError first.
     """
+    _known_convention(convention)
     series = as_tick_series(ticks)
     ns = _whole(dt)
     if ns is None or ns <= 0:
@@ -195,7 +198,7 @@ def decompose(ticks: TickInput, grid: GridInput, dt: int,
     lhs = squared_mean(physical_returns(series, dt, convention).returns)
 
     rows: list[DecompositionRow] = []
-    for arrays in _scan_grid(series, grid, convention):
+    for arrays in _scan_grid(series, grid, convention).finish():
         delta = arrays.config.delta
         omegas = overshoot_lengths(arrays)
         n_dc = arrays.n_dc

@@ -263,14 +263,14 @@ def test_each_command_scans_each_threshold_once(tmp_path, monkeypatch, capsys):
     ticks = tmp_path / "ticks.csv"
     run_cli("generate", "--model", "walk", "--step-size", "0.003", "--steps",
             "5000", "--seed", "9", "--out", str(ticks))
-    calls = []  # the thresholds of each grid-driver call
-    grid_scan = it.engine._grid_scan
+    calls = []  # the thresholds of each grid scan built
 
-    def counting(*args, **kwargs):
-        calls.append([config.delta for config in args[1]])
-        return grid_scan(*args, **kwargs)
+    class Counting(it.engine._GridScan):
+        def __init__(self, configs, *args, **kwargs):
+            calls.append([config.delta for config in configs])
+            super().__init__(configs, *args, **kwargs)
 
-    monkeypatch.setattr(it.engine, "_grid_scan", counting)
+    monkeypatch.setattr(it.engine, "_GridScan", Counting)
     common = ["--in", str(ticks), "--deltas", "0.002,0.004,0.008"]
     for command, extra in [("transform", ["--out-dir", str(tmp_path / "out")]),
                            ("scaling", []),

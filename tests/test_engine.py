@@ -116,6 +116,39 @@ def test_relative_move_rejects_nonpositive_price():
                 it.relative_move(*prices, convention)
 
 
+@pytest.mark.parametrize("convention", ["log", None, 1])
+def test_relative_move_refuses_an_unknown_convention(convention):
+    # "log" gave the relative move, 0.10000000000000009, and named nothing
+    with pytest.raises(it.ConfigurationError,
+                       match=re.escape(f"unknown move convention {convention!r}")):
+        it.relative_move(1.0, 1.1, convention)
+    assert it.relative_move(1.0, 1.1, REL) == 0.10000000000000009
+    assert it.relative_move(1.0, 1.1, LOG) == math.log(1.1)
+
+
+@pytest.mark.parametrize("mode", ["up", "down", 1, -1, None])
+def test_a_mode_that_is_not_a_mode_is_a_configuration_error(mode):
+    # new_runner kept it until the next step, and the scans raised a bare
+    # AttributeError; each now names it
+    message = re.escape(f"initial mode must be a Mode, got {mode!r}")
+    config = it.ThresholdConfig(0.05)
+    with pytest.raises(it.ConfigurationError, match=message):
+        it.new_runner(config, it.Tick(0, 1.0), mode)
+    for scan in (it.process, it.process_arrays):
+        with pytest.raises(it.ConfigurationError, match=message):
+            scan([(0, 1.0), (1, 1.1)], config, mode)
+        with pytest.raises(it.EmptyInputError):  # no ticks still comes first
+            scan([], config, mode)
+
+
+@pytest.mark.parametrize("config", ["x", 0.05, None, (0.05, LOG)])
+def test_a_config_that_is_not_a_threshold_config_is_a_configuration_error(config):
+    for scan in (it.process, it.process_arrays):
+        with pytest.raises(it.ConfigurationError,
+                           match=re.escape(f"expected a ThresholdConfig, got {config!r}")):
+            scan([(0, 1.0), (1, 1.1)], config)
+
+
 # ---------------------------------------------------------------------------
 # hand-traced step behaviour
 # ---------------------------------------------------------------------------
@@ -902,7 +935,7 @@ def test_a_grid_raises_for_the_threshold_that_stops_first_in_time(
         within_lines(100_000, it.run_grid, series, deltas, convention)
     assert str(error.value) == first
     with pytest.raises(it.DomainError) as error:  # the grid in the other order
-        engine._grid_scan(series, [it.ThresholdConfig(d, convention) for d in deltas[::-1]])
+        engine._GridScan([it.ThresholdConfig(d, convention) for d in deltas[::-1]], series)
     assert str(error.value) == first
 
 
@@ -957,7 +990,7 @@ def test_one_pass_over_a_grid_equals_each_threshold_scanned_alone(monkeypatch, k
         gap = np.roll(np.geomspace(0.001, 0.03, k), next(shifts))
         cases.append((GAP_SERIES, [it.ThresholdConfig(d, convention) for d in gap], it.Mode.UP))
     for series, configs, mode in cases:
-        grid = engine._grid_scan(series, configs, mode).finish()
+        grid = engine._GridScan(configs, series, mode).finish()
         assert [arrays.config for arrays in grid] == configs
         assert sum(map(len, grid)) > 20
         for got, twin in zip(grid, twin_grid(series, configs, mode)):
@@ -972,17 +1005,19 @@ def test_each_first_event_block_keeps_its_8_byte_columns_aligned(monkeypatch):
     # the first blocks are slices of one allocation; with a cap that is not
     # a multiple of 4, 26-byte slots would misalign every other runner's
     monkeypatch.setattr(engine, "_FIRST_CAP", 3)
-    scan = engine._GridScan([it.ThresholdConfig(d) for d in (0.01, 0.02, 0.03)], 1.0, 1)
+    scan = engine._GridScan([it.ThresholdConfig(d) for d in (0.01, 0.02, 0.03)], [(0, 1.0)])
     assert all(r.ts % 8 == r.px % 8 == r.xt % 8 == 0 for r in scan.runners)
 
 
 def scan_in_blocks(series, configs, mode, cuts):
-    """The grid's event arrays from one ``_GridScan`` fed the ticks split at
-    ``cuts`` (sorted; equal cuts make empty blocks), or the text of the
-    DomainError a feed raises."""
-    scan = engine._GridScan(configs, float(series.prices[0]), mode.value)
+    """The grid's event arrays from one ``_GridScan`` built from the ticks
+    up to the first cut past 0 and fed the rest split at the other ``cuts``
+    (sorted; equal cuts make empty blocks), or the text of the DomainError
+    the scan raises."""
+    bounds = [cut for cut in cuts if cut > 0] + [len(series)]
     try:
-        for lo, hi in zip([0, *cuts], [*cuts, len(series)]):
+        scan = engine._GridScan(configs, series[:bounds[0]], mode)
+        for lo, hi in zip(bounds, bounds[1:]):
             scan.feed(series.timestamps[lo:hi], series.prices[lo:hi])
     except it.DomainError as exc:
         return str(exc)
@@ -1206,7 +1241,7 @@ def test_a_flooding_grid_raises_for_its_first_flooding_tick(monkeypatch, backend
     series = it.TickSeries(np.arange(5), np.array([1.0, 0.5, 1.0, 2.0, 1e6]))
     with pytest.raises(it.DomainError, match=r"^threshold 1e-06: .* at timestamp 3 \(price "
                                              r"2\.0\), where about 6\.92e\+05 more"):
-        engine._grid_scan(series, [it.ThresholdConfig(1e-5), it.ThresholdConfig(1e-6)])
+        engine._GridScan([it.ThresholdConfig(1e-5), it.ThresholdConfig(1e-6)], series)
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler (cc) on PATH")

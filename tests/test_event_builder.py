@@ -17,6 +17,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -30,7 +31,9 @@ import intrinsic_time as it
 from intrinsic_time import engine, io
 
 HAS_CC = shutil.which("cc") is not None
-KERNEL = engine._load_kernel()
+with warnings.catch_warnings():  # without cc the fallback warns; a test checks that warning
+    warnings.simplefilter("ignore", RuntimeWarning)
+    KERNEL = engine._load_kernel()
 needs_builder = pytest.mark.skipif(KERNEL is None or KERNEL.build_events is None,
                                    reason="the kernel has no event builder")
 WALK = it.generate_random_walk(1.0, 0.004, 20000, seed=11)
@@ -102,7 +105,7 @@ def test_the_c_builder_makes_the_python_builders_events(columns):
 @needs_builder
 def test_the_grid_builder_makes_each_thresholds_python_events():
     configs = [it.ThresholdConfig(d) for d in (0.002, 0.004, 0.01)]
-    scan = engine._grid_scan(WALK, configs)
+    scan = engine._GridScan(configs, WALK)
     built = scan.events()
     for events, arrays in zip(built, scan.finish(), strict=True):
         expected = python_events(arrays.kinds, arrays.directions, arrays.timestamps,
@@ -116,11 +119,11 @@ def test_the_c_builder_keeps_reference_counts():
     arrays = it.process_arrays(WALK, CONFIG)
     delta, n = CONFIG.delta, len(arrays)
     deltas, clocks = np.full(n, 0.25), np.arange(n, dtype=np.int64) + 1000
-    grid = engine._grid_scan(WALK, [CONFIG, it.ThresholdConfig(0.01)])
+    grid = engine._GridScan([CONFIG, it.ThresholdConfig(0.01)], WALK)
     grid.finish()[-1].kinds[-1] = 2  # a bad code at the last runner's last event
     builds = [
         lambda: it.events_from_arrays(arrays),
-        lambda: engine._grid_scan(WALK, [CONFIG, it.ThresholdConfig(0.01)]).events(),
+        lambda: engine._GridScan([CONFIG, it.ThresholdConfig(0.01)], WALK).events(),
         lambda: engine._built_in_c(arrays.kinds, arrays.directions, arrays.timestamps,
                                    arrays.prices, delta, deltas, clocks),
         lambda: engine._built_in_c(arrays.kinds + 2, arrays.directions, arrays.timestamps,

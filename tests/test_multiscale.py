@@ -1,5 +1,7 @@
 """Tests for grid runs, summaries and the coastline."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ def test_singleton_grid_matches_single_process():
 
 def test_grid_scan_returns_one_event_buffer_per_threshold():
     series = it.as_tick_series(FOUR_TICKS)
-    scans = multiscale._scan_grid(series, [0.005, 0.01], it.MoveConvention.LOG_RETURN)
+    scans = multiscale._scan_grid(series, [0.005, 0.01], it.MoveConvention.LOG_RETURN).finish()
     assert [type(arrays) for arrays in scans] == [it.EventArrays] * 2
     assert [arrays.config for arrays in scans] == [
         it.ThresholdConfig(d, it.MoveConvention.LOG_RETURN) for d in (0.005, 0.01)]
@@ -56,8 +58,20 @@ def test_invalid_grids_rejected(deltas):
         it.decompose(FOUR_TICKS, deltas, 1)
 
 
-@pytest.mark.parametrize("grid", [[0.005, 0.01], iter([0.005, 0.01]),
-                                  it.ThresholdGrid((0.005, 0.01))])
+@pytest.mark.parametrize("grid", [0.01, "0.01", b"0.01", None],
+                         ids=["number", "str", "bytes", "None"])
+def test_a_grid_that_is_not_an_iterable_of_numbers_is_refused(grid):
+    # a number raised a bare TypeError; a string's characters were read as deltas
+    message = re.escape(f"threshold grid must be an iterable of numbers, got {grid!r}")
+    for make in (it.ThresholdGrid, lambda g: it.run_grid(FOUR_TICKS, g),
+                 lambda g: it.run_grid(FOUR_TICKS, g, "log"),
+                 lambda g: it.decompose(FOUR_TICKS, g, 1)):
+        with pytest.raises(it.ConfigurationError, match=message):
+            make(grid)
+
+
+@pytest.mark.parametrize("grid", [[0.005, 0.01], (0.005, 0.01), iter([0.005, 0.01]),
+                                  np.array([0.005, 0.01]), it.ThresholdGrid((0.005, 0.01))])
 def test_each_delta_is_checked_once_per_grid_call(monkeypatch, grid):
     checked, post_init = [], it.ThresholdConfig.__post_init__
     monkeypatch.setattr(it.ThresholdConfig, "__post_init__",

@@ -1,6 +1,7 @@
 """Tests for power-law fitting, overshoot statistics and the decomposition."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -189,6 +190,22 @@ def test_physical_returns_rejects_bad_dt():
             it.physical_returns(ticks, dt)
     for dt in (5, 5.0, np.int64(5), np.float64(5.0)):
         assert it.physical_returns(ticks, dt).dt == 5
+
+
+@pytest.mark.parametrize("convention", ["log", None, 1])
+def test_an_unknown_convention_is_refused_before_any_return(monkeypatch, convention):
+    # "log" gave the relative returns, and decompose refused it only after them
+    ticks = [(0, 1.0), (10, 1.1), (20, 1.2), (30, 1.1), (40, 1.3)]
+    assert it.physical_returns(ticks, 10, REL).returns.tolist() == [
+        0.10000000000000009, 0.09090909090909079, -0.08333333333333323, 0.18181818181818177]
+    assert it.physical_returns(ticks, 10, LOG).returns.tolist() == np.log(
+        np.array([1.1, 1.2, 1.1, 1.3]) / [1.0, 1.1, 1.2, 1.1]).tolist()
+    monkeypatch.setattr(it.scaling, "_moves", None)  # no return is computed
+    message = re.escape(f"unknown move convention {convention!r}")
+    with pytest.raises(it.ConfigurationError, match=message):
+        it.physical_returns(ticks, 10, convention)
+    with pytest.raises(it.ConfigurationError, match=message):
+        it.decompose(ticks, [0.01], 10, convention)
 
 
 def test_physical_returns_span_beyond_int64_is_exact():
