@@ -106,10 +106,12 @@
  * unit.
  *
  * Last comes the event builder, it_build_events, which turns event columns
- * into IntrinsicEvent objects. It uses the Python C API, so it is compiled
- * only where <Python.h> is found; ``engine`` passes its directory to cc on
- * CPython alone. A build without it, such as the sanitized test program's,
- * keeps everything else.
+ * into IntrinsicEvent objects that the cyclic garbage collector does not
+ * track, unlike the ones engine._build_events makes, as none can be part of
+ * a garbage cycle. It uses the Python C API, so it is compiled only where
+ * <Python.h> is found; ``engine`` passes its directory to cc on CPython
+ * alone. A build without it, such as the sanitized test program's, keeps
+ * everything else.
  *
  * Build: cc -O2 -fPIC -shared -ffp-contract=off [-I<Python include>] -lm
  * (no fused multiply-add, no fast-math: the arithmetic must round exactly
@@ -761,9 +763,10 @@ int it_init(void)
  * the fields engine._build_events gives it: member[kind], member[2] (up) or
  * member[3] (down), an int timestamp, a float price, the delta and an int
  * clock: delta itself, or a new float of delta_col[i] when delta_col is
- * given, and clock_col[i], or else i. None at the first kind other than 0
- * or 1, or dir other than +1 or -1; NULL with an exception set when an
- * object cannot be made. */
+ * given, and clock_col[i], or else i. The events are untracked by the
+ * cyclic garbage collector, unless they share a delta that is not an exact
+ * float. None at the first kind other than 0 or 1, or dir other than +1 or
+ * -1; NULL with an exception set when an object cannot be made. */
 static PyObject *event_list(PyTypeObject *type, PyObject *const *member,
                             const struct it_runner *r, PyObject *delta,
                             const double *delta_col, const int64_t *clock_col)
@@ -771,6 +774,7 @@ static PyObject *event_list(PyTypeObject *type, PyObject *const *member,
     PyObject *list = PyList_New((Py_ssize_t)r->m);
     if (list == NULL)
         return NULL;
+    int untrack = delta_col != NULL || PyFloat_CheckExact(delta);
     for (int64_t i = 0; i < r->m; i++) {
         if ((r->kind[i] != 0 && r->kind[i] != 1) || (r->dir[i] != 1 && r->dir[i] != -1)) {
             Py_DECREF(list);
@@ -779,6 +783,17 @@ static PyObject *event_list(PyTypeObject *type, PyObject *const *member,
         PyObject *ev = type->tp_alloc(type, 6);
         if (ev == NULL)
             goto fail;
+        /* An event holds only the four members, which live as long as their
+         * classes, exact ints and floats, and the shared delta: none of them
+         * can refer back to it as garbage, so no garbage cycle runs through
+         * it, and the collector need never traverse it. CPython would not
+         * untrack it by itself: it untracks only exact tuples, and only
+         * those that hold no tracked object, such as an enum member. A
+         * shared delta that is not an exact float (only a hand-made
+         * EventArrays config gives one) may refer back, and leaves the
+         * list's events tracked. */
+        if (untrack)
+            PyObject_GC_UnTrack(ev);
         PyList_SET_ITEM(list, i, ev);         /* the list frees a part-filled event */
         PyTuple_SET_ITEM(ev, 0, Py_NewRef(member[r->kind[i]]));
         PyTuple_SET_ITEM(ev, 1, Py_NewRef(member[r->dir[i] > 0 ? 2 : 3]));
@@ -805,11 +820,13 @@ fail:
  *
  * Returns None at the first code event_list does not take, and frees every
  * event built before it: the caller then runs engine._build_events, which
- * is the spec, and raises its own error. The cyclic garbage collector is
- * paused while the events are made, as an event holds no container and so
- * cannot make a cycle, and left as it was. The caller holds the GIL: this
- * function is bound through ctypes.PyDLL, and makes no call that could
- * release it, so no other thread runs while the collector is paused. */
+ * is the spec, and raises its own error. An event can be part of no garbage
+ * cycle, so the cyclic garbage collector is paused while the events are
+ * made, and left as it was, and event_list untracks them: no collection
+ * after this call walks or promotes them, as collections do the events
+ * engine._build_events makes. The caller holds the GIL: this function is
+ * bound through ctypes.PyDLL, and makes no call that could release it, so
+ * no other thread runs while the collector is paused. */
 PyObject *it_build_events(PyObject *type, PyObject *members, const struct it_runner *run,
                           int64_t k, PyObject *deltas, const double *delta_col,
                           const int64_t *clock_col)

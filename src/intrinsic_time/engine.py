@@ -788,7 +788,8 @@ class _GridScan:
     def events(self) -> list[list[IntrinsicEvent]]:
         """Every config's events, in order: ``events_from_arrays`` of each of
         ``finish``'s arrays, built from every runner's columns in one
-        ``it_build_events`` call where the kernel has the builder."""
+        ``it_build_events`` call where the kernel has the builder, which
+        leaves them untracked by the cyclic garbage collector."""
         build = self.kernel and self.kernel.build_events
         if build:
             events = build(IntrinsicEvent, _MEMBERS, self.runners, len(self.runners),
@@ -818,10 +819,12 @@ _MEMBERS = (*_KINDS.values(), Mode.UP, Mode.DOWN)  # it_build_events': kinds, th
 def _collector_paused() -> Iterator[None]:
     """The cyclic garbage collector off inside the block, then as it was.
 
-    For loops that make many objects that hold no container, such as
-    events, and so cannot make a cycle: the collector would scan them again
-    and again as they are made. ``gc.disable`` is process-wide, so other
-    threads allocate without collections while the block runs."""
+    For loops that make many objects that cannot be part of a garbage
+    cycle, such as events: the collector would scan them again and again as
+    they are made. It still tracks them after the block, unlike the events
+    of ``it_build_events``, which pauses it in C and untracks each event.
+    ``gc.disable`` is process-wide, so other threads allocate without
+    collections while the block runs."""
     enabled = gc.isenabled()
     gc.disable()
     try:

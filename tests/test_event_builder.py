@@ -1,6 +1,6 @@
 """The two event builders: ``it_build_events`` in the C kernel and its spec,
-``engine._build_events``, and the pause of the garbage collector around
-event loops.
+``engine._build_events``, the pause of the garbage collector around event
+loops, and the events the C builder leaves untracked by the collector.
 
 Each builder turns event columns into ``IntrinsicEvent`` objects, the C one
 in one call for a whole grid. The C builder is compiled in only where the
@@ -20,6 +20,7 @@ import sys
 import warnings
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,7 +115,20 @@ def test_the_grid_builder_makes_each_thresholds_python_events():
         assert all(ev.delta is arrays.config.delta for ev in events)
 
 
+@pytest.fixture
+def frequent_collections():
+    """The collector on, with a young collection at every allocation of a
+    tracked object, during the test; then as it was."""
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    gc.enable()
+    gc.set_threshold(1)
+    yield
+    gc.set_threshold(*threshold)
+    (gc.enable if was else gc.disable)()
+
+
 @needs_builder
+@pytest.mark.usefixtures("frequent_collections")
 def test_the_c_builder_keeps_reference_counts():
     arrays = it.process_arrays(WALK, CONFIG)
     delta, n = CONFIG.delta, len(arrays)
@@ -216,9 +230,9 @@ def test_event_columns_of_unequal_shapes_are_refused_on_construction(change, len
 EVENTS = it.events_from_arrays(ARRAYS)
 
 
-def event_file(tmp_path):
-    path = tmp_path / "events.csv"
-    it.write_events(EVENTS, path)
+def event_file(tmp_path, format="csv", events=EVENTS):
+    path = tmp_path / f"events.{format}"
+    it.write_events(events, path, format)
     return path
 
 
@@ -314,6 +328,95 @@ def test_read_events_without_the_builder_frees_each_column_as_it_is_converted(
     # one array fewer at each conversion; a file of one delta passes it as a
     # float, so that column is dropped before the build and not converted
     assert live == list(range(4 + deltas, 0, -1))
+
+
+# ---------------------------------------------------------------------------
+# events the collector does not track
+# ---------------------------------------------------------------------------
+
+
+TWO_DELTAS = [*EVENTS, EVENTS[-1]._replace(delta=0.5)]  # read back with a delta column
+
+# each way to the C builder, as one list of events
+BUILDS = {
+    "process": lambda tmp_path: it.process(WALK, CONFIG),
+    "run_grid": lambda tmp_path: [ev for _, events in it.run_grid(WALK, [0.002, 0.01])
+                                  for ev in events],
+    "events_from_arrays": lambda tmp_path: it.events_from_arrays(ARRAYS),
+    "read_events, csv": lambda tmp_path: it.read_events(event_file(tmp_path)),
+    "read_events, jsonl": lambda tmp_path: it.read_events(
+        event_file(tmp_path, "jsonl", TWO_DELTAS), "jsonl"),
+    "delta and clock columns": lambda tmp_path: engine._events(
+        [ARRAYS.kinds, ARRAYS.directions, ARRAYS.timestamps, ARRAYS.prices,
+         np.full(N, 0.25), np.arange(N, dtype=np.int64) + 1000], CONFIG.delta),
+}
+
+
+@needs_builder
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("build", list(BUILDS))
+def test_only_the_c_builders_events_are_untracked(monkeypatch, tmp_path, backend, build):
+    if backend == "python":
+        monkeypatch.setattr(engine, "_kernel", KERNEL._replace(build_events=None))
+    events = BUILDS[build](tmp_path)
+    assert len(events) > 100
+    assert {gc.is_tracked(ev) for ev in events} == {backend == "python"}
+
+
+@needs_builder
+@pytest.mark.usefixtures("frequent_collections")
+@pytest.mark.parametrize("build", list(BUILDS))
+def test_under_frequent_collections_the_c_builder_makes_the_python_builders_events(
+        monkeypatch, tmp_path, build):
+    built = BUILDS[build](tmp_path)
+    gc.collect()
+    monkeypatch.setattr(engine, "_kernel", KERNEL._replace(build_events=None))
+    expected = BUILDS[build](tmp_path)
+    assert exact(built) == exact(expected)
+    assert {type(ev) for ev in built} == {it.IntrinsicEvent}
+
+
+class Delta(float):
+    """A delta that is not an exact float, and so can refer to its events."""
+
+
+@needs_builder
+def test_events_of_a_delta_that_is_not_an_exact_float_are_tracked_and_collected():
+    delta = Delta(CONFIG.delta)
+    arrays = dataclasses.replace(ARRAYS, config=SimpleNamespace(delta=delta))
+    events = it.events_from_arrays(arrays)
+    assert events == EVENTS and all(ev.delta is delta for ev in events)
+    assert all(gc.is_tracked(ev) for ev in events)
+    delta.events = events  # a cycle: delta, its dict, the list, each event, delta
+    alive = weakref.ref(delta)
+    del delta, events, arrays
+    assert alive() is not None  # reference counts alone keep the cycle
+    gc.collect()
+    assert alive() is None
+
+
+@needs_builder
+def test_a_run_grid_result_adds_its_containers_to_the_collector_and_no_event():
+    # a tracked event would count here: the grid makes thousands of them
+    grid = np.geomspace(0.002, 0.02, 10).tolist()
+
+    def growth(calls):
+        """Tracked objects after ``calls`` results are made and kept."""
+        gc.collect()
+        before = len(gc.get_objects())
+        kept = [it.run_grid(WALK, grid) for _ in range(calls)]
+        gc.collect()
+        count = len(gc.get_objects()) - before
+        del kept
+        return count
+
+    growth(1)  # caches warmed
+    # what one more result adds: a constant, such as the dict ctypes may
+    # leave tracked after a scan's runner array, cancels
+    per_result = [growth(2) - growth(1) for _ in range(3)]
+    containers = 1 + 2 * len(grid)  # the list, and each threshold's tuple and list
+    assert sum(len(events) for _, events in it.run_grid(WALK, grid)) > 10 * containers
+    assert per_result == [per_result[0]] * 3 and per_result[0] <= containers
 
 
 # ---------------------------------------------------------------------------
